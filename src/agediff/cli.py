@@ -28,6 +28,7 @@ from . import harness, model
 from .errors import (
     AgediffError,
     ConfigError,
+    EvalError,
     NonFiniteState,
     ParseError,
     StabilityViolation,
@@ -35,7 +36,6 @@ from .errors import (
 from .exprdsl import parse_expr
 from .grid import GridSpec, build_grid, refine
 from .model import ExactSolution, ProblemSpec
-from .residual import restrict
 from .solver import run as run_solver
 
 _STUDIES = ("single", "convergence", "self_convergence", "consistency", "stability")
@@ -235,8 +235,17 @@ def _write_run_slice(
     )
     path = f"{output_dir}/{tag}_slice_h{grid.h!r}.csv"
     if exact is not None:
-        sampled = restrict(exact.u, grid)
-        u_exact = np.concatenate(([sampled.left_trace[-1]], sampled.rows[-1], [sampled.right_trace[-1]]))
+        # Sampled like restrict does, but at the final level only.
+        t = grid.t_final
+        u_exact = np.concatenate(
+            (
+                [exact.u(np.asarray(0.0), t)],
+                exact.u(grid.interior_nodes(), t),
+                [exact.u(np.asarray(grid.a_dagger), t)],
+            )
+        )
+        if not np.all(np.isfinite(u_exact)):
+            raise EvalError("sampled function is not finite on the grid")
         harness.write_slice_csv(path, x, u_numeric, u_exact)
     else:
         harness.write_slice_csv(path, x, u_numeric)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureFailure, UnknownProblem
 from . import exprdsl
@@ -155,6 +154,10 @@ def exact_weighted_integral(
     This is the measuring stick the nodal quadrature is compared against in
     tests; it never feeds the scheme itself.
     """
+    # Imported here: scipy is the slowest import in the package and nothing
+    # else needs it.
+    from scipy import integrate
+
     result = integrate.quad(
         lambda x: float(psi(np.asarray(x, dtype=float))) * float(exact.u(np.asarray(x, dtype=float), t)),
         0.0,

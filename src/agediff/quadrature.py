@@ -12,6 +12,7 @@ touching x_0 or x_M.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,34 +55,18 @@ class InteriorVector:
 def qh(v: InteriorVector) -> float:
     """Integrate interior nodal values over [0, a_dagger].
 
-    Summation is a fixed left-to-right pass (end rule, Simpson panels in
-    index order, end rule) so repeated calls on equal inputs are
-    bit-identical.
+    The integral is the dot product of the values with the rule's weight
+    vector (see :func:`weights`), cached per (length, h).  Equal inputs give
+    bit-identical results on every call.
     """
-    val = v.values
-    h = v.h
-    m_prime = (len(val) + 1) // 2 - 3
-    four_thirds = 4.0 * h / 3.0
-    left = four_thirds * (2.0 * val[0] - val[1] + 2.0 * val[2])
-    right = four_thirds * (2.0 * val[-3] - val[-2] + 2.0 * val[-1])
-    if m_prime >= 2:
-        # Simpson panel for i in 2..m_prime covers nodes 2i, 2i+1, 2i+2
-        # (zero-based indices 2i-1, 2i, 2i+1).
-        a = val[3 : 2 * m_prime : 2]
-        b = val[4 : 2 * m_prime + 1 : 2]
-        c = val[5 : 2 * m_prime + 2 : 2]
-        panels = a + 4.0 * b + c
-        interior = float(np.cumsum(panels)[-1])
-    else:
-        interior = 0.0
-    return left + (h / 3.0) * interior + right
+    return float(_cached_weights(len(v.values), v.h) @ v.values)
 
 
 def weights(n: int, h: float) -> np.ndarray:
-    """Weight vector w with qh(v) = sum(w * v.values) for length-n vectors.
+    """Weight vector w with qh(v) = w @ v.values for length-n vectors.
 
-    Built with the same elementary expressions as :func:`qh`, so applying
-    qh to a unit basis vector reproduces the corresponding entry exactly.
+    Every call returns a fresh array, so callers may modify it.  Applying qh
+    to a unit basis vector reproduces the corresponding entry exactly.
     Note w[1] and w[-2] are negative: the rule is not monotone.
     """
     if n % 2 == 0 or n < 7:
@@ -105,6 +90,14 @@ def weights(n: int, h: float) -> np.ndarray:
             counts[2 * i + 1] += 1.0
         inner = slice(3, 2 * m_prime + 2)
         w[inner] = third * counts[inner]
+    return w
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_weights(n: int, h: float) -> np.ndarray:
+    # Read-only: every qh call on a mesh shares this one array.
+    w = weights(n, h)
+    w.flags.writeable = False
     return w
 
 

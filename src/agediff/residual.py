@@ -30,8 +30,8 @@ import numpy as np
 from .errors import DimensionMismatch, EvalError
 from .grid import GridSpec
 from .model import ProblemSpec
-from .quadrature import InteriorVector, l2_norm, pointwise_product, qh, star_norm
-from .solver import SolutionHistory, _coefficient_values, weighted_population
+from .quadrature import InteriorVector, l2_norm, qh, star_norm
+from .solver import SolutionHistory, _coefficient_values, _nodal_values
 
 
 def _check_shapes(left: np.ndarray, rows: np.ndarray, right: np.ndarray, grid: GridSpec) -> None:
@@ -153,17 +153,17 @@ def apply_phi(
     t_levels = grid.time_levels()
     n_levels = grid.n_steps + 1
 
-    psi1 = InteriorVector(problem.psi1(x), h)
-    psi2 = InteriorVector(problem.psi2(x), h)
+    psi1 = _nodal_values(problem.psi1(x), x, "psi1")
+    psi2 = _nodal_values(problem.psi2(x), x, "psi2")
 
     birth = np.empty(n_levels)
     mortality = np.empty_like(v.rows)
     for n in range(n_levels):
-        row = InteriorVector(v.rows[n], h)
-        s2 = weighted_population(psi2, row)
+        row = v.rows[n]
+        s2 = qh(InteriorVector(psi2 * row, h))
         fertility = _coefficient_values(problem.fertility, x, s2, "fertility")
-        birth[n] = qh(pointwise_product(InteriorVector(fertility, h), row))
-        s1 = weighted_population(psi1, row)
+        birth[n] = qh(InteriorVector(fertility * row, h))
+        s1 = qh(InteriorVector(psi1 * row, h))
         mortality[n] = _coefficient_values(problem.mortality, x, s1, "mortality")
 
     robin_coeff = 1.0 + 1.0 / h

@@ -14,6 +14,11 @@ prescribed data, the left one solves the discrete Robin birth law
 for U_0^n, which rearranges to U_0^n = (h*qh(...) + U_1^n) / (h + 1).  The
 left value is computed at every stored level, including the last one, so a
 solution history always satisfies the boundary identity row by row.
+
+:func:`run` computes the mesh constants once and writes each new row in
+place into its preallocated history.  It shares one private stepping kernel
+with the public :func:`step` and :func:`solve_left_boundary`, so a run and a
+chain of public calls agree bit for bit.
 """
 
 from __future__ import annotations
@@ -60,15 +65,61 @@ def _interior_coordinates(u: InteriorVector) -> np.ndarray:
     return np.arange(1, len(u) + 1) * u.h
 
 
-def _coefficient_values(fn, x: np.ndarray, s: float, what: str) -> np.ndarray:
-    values = np.asarray(fn(x, s), dtype=float)
+def _nodal_values(values, x: np.ndarray, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
     if values.shape != x.shape:
         raise DimensionMismatch(
             f"{what} returned shape {values.shape} for {x.shape[0]} nodes"
         )
-    if not np.all(np.isfinite(values)):
+    return values
+
+
+def _coefficient_values(fn, x: np.ndarray, s: float, what: str) -> np.ndarray:
+    values = _nodal_values(fn(x, s), x, what)
+    if not np.isfinite(values).all():
         raise EvalError(f"{what} evaluated to a non-finite value (s = {s!r})")
     return values
+
+
+def _stencil(grid: GridSpec) -> tuple[float, float, float, float]:
+    """(k, r, 1 - lam - 2r, r + lam): the update weights apart from -k*d."""
+    return grid.k, grid.r, 1.0 - grid.lam - 2.0 * grid.r, grid.r + grid.lam
+
+
+def _left_value(u: np.ndarray, x: np.ndarray, h: float, problem: ProblemSpec) -> float:
+    psi2 = _nodal_values(problem.psi2(x), x, "psi2")
+    s2 = qh(InteriorVector(psi2 * u, h))
+    fertility = _coefficient_values(problem.fertility, x, s2, "fertility")
+    birth = qh(InteriorVector(fertility * u, h))
+    return (h * birth + u[0]) / (h + 1.0)
+
+
+def _advance(
+    u: np.ndarray,
+    left: float,
+    right: float,
+    problem: ProblemSpec,
+    x: np.ndarray,
+    h: float,
+    stencil: tuple[float, float, float, float],
+    out: np.ndarray,
+) -> None:
+    """Write the next interior row into ``out``.
+
+    Each element is ((c_i*U_i + (r+lam)*U_{i-1}) + r*U_{i+1}) with
+    c_i = (1 - lam - 2r) - k*d_i, evaluated in that order.
+    """
+    k, r, diagonal, upwind = stencil
+    psi1 = _nodal_values(problem.psi1(x), x, "psi1")
+    s1 = qh(InteriorVector(psi1 * u, h))
+    mortality = _coefficient_values(problem.mortality, x, s1, "mortality")
+    np.multiply(mortality, k, out=out)
+    np.subtract(diagonal, out, out=out)
+    out *= u
+    out[1:] += upwind * u[:-1]
+    out[0] += upwind * left
+    out[:-1] += r * u[1:]
+    out[-1] += r * right
 
 
 def weighted_population(psi_values: InteriorVector, u: InteriorVector) -> float:
@@ -83,13 +134,7 @@ def solve_left_boundary(u: InteriorVector, t: float, problem: ProblemSpec) -> fl
     law itself has no explicit time dependence.
     """
     del t
-    h = u.h
-    x = _interior_coordinates(u)
-    psi2 = InteriorVector(problem.psi2(x), h)
-    s2 = weighted_population(psi2, u)
-    fertility = _coefficient_values(problem.fertility, x, s2, "fertility")
-    birth = qh(pointwise_product(InteriorVector(fertility, h), u))
-    return (h * birth + u.values[0]) / (h + 1.0)
+    return _left_value(u.values, _interior_coordinates(u), u.h, problem)
 
 
 def step(
@@ -102,23 +147,17 @@ def step(
 ) -> InteriorVector:
     """Advance the interior row one time level."""
     del t_prev
-    if len(u_prev) != grid.m_total - 1:
+    if len(u_prev) != grid.m_total - 1 or u_prev.h != grid.h:
         raise DimensionMismatch(
-            f"row length {len(u_prev)} does not match grid width {grid.m_total - 1}"
+            f"row of length {len(u_prev)} (h = {u_prev.h!r}) does not match grid width "
+            f"{grid.m_total - 1} (h = {grid.h!r})"
         )
-    h, k, r, lam = grid.h, grid.k, grid.r, grid.lam
+    advanced = np.empty(len(u_prev))
     x = grid.interior_nodes()
-    psi1 = InteriorVector(problem.psi1(x), h)
-    s1 = weighted_population(psi1, u_prev)
-    mortality = _coefficient_values(problem.mortality, x, s1, "mortality")
-
-    u = u_prev.values
-    shifted_left = np.concatenate(([left_prev], u[:-1]))
-    shifted_right = np.concatenate((u[1:], [right_prev]))
-    advanced = (1.0 - lam - 2.0 * r - k * mortality) * u + (r + lam) * shifted_left + r * shifted_right
-    if not np.all(np.isfinite(advanced)):
+    _advance(u_prev.values, left_prev, right_prev, problem, x, grid.h, _stencil(grid), advanced)
+    if not np.isfinite(advanced).all():
         raise NonFiniteState("time step produced a non-finite value")
-    return InteriorVector(advanced, h)
+    return InteriorVector(advanced, grid.h)
 
 
 def run(problem: ProblemSpec, grid: GridSpec) -> SolutionHistory:
@@ -135,15 +174,13 @@ def run(problem: ProblemSpec, grid: GridSpec) -> SolutionHistory:
         )
 
     x = grid.interior_nodes()
+    h = grid.h
+    stencil = _stencil(grid)
     t_levels = grid.time_levels()
     n_steps = grid.n_steps
 
     interior = np.empty((n_steps + 1, grid.m_total - 1))
-    initial_row = np.asarray(problem.initial(x), dtype=float)
-    if initial_row.shape != x.shape:
-        raise DimensionMismatch(
-            f"initial profile returned shape {initial_row.shape} for {x.shape[0]} nodes"
-        )
+    initial_row = _nodal_values(problem.initial(x), x, "initial profile")
     if not np.all(np.isfinite(initial_row)):
         raise NonFiniteState("initial profile is not finite", time_level=0)
     interior[0] = initial_row
@@ -156,21 +193,21 @@ def run(problem: ProblemSpec, grid: GridSpec) -> SolutionHistory:
 
     left_trace = np.empty(n_steps + 1)
     for n in range(n_steps + 1):
-        row = InteriorVector(interior[n], grid.h)
-        left_trace[n] = solve_left_boundary(row, t_levels[n], problem)
-        if not math.isfinite(left_trace[n]):
+        row = interior[n]
+        left = _left_value(row, x, h, problem)
+        if not math.isfinite(left):
             raise NonFiniteState(
                 f"left boundary value became non-finite at time level {n}", time_level=n
             )
+        left_trace[n] = left
         if n < n_steps:
-            try:
-                advanced = step(row, left_trace[n], right_trace[n], t_levels[n], problem, grid)
-            except NonFiniteState as exc:
+            advanced = interior[n + 1]
+            _advance(row, left, right_trace[n], problem, x, h, stencil, advanced)
+            if not np.isfinite(advanced).all():
                 raise NonFiniteState(
                     f"state became non-finite at time level {n + 1} (t = {t_levels[n + 1]!r})",
                     time_level=n + 1,
-                ) from exc
-            interior[n + 1] = advanced.values
+                )
 
     return SolutionHistory(
         left_trace=left_trace,

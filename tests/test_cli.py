@@ -220,3 +220,31 @@ def test_examples_command_picks_the_self_study_without_an_exact(tmp_path):
         ["examples", "example2", "--levels", "3", "--t-final", "0.05", "--output-dir", str(out_dir)]
     ) == 0
     assert (out_dir / "example2_self_convergence.csv").exists()
+
+
+@pytest.mark.parametrize("problem_id,t_final", [("example1", "0.2"), ("example3", "0.1")])
+def test_slice_matches_a_fully_restricted_exact_solution(tmp_path, problem_id, t_final):
+    # The slice samples the exact solution at the final level only; its bytes
+    # must equal those written from a restriction over every level.
+    from agediff.grid import build_grid
+    from agediff.harness import write_slice_csv
+    from agediff.model import builtin_problem
+    from agediff.residual import restrict
+    from agediff.solver import run
+
+    out_dir = tmp_path / "out"
+    argv = ["examples", problem_id, "--levels", "1", "--t-final", t_final, "--output-dir", str(out_dir)]
+    assert main(argv) == 0
+    problem, exact = builtin_problem(problem_id)
+    grid = build_grid(1.0, 7, 0.4, float(t_final))
+    solution = run(problem, grid)
+    sampled = restrict(exact.u, grid)
+    reference = tmp_path / "reference.csv"
+    write_slice_csv(
+        str(reference),
+        grid.nodes(),
+        np.concatenate(([solution.left_trace[-1]], solution.interior[-1], [solution.right_trace[-1]])),
+        np.concatenate(([sampled.left_trace[-1]], sampled.rows[-1], [sampled.right_trace[-1]])),
+    )
+    written = out_dir / f"{problem_id}_slice_h{grid.h!r}.csv"
+    assert written.read_bytes() == reference.read_bytes()

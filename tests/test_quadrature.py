@@ -205,3 +205,27 @@ def test_star_norm_values():
         star_norm(np.ones((3, 3)), 0.01)
     with pytest.raises(InvalidParameter):
         star_norm(np.ones(5), 0.0)
+
+
+@pytest.mark.parametrize("m_prime", [1, 2, 7, 37])
+def test_qh_is_the_weight_vector_dot_product(m_prime):
+    x, h = interior_x(m_prime)
+    values = np.exp(x) * np.sin(7.0 * x)
+    assert qh(InteriorVector(values, h)) == float(weights(x.shape[0], h) @ values)
+
+
+def test_equal_lengths_with_different_spacing_get_their_own_weights():
+    # qh caches weights per mesh; the spacing is part of the key.
+    values = np.ones(19)
+    assert qh(InteriorVector(values, 0.05)) == pytest.approx(1.0, abs=1e-15)
+    assert qh(InteriorVector(values, 0.1)) == pytest.approx(2.0, abs=1e-15)
+    assert qh(InteriorVector(values, 0.05)) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_mutating_returned_weights_does_not_change_qh():
+    x, h = interior_x(7)
+    v = InteriorVector(np.exp(x), h)
+    before = qh(v)
+    w = weights(x.shape[0], h)
+    w[:] = 0.0
+    assert qh(v) == before

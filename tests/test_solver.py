@@ -234,3 +234,18 @@ def test_solution_history_shape_validation():
         SolutionHistory(**{**good, "left_trace": np.zeros(levels + 1)})
     with pytest.raises(DimensionMismatch):
         SolutionHistory(**{**good, "interior": np.zeros((levels, grid.m_total))})
+
+
+@pytest.mark.parametrize("problem_id", ["example2", "example3"])
+def test_run_equals_a_chain_of_public_calls(problem_id):
+    problem, _ = builtin_problem(problem_id)
+    grid = build_grid(1.0, 7, 0.4, 0.05)
+    solution = run(problem, grid)
+    times = grid.time_levels()
+    row = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
+    for n in range(grid.n_steps + 1):
+        assert np.array_equal(solution.interior[n], row.values)
+        left = solve_left_boundary(row, times[n], problem)
+        assert solution.left_trace[n] == left
+        if n < grid.n_steps:
+            row = step(row, left, problem.boundary_value(times[n]), times[n], problem, grid)
