@@ -51,7 +51,6 @@ from .quadrature import (
     InteriorVector,
     inf_norm,
     l2_norm,
-    pointwise_product,
     qh,
     star_norm,
     weights,
@@ -65,7 +64,7 @@ from .residual import (
     xh_norm,
     yh_norm,
 )
-from .solver import SolutionHistory, run, solve_left_boundary, step, weighted_population
+from .solver import SolutionHistory, run, solve_left_boundary, step
 
 __version__ = "0.1.0"
 
@@ -103,7 +102,6 @@ __all__ = [
     "inf_norm",
     "l2_norm",
     "parse_expr",
-    "pointwise_product",
     "problem_from_expressions",
     "qh",
     "read_convergence_csv",
@@ -116,7 +114,6 @@ __all__ = [
     "stability_probe",
     "star_norm",
     "step",
-    "weighted_population",
     "weights",
     "write_consistency_csv",
     "write_convergence_csv",

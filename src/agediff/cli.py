@@ -4,8 +4,8 @@ Subcommands: ``run`` executes whatever study a config file asks for;
 ``convergence``, ``consistency`` and ``stability`` do the same but force the
 study type; ``examples`` runs a built-in problem with its conventional
 parameters; ``list`` shows the built-ins.  Exit codes: 0 on success, 1 for
-configuration problems, 2 when the mesh violates the stability bound, 3
-when the state blows up mid-run.
+configuration problems, 2 when the mesh violates the stability bound or a
+step meets a negative update coefficient, 3 when the state blows up mid-run.
 
 Config files are line-oriented ``key = value`` pairs with ``#`` comments.
 The optional section headers ``[problem]`` and ``[study]`` group the keys;
@@ -40,9 +40,6 @@ from .solver import run as run_solver
 
 _STUDIES = ("single", "convergence", "self_convergence", "consistency", "stability")
 
-_PROBLEM_KEYS = {"problem", "d", "B", "psi1", "psi2", "u0", "g", "a_dagger"}
-_STUDY_KEYS = {"m_prime", "r", "t_final", "study", "levels", "output_dir"}
-_INLINE_KEYS = {"d", "B", "psi1", "psi2", "u0", "g"}
 _EXPR_SLOTS = {
     "d": {"x", "s"},
     "B": {"x", "s"},
@@ -51,6 +48,8 @@ _EXPR_SLOTS = {
     "u0": {"x"},
     "g": {"t"},
 }
+_PROBLEM_KEYS = {"problem", "a_dagger", *_EXPR_SLOTS}
+_STUDY_KEYS = {"m_prime", "r", "t_final", "study", "levels", "output_dir"}
 
 _EXAMPLE_T_FINAL = {"example1": 0.2, "example2": 0.8, "example3": 0.8}
 
@@ -125,7 +124,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"key {key!r} needs an integer, got {value!r}", lineno) from None
 
     problem_item = take("problem")
-    inline_items = {key: take(key) for key in _INLINE_KEYS}
+    inline_items = {key: take(key) for key in _EXPR_SLOTS}
     inline_present = {key for key, item in inline_items.items() if item is not None}
     a_dagger_item = take("a_dagger")
 
@@ -155,15 +154,9 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"key 'a_dagger' needs a number, got {value!r}", lineno) from None
             if not a_dagger > 0.0:
                 raise ConfigError(f"a_dagger must be positive, got {value!r}", lineno)
-        expressions = {}
-        defaults = {"psi1": "1", "psi2": "1"}
-        for key in ("d", "B", "psi1", "psi2", "u0", "g"):
-            item = inline_items[key]
+        expressions = {"psi1": "1", "psi2": "1", "g": None}
+        for key, item in inline_items.items():
             if item is None:
-                if key == "g":
-                    expressions[key] = None
-                    continue
-                expressions[key] = defaults[key]
                 continue
             value, lineno = item
             try:
@@ -266,34 +259,27 @@ def _execute(config: RunConfig, perturbation_scale: float = 1.0) -> int:
 
     if config.study == "single":
         written.append(_write_run_slice(problem, exact, base, out, tag))
-    elif config.study == "convergence":
-        rows = harness.convergence_study(problem, exact, base, config.levels)
-        path = f"{out}/{tag}_convergence.csv"
-        harness.write_convergence_csv(rows, path)
+    else:
+        if config.study == "convergence":
+            rows = harness.convergence_study(problem, exact, base, config.levels)
+            write = harness.write_convergence_csv
+        elif config.study == "self_convergence":
+            rows = harness.self_convergence_study(problem, base, config.levels)
+            write = harness.write_convergence_csv
+        elif config.study == "consistency":
+            rows = harness.consistency_study(problem, exact, base, config.levels)
+            write = harness.write_consistency_csv
+        else:
+            rows = harness.stability_probe(problem, base, config.levels, perturbation_scale)
+            write = harness.write_stability_csv
+        path = f"{out}/{tag}_{config.study}.csv"
+        write(rows, path)
         written.append(path)
-        grid = base
-        for _ in range(config.levels):
-            written.append(_write_run_slice(problem, exact, grid, out, tag))
-            grid = refine(grid)
-    elif config.study == "self_convergence":
-        rows = harness.self_convergence_study(problem, base, config.levels)
-        path = f"{out}/{tag}_self_convergence.csv"
-        harness.write_convergence_csv(rows, path)
-        written.append(path)
-        grid = base
-        for _ in range(config.levels):
-            written.append(_write_run_slice(problem, exact, grid, out, tag))
-            grid = refine(grid)
-    elif config.study == "consistency":
-        rows = harness.consistency_study(problem, exact, base, config.levels)
-        path = f"{out}/{tag}_consistency.csv"
-        harness.write_consistency_csv(rows, path)
-        written.append(path)
-    elif config.study == "stability":
-        rows = harness.stability_probe(problem, base, config.levels, perturbation_scale)
-        path = f"{out}/{tag}_stability.csv"
-        harness.write_stability_csv(rows, path)
-        written.append(path)
+        if config.study in ("convergence", "self_convergence"):
+            grid = base
+            for _ in range(config.levels):
+                written.append(_write_run_slice(problem, exact, grid, out, tag))
+                grid = refine(grid)
 
     for path in written:
         print(f"wrote {path}")
@@ -307,17 +293,6 @@ def _load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     return parse_config(text)
-
-
-def _override(config: RunConfig, study: Optional[str], output_dir: Optional[str]) -> RunConfig:
-    changes = {}
-    if study is not None:
-        changes["study"] = study
-    if output_dir is not None:
-        changes["output_dir"] = output_dir
-    if not changes:
-        return config
-    return replace(config, **changes)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -378,16 +353,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                 output_dir=args.output_dir,
             )
             return _execute(config)
-        config = _override(_load_config(args.config), None, args.output_dir)
-        if args.command == "run":
-            return _execute(config)
-        if args.command == "convergence":
-            return _execute(_override(config, "convergence", None))
-        if args.command == "consistency":
-            return _execute(_override(config, "consistency", None))
-        if args.command == "stability":
-            return _execute(_override(config, "stability", None), perturbation_scale=args.scale)
-        raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+        overrides = {} if args.command == "run" else {"study": args.command}
+        if args.output_dir is not None:
+            overrides["output_dir"] = args.output_dir
+        config = replace(_load_config(args.config), **overrides)
+        return _execute(config, perturbation_scale=getattr(args, "scale", 1.0))
     except StabilityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,9 +3,12 @@
 The spatial step must tile the age interval with a node count of the form
 2*(m_prime + 3): the quadrature rule needs three interior nodes next to each
 boundary for its open end rules plus an even number of panels in between.
-Time steps are slaved to the parabolic ratio k = r*h**2, and the scheme is
-only advanced when lambda + 2*r <= 1 (lambda = r*h), which is what keeps the
-update a convex combination for nonnegative mortality.
+Time steps are slaved to the parabolic ratio k = r*h**2, and a mesh is only
+built when lambda + 2*r <= 1 (lambda = r*h).  The update is a convex
+combination (weights summing to at most 1 for nonnegative mortality d) only
+while every diagonal weight 1 - lambda - 2*r - k*d_i is nonnegative as well;
+that depends on d, so the solver checks it at every step (see
+:mod:`agediff.solver`).
 """
 
 from __future__ import annotations

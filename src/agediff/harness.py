@@ -269,7 +269,9 @@ def _fmt(value: Optional[float]) -> str:
     return repr(float(value))
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_table(path: str, header: list[str], records) -> None:
+    """Write header and records (sequences of cell strings) atomically."""
+    text = "".join(",".join(cells) + "\n" for cells in (header, *records))
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     handle, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
@@ -284,25 +286,20 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def write_convergence_csv(rows: list[ConvergenceRow], path: str) -> None:
-    lines = [",".join(CONVERGENCE_HEADER)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.h),
-                    _fmt(row.k),
-                    str(row.m_total),
-                    str(row.n_steps),
-                    _fmt(row.err_inf),
-                    _fmt(row.err_l2),
-                    _fmt(row.err_xh),
-                    _fmt(row.order_inf),
-                    _fmt(row.order_l2),
-                    _fmt(row.order_xh),
-                ]
-            )
-        )
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_table(
+        path,
+        CONVERGENCE_HEADER,
+        (
+            [
+                _fmt(row.h),
+                _fmt(row.k),
+                str(row.m_total),
+                str(row.n_steps),
+                *map(_fmt, (row.err_inf, row.err_l2, row.err_xh, row.order_inf, row.order_l2, row.order_xh)),
+            ]
+            for row in rows
+        ),
+    )
 
 
 def read_convergence_csv(path: str) -> list[ConvergenceRow]:
@@ -331,18 +328,19 @@ def read_convergence_csv(path: str) -> list[ConvergenceRow]:
 
 
 def write_consistency_csv(rows: list[ConsistencyRow], path: str) -> None:
-    lines = ["h,residual_yh,order"]
-    for row in rows:
-        lines.append(",".join([_fmt(row.h), _fmt(row.residual_yh), _fmt(row.order)]))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_table(
+        path,
+        ["h", "residual_yh", "order"],
+        ((_fmt(row.h), _fmt(row.residual_yh), _fmt(row.order)) for row in rows),
+    )
 
 
 def write_stability_csv(rows: list[StabilityRow], path: str) -> None:
-    lines = ["h,ratio"]
-    for row in rows:
-        ratio = "DegenerateRatio" if row.degenerate else _fmt(row.ratio)
-        lines.append(",".join([_fmt(row.h), ratio]))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_table(
+        path,
+        ["h", "ratio"],
+        ((_fmt(row.h), "DegenerateRatio" if row.degenerate else _fmt(row.ratio)) for row in rows),
+    )
 
 
 def write_slice_csv(
@@ -352,11 +350,10 @@ def write_slice_csv(
     u_exact: Optional[np.ndarray] = None,
 ) -> None:
     if u_exact is None:
-        lines = ["x,u_numeric"]
-        for xi, ui in zip(x, u_numeric):
-            lines.append(f"{_fmt(xi)},{_fmt(ui)}")
+        _write_table(path, ["x", "u_numeric"], (map(_fmt, cells) for cells in zip(x, u_numeric)))
     else:
-        lines = ["x,u_numeric,u_exact,abs_err"]
-        for xi, ui, ei in zip(x, u_numeric, u_exact):
-            lines.append(f"{_fmt(xi)},{_fmt(ui)},{_fmt(ei)},{_fmt(abs(ui - ei))}")
-    _write_atomic(path, "\n".join(lines) + "\n")
+        _write_table(
+            path,
+            ["x", "u_numeric", "u_exact", "abs_err"],
+            (map(_fmt, (xi, ui, ei, abs(ui - ei))) for xi, ui, ei in zip(x, u_numeric, u_exact)),
+        )

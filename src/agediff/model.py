@@ -123,24 +123,22 @@ def builtin_ids() -> list[str]:
     return sorted(_BUILTINS)
 
 
-def builtin_description(problem_id: str) -> str:
+def _builtin(problem_id: str) -> tuple:
     try:
-        return _BUILTINS[problem_id][1]
+        return _BUILTINS[problem_id]
     except KeyError:
         raise UnknownProblem(
             f"unknown problem {problem_id!r}; available: {', '.join(builtin_ids())}"
         ) from None
+
+
+def builtin_description(problem_id: str) -> str:
+    return _builtin(problem_id)[1]
 
 
 def builtin_problem(problem_id: str) -> tuple[ProblemSpec, Optional[ExactSolution]]:
     """Return a built-in problem and its exact solution, if one is known."""
-    try:
-        factory = _BUILTINS[problem_id][0]
-    except KeyError:
-        raise UnknownProblem(
-            f"unknown problem {problem_id!r}; available: {', '.join(builtin_ids())}"
-        ) from None
-    return factory()
+    return _builtin(problem_id)[0]()
 
 
 def exact_weighted_integral(
@@ -172,27 +170,22 @@ def exact_weighted_integral(
     return float(result[0])
 
 
-def _profile_from_ast(ast: exprdsl.ExprAst) -> AgeProfile:
-    def profile(x: np.ndarray) -> np.ndarray:
-        flat = np.asarray(x, dtype=float).reshape(-1)
-        out = np.empty_like(flat)
-        for i, xi in enumerate(flat):
-            out[i] = exprdsl.eval_expr(ast, {"x": float(xi)})
-        return out.reshape(np.shape(x))
+def _nodewise(ast: exprdsl.ExprAst, x: np.ndarray, bindings: dict) -> np.ndarray:
+    """Evaluate ``ast`` at every node of ``x`` (any shape), one eval_expr call per node."""
+    flat = np.asarray(x, dtype=float).reshape(-1)
+    out = np.empty_like(flat)
+    for i, xi in enumerate(flat):
+        bindings["x"] = float(xi)
+        out[i] = exprdsl.eval_expr(ast, bindings)
+    return out.reshape(np.shape(x))
 
-    return profile
+
+def _profile_from_ast(ast: exprdsl.ExprAst) -> AgeProfile:
+    return lambda x: _nodewise(ast, x, {})
 
 
 def _coefficient_from_ast(ast: exprdsl.ExprAst) -> Coefficient:
-    def coefficient(x: np.ndarray, s: float) -> np.ndarray:
-        flat = np.asarray(x, dtype=float).reshape(-1)
-        out = np.empty_like(flat)
-        s = float(s)
-        for i, xi in enumerate(flat):
-            out[i] = exprdsl.eval_expr(ast, {"x": float(xi), "s": s})
-        return out.reshape(np.shape(x))
-
-    return coefficient
+    return lambda x, s: _nodewise(ast, x, {"s": float(s)})
 
 
 def problem_from_expressions(

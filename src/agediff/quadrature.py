@@ -101,15 +101,6 @@ def _cached_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def pointwise_product(u: InteriorVector, v: InteriorVector) -> InteriorVector:
-    if len(u) != len(v) or u.h != v.h:
-        raise DimensionMismatch(
-            f"pointwise product needs matching vectors, got lengths {len(u)}/{len(v)} "
-            f"and h {u.h!r}/{v.h!r}"
-        )
-    return InteriorVector(u.values * v.values, u.h)
-
-
 def l2_norm(v: InteriorVector) -> float:
     """Mesh-weighted l2 norm sqrt(sum_i h * v_i**2) over interior nodes."""
     return math.sqrt(v.h * float(np.sum(v.values * v.values)))

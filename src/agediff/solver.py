@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DimensionMismatch, EvalError, InvalidParameter, NonFiniteState, StabilityViolation
 from .grid import GridSpec
 from .model import ProblemSpec
-from .quadrature import InteriorVector, pointwise_product, qh
+from .quadrature import InteriorVector, qh
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,8 @@ def _advance(
     """Write the next interior row into ``out``.
 
     Each element is ((c_i*U_i + (r+lam)*U_{i-1}) + r*U_{i+1}) with
-    c_i = (1 - lam - 2r) - k*d_i, evaluated in that order.
+    c_i = (1 - lam - 2r) - k*d_i, evaluated in that order.  A negative c_i
+    breaks the convex combination and raises StabilityViolation.
     """
     k, r, diagonal, upwind = stencil
     psi1 = _nodal_values(problem.psi1(x), x, "psi1")
@@ -115,6 +116,12 @@ def _advance(
     mortality = _coefficient_values(problem.mortality, x, s1, "mortality")
     np.multiply(mortality, k, out=out)
     np.subtract(diagonal, out, out=out)
+    margin = out.min()
+    if margin < 0.0:
+        raise StabilityViolation(
+            f"update coefficient 1 - lam - 2*r - k*d = {margin!r} < 0 (s1 = {s1!r}); "
+            "refine the mesh or lower r"
+        )
     out *= u
     out[1:] += upwind * u[:-1]
     out[0] += upwind * left
@@ -122,31 +129,19 @@ def _advance(
     out[-1] += r * right
 
 
-def weighted_population(psi_values: InteriorVector, u: InteriorVector) -> float:
-    """s = qh(psi * u): the scalar the nonlocal coefficients are fed."""
-    return qh(pointwise_product(psi_values, u))
-
-
-def solve_left_boundary(u: InteriorVector, t: float, problem: ProblemSpec) -> float:
-    """Solve the discrete Robin condition for U_0 given the interior row.
-
-    ``t`` is accepted for interface symmetry with :func:`step`; the birth
-    law itself has no explicit time dependence.
-    """
-    del t
+def solve_left_boundary(u: InteriorVector, problem: ProblemSpec) -> float:
+    """Solve the discrete Robin condition for U_0 given the interior row."""
     return _left_value(u.values, _interior_coordinates(u), u.h, problem)
 
 
 def step(
     u_prev: InteriorVector,
-    left_prev: float,
-    right_prev: float,
-    t_prev: float,
+    left: float,
+    right: float,
     problem: ProblemSpec,
     grid: GridSpec,
 ) -> InteriorVector:
-    """Advance the interior row one time level."""
-    del t_prev
+    """Advance the interior row one time level, given its boundary values U_0 and U_M."""
     if len(u_prev) != grid.m_total - 1 or u_prev.h != grid.h:
         raise DimensionMismatch(
             f"row of length {len(u_prev)} (h = {u_prev.h!r}) does not match grid width "
@@ -154,7 +149,7 @@ def step(
         )
     advanced = np.empty(len(u_prev))
     x = grid.interior_nodes()
-    _advance(u_prev.values, left_prev, right_prev, problem, x, grid.h, _stencil(grid), advanced)
+    _advance(u_prev.values, left, right, problem, x, grid.h, _stencil(grid), advanced)
     if not np.isfinite(advanced).all():
         raise NonFiniteState("time step produced a non-finite value")
     return InteriorVector(advanced, grid.h)

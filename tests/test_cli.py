@@ -248,3 +248,58 @@ def test_slice_matches_a_fully_restricted_exact_solution(tmp_path, problem_id, t
     )
     written = out_dir / f"{problem_id}_slice_h{grid.h!r}.csv"
     assert written.read_bytes() == reference.read_bytes()
+
+
+STUDY_CONFIG = """
+problem = example1
+m_prime = 7
+r = 0.4
+t_final = 0.05
+levels = 2
+"""
+
+
+@pytest.mark.parametrize("study", ["convergence", "consistency", "stability"])
+def test_forcing_subcommands_equal_run_with_the_study_key(tmp_path, capsys, study):
+    forced_dir = tmp_path / "forced"
+    keyed_dir = tmp_path / "keyed"
+    forced = write_config(tmp_path, STUDY_CONFIG, name="forced.cfg")
+    keyed = write_config(tmp_path, STUDY_CONFIG + f"study = {study}\n", name="keyed.cfg")
+    assert main([study, "--config", forced, "--output-dir", str(forced_dir)]) == 0
+    forced_out = capsys.readouterr().out
+    assert main(["run", "--config", keyed, "--output-dir", str(keyed_dir)]) == 0
+    keyed_out = capsys.readouterr().out
+    assert forced_out.replace(str(forced_dir), "DIR") == keyed_out.replace(str(keyed_dir), "DIR")
+    names = sorted(os.listdir(forced_dir))
+    assert f"example1_{study}.csv" in names
+    assert names == sorted(os.listdir(keyed_dir))
+    for name in names:
+        assert (forced_dir / name).read_bytes() == (keyed_dir / name).read_bytes()
+
+
+def test_stability_scale_reaches_the_probe(tmp_path):
+    from agediff.grid import build_grid
+    from agediff.harness import stability_probe, write_stability_csv
+    from agediff.model import builtin_problem
+
+    config = write_config(tmp_path, STUDY_CONFIG)
+    out_dir = tmp_path / "out"
+    assert main(["stability", "--config", config, "--output-dir", str(out_dir), "--scale", "0.5"]) == 0
+    problem, _ = builtin_problem("example1")
+    rows = stability_probe(problem, build_grid(1.0, 7, 0.4, 0.05), levels=2, perturbation_scale=0.5)
+    reference = tmp_path / "reference.csv"
+    write_stability_csv(rows, str(reference))
+    assert (out_dir / "example1_stability.csv").read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("d,code", [("1000", 2), ("150", 0)])
+def test_update_coefficient_margin_sets_the_exit_code(tmp_path, capsys, d, code):
+    # M = 20, r = 0.4: 1 - lam - 2r = 0.18 and k = 0.001, so d = 1000 gives
+    # -0.82 while d = 150 leaves a margin of 0.03
+    text = f"d = {d}\nB = 0\nu0 = 1\nm_prime = 7\nr = 0.4\nt_final = 0.1\n"
+    config = write_config(tmp_path, text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", config, "--output-dir", str(out_dir)]) == code
+    if code:
+        assert "update coefficient" in capsys.readouterr().err
+    assert (out_dir / "inline_slice_h0.05.csv").exists() == (code == 0)

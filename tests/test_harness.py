@@ -202,6 +202,20 @@ def test_csv_writes_are_reproducible(tmp_path):
         assert fa.read() == fb.read()
 
 
+def test_convergence_csv_literal_text(tmp_path):
+    rows = [
+        ConvergenceRow(0.05, 0.001, 20, 50, 0.1, 0.05, 0.2, None, None, None),
+        ConvergenceRow(0.025, 0.00025, 40, 200, 0.05, 0.025, 0.1, 1.0, 1.0, 1.0),
+    ]
+    path = tmp_path / "convergence.csv"
+    write_convergence_csv(rows, str(path))
+    assert path.read_bytes() == (
+        b"h,k,M,N,err_inf,err_l2,err_xh,order_inf,order_l2,order_xh\n"
+        b"0.05,0.001,20,50,0.1,0.05,0.2,,,\n"
+        b"0.025,0.00025,40,200,0.05,0.025,0.1,1.0,1.0,1.0\n"
+    )
+
+
 def test_read_rejects_unexpected_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("h,n,err\n0.05,20,0.1\n")

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from agediff.errors import EvalError, ParseError, UnknownProblem
+from agediff.exprdsl import eval_expr, parse_expr
 from agediff.model import (
     ExactSolution,
     builtin_description,
@@ -193,3 +197,37 @@ def test_expression_domain_errors_surface_at_evaluation():
     inline = problem_from_expressions(mortality="1", fertility="1", initial="log(x)")
     with pytest.raises(EvalError, match="log"):
         inline.initial(np.array([0.0]))
+
+
+_NODES = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    elements=st.floats(-4.0, 4.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_NODES, s=st.floats(-10.0, 10.0))
+def test_inline_callables_equal_per_node_evaluation(x, s):
+    coefficient_text = "x * s - exp(-x^2) / (1 + abs(s)) + 2"
+    profile_text = "1 + x^2 / 3 - sin(x) * cos(2 * x)"
+    inline = problem_from_expressions(
+        mortality=coefficient_text, fertility="1", initial=profile_text, psi1=profile_text
+    )
+    coefficient_ast = parse_expr(coefficient_text, {"x", "s"})
+    profile_ast = parse_expr(profile_text, {"x"})
+    nodes = x.reshape(-1)
+    expected_coefficient = np.array(
+        [eval_expr(coefficient_ast, {"x": float(xi), "s": s}) for xi in nodes], dtype=float
+    ).reshape(x.shape)
+    expected_profile = np.array(
+        [eval_expr(profile_ast, {"x": float(xi)}) for xi in nodes], dtype=float
+    ).reshape(x.shape)
+    for values, expected in (
+        (inline.mortality(x, s), expected_coefficient),
+        (inline.initial(x), expected_profile),
+        (inline.psi1(x), expected_profile),
+    ):
+        assert values.shape == x.shape
+        assert values.dtype == np.float64
+        assert values.tobytes() == expected.tobytes()

@@ -8,7 +8,6 @@ from agediff.quadrature import (
     InteriorVector,
     inf_norm,
     l2_norm,
-    pointwise_product,
     qh,
     star_norm,
     weights,
@@ -161,19 +160,6 @@ def test_weights_validation():
         weights(8, 0.05)
     with pytest.raises(DimensionMismatch):
         weights(5, 0.05)
-
-
-def test_pointwise_product():
-    u = InteriorVector(np.arange(1.0, 8.0), 0.125)
-    ones = InteriorVector(np.ones(7), 0.125)
-    zeros = InteriorVector(np.zeros(7), 0.125)
-    assert np.array_equal(pointwise_product(u, ones).values, u.values)
-    assert np.array_equal(pointwise_product(zeros, u).values, np.zeros(7))
-    assert np.array_equal(pointwise_product(u, u).values, u.values**2)
-    with pytest.raises(DimensionMismatch):
-        pointwise_product(u, InteriorVector(np.ones(9), 0.125))
-    with pytest.raises(DimensionMismatch):
-        pointwise_product(u, InteriorVector(np.ones(7), 0.1))
 
 
 def test_l2_norm_values():

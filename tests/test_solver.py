@@ -12,8 +12,8 @@ from agediff.errors import (
 )
 from agediff.grid import build_grid, refine
 from agediff.model import ProblemSpec, builtin_problem
-from agediff.quadrature import InteriorVector, pointwise_product, qh
-from agediff.solver import run, solve_left_boundary, step, weighted_population
+from agediff.quadrature import InteriorVector, qh
+from agediff.solver import run, solve_left_boundary, step
 
 
 def make_problem(**overrides):
@@ -32,16 +32,9 @@ def make_problem(**overrides):
 
 def birth_integral(problem, row, h):
     x = np.arange(1, len(row) + 1) * h
-    u = InteriorVector(row, h)
-    s2 = weighted_population(InteriorVector(problem.psi2(x), h), u)
+    s2 = qh(InteriorVector(problem.psi2(x) * row, h))
     fertility = problem.fertility(x, s2)
-    return qh(pointwise_product(InteriorVector(fertility, h), u))
-
-
-def test_weighted_population_of_ones_is_the_domain_length():
-    h = 0.05
-    ones = InteriorVector(np.ones(19), h)
-    assert weighted_population(ones, ones) == pytest.approx(1.0, abs=1e-15)
+    return qh(InteriorVector(fertility * row, h))
 
 
 def test_left_boundary_without_births():
@@ -49,7 +42,7 @@ def test_left_boundary_without_births():
     grid = build_grid(1.0, 7, 0.4, 0.2)
     u = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
     # no fertility: the Robin solve reduces to U_0 = U_1 / (h + 1)
-    assert solve_left_boundary(u, 0.0, problem) == u.values[0] / (grid.h + 1.0)
+    assert solve_left_boundary(u, problem) == u.values[0] / (grid.h + 1.0)
 
 
 def test_zero_initial_state_is_a_fixed_point():
@@ -80,11 +73,11 @@ def test_step_matches_the_stencil():
     grid = build_grid(1.0, 7, 0.4, 0.2)
     x = grid.interior_nodes()
     u = InteriorVector(problem.initial(x), grid.h)
-    left = solve_left_boundary(u, 0.0, problem)
+    left = solve_left_boundary(u, problem)
     right = 0.0
-    advanced = step(u, left, right, 0.0, problem, grid)
+    advanced = step(u, left, right, problem, grid)
 
-    s1 = weighted_population(InteriorVector(problem.psi1(x), grid.h), u)
+    s1 = qh(InteriorVector(problem.psi1(x) * u.values, grid.h))
     d = problem.mortality(x, s1)
     padded = np.concatenate(([left], u.values, [right]))
     expected = (
@@ -111,7 +104,7 @@ def test_left_trace_matches_the_boundary_solve():
     solution = run(problem, grid)
     for n in (0, 1, grid.n_steps // 2, grid.n_steps):
         row = InteriorVector(solution.interior[n], grid.h)
-        assert solution.left_trace[n] == solve_left_boundary(row, 0.0, problem)
+        assert solution.left_trace[n] == solve_left_boundary(row, problem)
 
 
 @pytest.mark.parametrize("problem_id,t_final", [("example1", 0.2), ("example2", 0.8), ("example3", 0.8)])
@@ -188,7 +181,7 @@ def test_step_rejects_wrong_row_length():
     grid = build_grid(1.0, 7, 0.4, 0.2)
     short = InteriorVector(np.ones(9), grid.h)
     with pytest.raises(DimensionMismatch):
-        step(short, 0.0, 0.0, 0.0, problem, grid)
+        step(short, 0.0, 0.0, problem, grid)
 
 
 def test_blowup_raises_non_finite_state():
@@ -245,7 +238,30 @@ def test_run_equals_a_chain_of_public_calls(problem_id):
     row = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
     for n in range(grid.n_steps + 1):
         assert np.array_equal(solution.interior[n], row.values)
-        left = solve_left_boundary(row, times[n], problem)
+        left = solve_left_boundary(row, problem)
         assert solution.left_trace[n] == left
         if n < grid.n_steps:
-            row = step(row, left, problem.boundary_value(times[n]), times[n], problem, grid)
+            row = step(row, left, problem.boundary_value(times[n]), problem, grid)
+
+
+@pytest.mark.parametrize("d", [1000.0, 300.0])
+def test_negative_update_coefficient_is_a_stability_violation(d):
+    # M = 20, r = 0.4: 1 - lam - 2r = 0.18 and k = 0.001, so k*d exceeds it
+    problem = make_problem(mortality=lambda x, s: np.full_like(x, d))
+    grid = build_grid(1.0, 7, 0.4, 0.8)
+    with pytest.raises(StabilityViolation, match="update coefficient"):
+        run(problem, grid)
+    row = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
+    with pytest.raises(StabilityViolation, match="update coefficient"):
+        step(row, 0.0, 0.0, problem, grid)
+
+
+def test_small_update_margin_keeps_the_state_nonnegative():
+    # d = 150 leaves 0.18 - 0.15 = 0.03; the margin check adds no coefficient call
+    calls = []
+    problem = make_problem(mortality=lambda x, s: calls.append(s) or np.full_like(x, 150.0))
+    grid = build_grid(1.0, 7, 0.4, 0.8)
+    solution = run(problem, grid)
+    assert len(calls) == grid.n_steps
+    assert solution.interior.min() >= 0.0
+    assert np.all(np.isfinite(solution.interior))
