@@ -11,19 +11,25 @@ Grammar (whitespace-insensitive)::
 '^' binds tighter than unary minus, so ``-2^2`` is ``-(2^2) = -4``; a
 negative base needs parentheses.  Names resolve, in order, to the function
 table (exp, log, sin, cos, sqrt, abs; one argument each), the constants
-``e`` and ``pi``, and finally the caller-supplied variable set.  Evaluation
-is scalar and raises :class:`EvalError` instead of letting NaN leak:
-``log`` of a non-positive value, ``sqrt`` of a negative value, division by
-zero, and '^' on a negative base with a non-integer exponent all fail
-loudly.
+``e`` and ``pi``, and finally the caller-supplied variable set.
+
+Each AST is compiled once, on its first evaluation, into a tree of
+closures; a subtree that reads no variable is evaluated then, with the same
+operations.  Each :func:`eval_expr` call still evaluates one point, and
+raises :class:`EvalError` instead of letting NaN leak: ``log`` of a
+non-positive value, ``sqrt`` of a negative value, division by zero, and '^'
+on a negative base with a non-integer exponent all fail loudly, and so does
+a result that is NaN.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from functools import partial
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import EvalError, ParseError
 
@@ -71,7 +77,7 @@ _FUNCTIONS = {
     "sin": math.sin,
     "cos": math.cos,
     "sqrt": math.sqrt,
-    "abs": abs,
+    "abs": math.fabs,
 }
 
 _TOKEN_RE = re.compile(
@@ -201,55 +207,154 @@ def parse_expr(text: str, allowed_vars: Iterable[str]) -> ExprAst:
     return node
 
 
-def eval_expr(node: ExprAst, bindings: Mapping[str, float]) -> float:
-    """Evaluate an AST at a point given as a name -> value mapping."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return _CONSTANTS[node.name]
-    if isinstance(node, Var):
+_Compiled = Callable[[Mapping[str, float]], float]
+
+# id(node) -> closure.  Keyed by identity so a lookup never hashes the
+# (recursive, frozen) dataclass, and held apart from the node so an evaluated
+# AST still compares, hashes and pickles as before.  A finalizer drops the
+# entry when the node is freed, before its id can be reused.
+_COMPILED: dict[int, _Compiled] = {}
+
+
+def _compile(node: ExprAst) -> Union[float, _Compiled]:
+    """Compile ``node`` to a closure over the bindings, or to its value if it reads none."""
+    match node:
+        case Num(value):
+            return value
+        case Const(name):
+            return _CONSTANTS[name]
+        case Var(name):
+
+            def variable(bindings: Mapping[str, float]) -> float:
+                try:
+                    return float(bindings[name])
+                except KeyError:
+                    raise EvalError(f"no value bound for variable {name!r}") from None
+
+            return variable
+        case Neg(operand):
+            return _fold(_compile_neg, _compile(operand))
+        case Call(func, arg):
+            return _fold(partial(_compile_call, func), _compile(arg))
+        case BinOp(op, left, right):
+            return _fold(partial(_compile_binop, op), _compile(left), _compile(right))
+    raise EvalError(f"unknown AST node {node!r}")
+
+
+def _closure(compiled: Union[float, _Compiled]) -> _Compiled:
+    if callable(compiled):
+        return compiled
+    return lambda bindings: compiled
+
+
+def _fold(build: Callable[..., _Compiled], *operands: Union[float, _Compiled]) -> Union[float, _Compiled]:
+    """Build a node's closure; evaluate it now if no operand reads a variable.
+
+    Folding runs the same closure, so the value is the one every call would
+    compute.  A constant subtree that raises stays a closure, so that it
+    raises at every call, after the operands to its left.
+    """
+    if any(map(callable, operands)):
+        return build(*operands)
+    closure = build(*map(_closure, operands))
+    try:
+        return closure({})
+    except EvalError:
+        return closure
+
+
+def _compile_neg(operand: _Compiled) -> _Compiled:
+    return lambda bindings: -operand(bindings)
+
+
+def _compile_call(func: str, arg: _Compiled) -> _Compiled:
+    function = _FUNCTIONS[func]
+
+    def call(bindings: Mapping[str, float]) -> float:
+        value = arg(bindings)
+        if func == "log" and value <= 0.0:
+            raise EvalError(f"log of non-positive value {value!r}")
+        if func == "sqrt" and value < 0.0:
+            raise EvalError(f"sqrt of negative value {value!r}")
         try:
-            return float(bindings[node.name])
-        except KeyError:
-            raise EvalError(f"no value bound for variable {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -eval_expr(node.operand, bindings)
-    if isinstance(node, Call):
-        arg = eval_expr(node.arg, bindings)
-        if node.func == "log" and arg <= 0.0:
-            raise EvalError(f"log of non-positive value {arg!r}")
-        if node.func == "sqrt" and arg < 0.0:
-            raise EvalError(f"sqrt of negative value {arg!r}")
-        try:
-            return float(_FUNCTIONS[node.func](arg))
+            return function(value)
         except (OverflowError, ValueError) as exc:
-            raise EvalError(f"{node.func}({arg!r}) failed: {exc}") from exc
-    if isinstance(node, BinOp):
-        left = eval_expr(node.left, bindings)
-        right = eval_expr(node.right, bindings)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if right == 0.0:
+            raise EvalError(f"{func}({value!r}) failed: {exc}") from exc
+
+    return call
+
+
+def _compile_binop(
+    op: str, left: Union[float, _Compiled], right: Union[float, _Compiled]
+) -> _Compiled:
+    # At most one operand is a constant (see _fold); it is read directly
+    # rather than through a closure.  The float operation is the same.
+    if op == "+":
+        if not callable(left):
+            return lambda bindings: left + right(bindings)
+        if not callable(right):
+            return lambda bindings: left(bindings) + right
+        return lambda bindings: left(bindings) + right(bindings)
+    if op == "-":
+        if not callable(left):
+            return lambda bindings: left - right(bindings)
+        if not callable(right):
+            return lambda bindings: left(bindings) - right
+        return lambda bindings: left(bindings) - right(bindings)
+    if op == "*":
+        if not callable(left):
+            return lambda bindings: left * right(bindings)
+        if not callable(right):
+            return lambda bindings: left(bindings) * right
+        return lambda bindings: left(bindings) * right(bindings)
+    if op == "/" and not callable(right) and right != 0.0:
+        return lambda bindings: left(bindings) / right
+    # Both operands are evaluated, left first, before any check, so the
+    # first error raised is the leftmost one.
+    left, right = _closure(left), _closure(right)
+    if op == "/":
+
+        def divide(bindings: Mapping[str, float]) -> float:
+            numerator = left(bindings)
+            denominator = right(bindings)
+            if denominator == 0.0:
                 raise EvalError("division by zero")
-            return left / right
-        if node.op == "^":
-            if left < 0.0 and not (math.isfinite(right) and right == math.floor(right)):
+            return numerator / denominator
+
+        return divide
+    if op == "^":
+
+        def power(bindings: Mapping[str, float]) -> float:
+            base = left(bindings)
+            exponent = right(bindings)
+            if base < 0.0 and not (math.isfinite(exponent) and exponent == math.floor(exponent)):
                 raise EvalError(
-                    f"negative base {left!r} with non-integer exponent {right!r}"
+                    f"negative base {base!r} with non-integer exponent {exponent!r}"
                 )
             try:
-                result = left**right
+                return base**exponent
             except (OverflowError, ZeroDivisionError) as exc:
-                raise EvalError(f"{left!r} ^ {right!r} failed: {exc}") from exc
-            if isinstance(result, complex):  # pragma: no cover - guarded above
-                raise EvalError(f"{left!r} ^ {right!r} is not real")
-            return result
-    raise EvalError(f"unknown AST node {node!r}")  # pragma: no cover
+                raise EvalError(f"{base!r} ^ {exponent!r} failed: {exc}") from exc
+
+        return power
+    raise EvalError(f"unknown operator {op!r}")
+
+
+def eval_expr(node: ExprAst, bindings: Mapping[str, float]) -> float:
+    """Evaluate an AST at a point given as a name -> value mapping.
+
+    The AST is compiled on its first evaluation; later calls reuse the
+    closure.  A NaN result raises :class:`EvalError`.
+    """
+    compiled = _COMPILED.get(id(node))
+    if compiled is None:
+        compiled = _closure(_compile(node))
+        weakref.finalize(node, _COMPILED.pop, id(node), None)
+        _COMPILED[id(node)] = compiled
+    result = compiled(bindings)
+    if result != result:
+        raise EvalError(f"{format_expr(node)} evaluates to NaN at {dict(bindings)!r}")
+    return result
 
 
 _PREC_SUM = 1

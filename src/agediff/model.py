@@ -172,12 +172,11 @@ def exact_weighted_integral(
 
 def _nodewise(ast: exprdsl.ExprAst, x: np.ndarray, bindings: dict) -> np.ndarray:
     """Evaluate ``ast`` at every node of ``x`` (any shape), one eval_expr call per node."""
-    flat = np.asarray(x, dtype=float).reshape(-1)
-    out = np.empty_like(flat)
-    for i, xi in enumerate(flat):
-        bindings["x"] = float(xi)
-        out[i] = exprdsl.eval_expr(ast, bindings)
-    return out.reshape(np.shape(x))
+    x = np.asarray(x, dtype=float)
+    evaluate = exprdsl.eval_expr
+    # Each pass binds the next node to bindings["x"] before the call.
+    values = [evaluate(ast, bindings) for bindings["x"] in x.reshape(-1).tolist()]
+    return np.array(values, dtype=float).reshape(x.shape)
 
 
 def _profile_from_ast(ast: exprdsl.ExprAst) -> AgeProfile:

@@ -192,6 +192,15 @@ def test_blowup_exits_with_code_3(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_nan_initial_profile_is_a_configuration_error(tmp_path, capsys):
+    text = "d = 1\nB = 0\nu0 = 1e308*10 - 1e308*10\nm_prime = 7\nr = 0.4\nt_final = 0.2\n"
+    config = write_config(tmp_path, text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", config, "--output-dir", str(out_dir)]) == 1
+    assert "evaluates to NaN" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_unknown_builtin_id(tmp_path, capsys):
     assert main(["examples", "example9", "--output-dir", str(tmp_path)]) == 1
     assert "unknown problem" in capsys.readouterr().err

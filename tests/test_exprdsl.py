@@ -1,9 +1,14 @@
+import gc
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from agediff import exprdsl
 from agediff.errors import EvalError, ParseError
-from agediff.exprdsl import eval_expr, format_expr, parse_expr
+from agediff.exprdsl import BinOp, Call, Const, Neg, Num, Var, eval_expr, format_expr, parse_expr
 
 
 def evaluate(text, allowed=(), **bindings):
@@ -104,6 +109,25 @@ def test_eval_domain_errors():
         evaluate("exp(1000)")
 
 
+def test_nan_result_raises():
+    with pytest.raises(EvalError, match="evaluates to NaN"):
+        evaluate("1e308*10 - 1e308*10")
+    with pytest.raises(EvalError, match="evaluates to NaN"):
+        evaluate("x*0", {"x"}, x=math.inf)
+    # an infinite result is not an error
+    assert evaluate("1e308*10") == math.inf
+
+
+def test_leftmost_error_is_raised_first():
+    # the constant right operand fails too, but only after the left one
+    node = parse_expr("log(x) + 1/0", {"x"})
+    for _ in range(2):
+        with pytest.raises(EvalError, match="log of non-positive value 0.0"):
+            eval_expr(node, {"x": 0.0})
+        with pytest.raises(EvalError, match="division by zero"):
+            eval_expr(node, {"x": 1.0})
+
+
 def test_eval_missing_binding():
     node = parse_expr("x", {"x"})
     with pytest.raises(EvalError, match="no value bound"):
@@ -143,3 +167,150 @@ def test_round_trip_preserves_value():
     second = parse_expr(format_expr(first), {"x"})
     for x in (0.0, 0.3, 1.0):
         assert eval_expr(first, {"x": x}) == eval_expr(second, {"x": x})
+
+
+_REFERENCE_CONSTANTS = {"e": math.e, "pi": math.pi}
+
+_REFERENCE_FUNCTIONS = {
+    "exp": math.exp,
+    "log": math.log,
+    "sin": math.sin,
+    "cos": math.cos,
+    "sqrt": math.sqrt,
+    "abs": abs,
+}
+
+
+def reference_eval(node, bindings):
+    """The tree-walking evaluator the compiled one replaced, kept as the oracle."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Const):
+        return _REFERENCE_CONSTANTS[node.name]
+    if isinstance(node, Var):
+        try:
+            return float(bindings[node.name])
+        except KeyError:
+            raise EvalError(f"no value bound for variable {node.name!r}") from None
+    if isinstance(node, Neg):
+        return -reference_eval(node.operand, bindings)
+    if isinstance(node, Call):
+        arg = reference_eval(node.arg, bindings)
+        if node.func == "log" and arg <= 0.0:
+            raise EvalError(f"log of non-positive value {arg!r}")
+        if node.func == "sqrt" and arg < 0.0:
+            raise EvalError(f"sqrt of negative value {arg!r}")
+        try:
+            return float(_REFERENCE_FUNCTIONS[node.func](arg))
+        except (OverflowError, ValueError) as exc:
+            raise EvalError(f"{node.func}({arg!r}) failed: {exc}") from exc
+    if isinstance(node, BinOp):
+        left = reference_eval(node.left, bindings)
+        right = reference_eval(node.right, bindings)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            if right == 0.0:
+                raise EvalError("division by zero")
+            return left / right
+        if node.op == "^":
+            if left < 0.0 and not (math.isfinite(right) and right == math.floor(right)):
+                raise EvalError(f"negative base {left!r} with non-integer exponent {right!r}")
+            try:
+                result = left**right
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise EvalError(f"{left!r} ^ {right!r} failed: {exc}") from exc
+            if isinstance(result, complex):
+                raise EvalError(f"{left!r} ^ {right!r} is not real")
+            return result
+    raise EvalError(f"unknown AST node {node!r}")
+
+
+_LEAVES = st.one_of(
+    st.builds(Num, st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)),
+    st.builds(Num, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])),
+    st.builds(Var, st.just("x")),
+    st.builds(Const, st.sampled_from(sorted(_REFERENCE_CONSTANTS))),
+)
+
+_ASTS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.builds(Neg, children),
+        st.builds(Call, st.sampled_from(sorted(_REFERENCE_FUNCTIONS)), children),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), children, children),
+    ),
+    max_leaves=12,
+)
+
+_POINTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+)
+
+
+def outcome(evaluate, node, bindings):
+    try:
+        return ("value", evaluate(node, bindings))
+    except EvalError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(node=_ASTS, x=_POINTS)
+def test_compiled_evaluation_matches_the_tree_walk(node, x):
+    expected = outcome(reference_eval, node, {"x": x})
+    actual = outcome(eval_expr, node, {"x": x})
+    if expected[0] == "value" and math.isnan(expected[1]):
+        assert actual[0] == "error" and "evaluates to NaN" in actual[1]
+    elif expected[0] == "value":
+        assert actual[0] == "value"
+        assert type(actual[1]) is float
+        assert actual[1].hex() == expected[1].hex()
+    else:
+        assert actual == expected
+    # a second call reuses the compiled closure and gives the same outcome
+    assert outcome(eval_expr, node, {"x": x}) == actual
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=_ASTS)
+def test_format_then_parse_rebuilds_any_ast(node):
+    assert parse_expr(format_expr(node), {"x"}) == node
+
+
+def test_evaluated_ast_keeps_its_value_semantics():
+    text = "exp(-x)/2 + log(x)*sqrt(x + 1) - x^2"
+    node = parse_expr(text, {"x"})
+    with pytest.raises(EvalError, match="log of non-positive value 0.0"):
+        eval_expr(node, {"x": 0.0})
+    expected = math.exp(-1.0) / 2 + math.log(1.0) * math.sqrt(2.0) - 1.0**2
+    assert eval_expr(node, {"x": 1.0}) == expected
+    fresh = parse_expr(text, {"x"})
+    assert node == fresh
+    assert hash(node) == hash(fresh)
+    assert repr(node) == repr(fresh)
+    assert format_expr(node) == format_expr(fresh)
+    assert pickle.dumps(node) == pickle.dumps(fresh)
+    copy = pickle.loads(pickle.dumps(node))
+    assert copy == fresh
+    assert eval_expr(copy, {"x": 1.0}) == expected
+
+
+def test_a_freed_ast_never_lends_its_closure():
+    # Freed ASTs hand their memory, and so their id, to the next parse.
+    for i in range(200):
+        assert eval_expr(parse_expr(f"{i} + x", {"x"}), {"x": 0.5}) == i + 0.5
+    gc.collect()
+    node = parse_expr("x", {"x"})
+    before = len(exprdsl._COMPILED)
+    for i in range(50):
+        eval_expr(parse_expr(f"{i}*x", {"x"}), {"x": 1.0})
+    eval_expr(node, {"x": 1.0})
+    gc.collect()
+    assert len(exprdsl._COMPILED) == before + 1
