@@ -14,12 +14,12 @@ table (exp, log, sin, cos, sqrt, abs; one argument each), the constants
 ``e`` and ``pi``, and finally the caller-supplied variable set.
 
 Each AST is compiled once, on its first evaluation, into a tree of
-closures; a subtree that reads no variable is evaluated then, with the same
-operations.  Each :func:`eval_expr` call still evaluates one point, and
-raises :class:`EvalError` instead of letting NaN leak: ``log`` of a
-non-positive value, ``sqrt`` of a negative value, division by zero, and '^'
-on a negative base with a non-integer exponent all fail loudly, and so does
-a result that is NaN.
+closures that do the same float operations and checks in the same order.
+Each :func:`eval_expr` call still evaluates one point, and raises
+:class:`EvalError` instead of letting NaN leak: ``log`` of a non-positive
+value, ``sqrt`` of a negative value, division by zero, and '^' on a negative
+base with a non-integer exponent all fail loudly, and so does a result that
+is NaN.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 import re
 import weakref
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import EvalError, ParseError
@@ -216,13 +215,14 @@ _Compiled = Callable[[Mapping[str, float]], float]
 _COMPILED: dict[int, _Compiled] = {}
 
 
-def _compile(node: ExprAst) -> Union[float, _Compiled]:
-    """Compile ``node`` to a closure over the bindings, or to its value if it reads none."""
+def _compile(node: ExprAst) -> _Compiled:
+    """Compile ``node`` to a closure that evaluates it at given bindings."""
     match node:
         case Num(value):
-            return value
+            return lambda bindings: value
         case Const(name):
-            return _CONSTANTS[name]
+            value = _CONSTANTS[name]
+            return lambda bindings: value
         case Var(name):
 
             def variable(bindings: Mapping[str, float]) -> float:
@@ -233,38 +233,13 @@ def _compile(node: ExprAst) -> Union[float, _Compiled]:
 
             return variable
         case Neg(operand):
-            return _fold(_compile_neg, _compile(operand))
+            operand = _compile(operand)
+            return lambda bindings: -operand(bindings)
         case Call(func, arg):
-            return _fold(partial(_compile_call, func), _compile(arg))
+            return _compile_call(func, _compile(arg))
         case BinOp(op, left, right):
-            return _fold(partial(_compile_binop, op), _compile(left), _compile(right))
+            return _compile_binop(op, _compile(left), _compile(right))
     raise EvalError(f"unknown AST node {node!r}")
-
-
-def _closure(compiled: Union[float, _Compiled]) -> _Compiled:
-    if callable(compiled):
-        return compiled
-    return lambda bindings: compiled
-
-
-def _fold(build: Callable[..., _Compiled], *operands: Union[float, _Compiled]) -> Union[float, _Compiled]:
-    """Build a node's closure; evaluate it now if no operand reads a variable.
-
-    Folding runs the same closure, so the value is the one every call would
-    compute.  A constant subtree that raises stays a closure, so that it
-    raises at every call, after the operands to its left.
-    """
-    if any(map(callable, operands)):
-        return build(*operands)
-    closure = build(*map(_closure, operands))
-    try:
-        return closure({})
-    except EvalError:
-        return closure
-
-
-def _compile_neg(operand: _Compiled) -> _Compiled:
-    return lambda bindings: -operand(bindings)
 
 
 def _compile_call(func: str, arg: _Compiled) -> _Compiled:
@@ -284,34 +259,15 @@ def _compile_call(func: str, arg: _Compiled) -> _Compiled:
     return call
 
 
-def _compile_binop(
-    op: str, left: Union[float, _Compiled], right: Union[float, _Compiled]
-) -> _Compiled:
-    # At most one operand is a constant (see _fold); it is read directly
-    # rather than through a closure.  The float operation is the same.
-    if op == "+":
-        if not callable(left):
-            return lambda bindings: left + right(bindings)
-        if not callable(right):
-            return lambda bindings: left(bindings) + right
-        return lambda bindings: left(bindings) + right(bindings)
-    if op == "-":
-        if not callable(left):
-            return lambda bindings: left - right(bindings)
-        if not callable(right):
-            return lambda bindings: left(bindings) - right
-        return lambda bindings: left(bindings) - right(bindings)
-    if op == "*":
-        if not callable(left):
-            return lambda bindings: left * right(bindings)
-        if not callable(right):
-            return lambda bindings: left(bindings) * right
-        return lambda bindings: left(bindings) * right(bindings)
-    if op == "/" and not callable(right) and right != 0.0:
-        return lambda bindings: left(bindings) / right
+def _compile_binop(op: str, left: _Compiled, right: _Compiled) -> _Compiled:
     # Both operands are evaluated, left first, before any check, so the
     # first error raised is the leftmost one.
-    left, right = _closure(left), _closure(right)
+    if op == "+":
+        return lambda bindings: left(bindings) + right(bindings)
+    if op == "-":
+        return lambda bindings: left(bindings) - right(bindings)
+    if op == "*":
+        return lambda bindings: left(bindings) * right(bindings)
     if op == "/":
 
         def divide(bindings: Mapping[str, float]) -> float:
@@ -348,7 +304,7 @@ def eval_expr(node: ExprAst, bindings: Mapping[str, float]) -> float:
     """
     compiled = _COMPILED.get(id(node))
     if compiled is None:
-        compiled = _closure(_compile(node))
+        compiled = _compile(node)
         weakref.finalize(node, _COMPILED.pop, id(node), None)
         _COMPILED[id(node)] = compiled
     result = compiled(bindings)

@@ -192,9 +192,12 @@ def test_blowup_exits_with_code_3(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-def test_nan_initial_profile_is_a_configuration_error(tmp_path, capsys):
-    text = "d = 1\nB = 0\nu0 = 1e308*10 - 1e308*10\nm_prime = 7\nr = 0.4\nt_final = 0.2\n"
-    config = write_config(tmp_path, text)
+@pytest.mark.parametrize("slot", ["u0", "g", "psi1", "psi2"])
+def test_nan_expression_is_a_configuration_error(tmp_path, capsys, slot):
+    # d and B read no s, so a NaN weighted population would not reach the state
+    slots = {"d": "1", "B": "0", "u0": "1", slot: "1e308*10 - 1e308*10"}
+    text = "".join(f"{key} = {value}\n" for key, value in slots.items())
+    config = write_config(tmp_path, text + "m_prime = 7\nr = 0.4\nt_final = 0.2\n")
     out_dir = tmp_path / "out"
     assert main(["run", "--config", config, "--output-dir", str(out_dir)]) == 1
     assert "evaluates to NaN" in capsys.readouterr().err

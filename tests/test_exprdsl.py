@@ -118,13 +118,14 @@ def test_nan_result_raises():
     assert evaluate("1e308*10") == math.inf
 
 
-def test_leftmost_error_is_raised_first():
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])
+def test_leftmost_error_is_raised_first(op):
     # the constant right operand fails too, but only after the left one
-    node = parse_expr("log(x) + 1/0", {"x"})
+    node = parse_expr(f"log(x) {op} sqrt(0 - 1)", {"x"})
     for _ in range(2):
         with pytest.raises(EvalError, match="log of non-positive value 0.0"):
             eval_expr(node, {"x": 0.0})
-        with pytest.raises(EvalError, match="division by zero"):
+        with pytest.raises(EvalError, match="sqrt of negative value -1.0"):
             eval_expr(node, {"x": 1.0})
 
 
