@@ -371,3 +371,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

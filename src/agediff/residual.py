@@ -33,6 +33,11 @@ from .model import ProblemSpec
 from .quadrature import InteriorVector, l2_norm, qh, star_norm
 from .solver import SolutionHistory, _coefficient_values, _nodal_values
 
+# Rows per block in apply_phi's update residual and in the norms: the
+# temporaries scale with a block rather than with the whole history, and
+# every entry is computed exactly as in one whole-array expression.
+_BLOCK_ROWS = 256
+
 
 def _check_shapes(left: np.ndarray, rows: np.ndarray, right: np.ndarray, grid: GridSpec) -> None:
     n_levels = grid.n_steps + 1
@@ -156,15 +161,19 @@ def apply_phi(
     psi1 = _nodal_values(problem.psi1(x), x, "psi1")
     psi2 = _nodal_values(problem.psi2(x), x, "psi2")
 
+    # d(s1^n) is only needed by update row n + 1, so it is stored there and
+    # overwritten in place below; the last level's d is checked, not kept
+    p_rows = np.empty_like(v.rows)
     birth = np.empty(n_levels)
-    mortality = np.empty_like(v.rows)
     for n in range(n_levels):
         row = v.rows[n]
         s2 = qh(InteriorVector(psi2 * row, h))
         fertility = _coefficient_values(problem.fertility, x, s2, "fertility")
         birth[n] = qh(InteriorVector(fertility * row, h))
         s1 = qh(InteriorVector(psi1 * row, h))
-        mortality[n] = _coefficient_values(problem.mortality, x, s1, "mortality")
+        mortality = _coefficient_values(problem.mortality, x, s1, "mortality")
+        if n + 1 < n_levels:
+            p_rows[n + 1] = mortality
 
     robin_coeff = 1.0 + 1.0 / h
     p_left = robin_coeff * v.left_trace - v.rows[:, 0] / h - birth
@@ -175,26 +184,39 @@ def apply_phi(
         g_values = np.array([problem.boundary_value(t) for t in t_levels])
         p_right = (v.right_trace - g_values) / h
 
-    p_rows = np.empty_like(v.rows)
     p_rows[0] = v.rows[0] - initial.values
-
-    current = v.rows[1:]
-    previous = v.rows[:-1]
-    previous_left = np.concatenate((v.left_trace[:-1, None], v.rows[:-1, :-1]), axis=1)
-    previous_right = np.concatenate((v.rows[:-1, 1:], v.right_trace[:-1, None]), axis=1)
-    p_rows[1:] = (
-        (current - previous) / k
-        + (previous - previous_left) / h
-        + mortality[:-1] * previous
-        - (previous_right + previous_left - 2.0 * previous) / (h * h)
-    )
+    for start in range(1, n_levels, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n_levels)
+        current = v.rows[start:stop]
+        previous = v.rows[start - 1 : stop - 1]
+        previous_left = np.concatenate(
+            (v.left_trace[start - 1 : stop - 1, None], previous[:, :-1]), axis=1
+        )
+        previous_right = np.concatenate(
+            (previous[:, 1:], v.right_trace[start - 1 : stop - 1, None]), axis=1
+        )
+        p_rows[start:stop] = (
+            (current - previous) / k
+            + (previous - previous_left) / h
+            + p_rows[start:stop] * previous
+            - (previous_right + previous_left - 2.0 * previous) / (h * h)
+        )
 
     return ResidualBundle(p_left, p_rows, p_right, grid)
 
 
+def _row_sums_of_squares(rows: np.ndarray) -> np.ndarray:
+    """sum_i rows[n, i]**2 for every row n, squaring one block of rows at a time."""
+    sums = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        sums[start : start + _BLOCK_ROWS] = np.sum(block * block, axis=1)
+    return sums
+
+
 def xh_norm(v: XhElement) -> float:
     h, k = v.grid.h, v.grid.k
-    row_norms = np.sqrt(h * np.sum(v.rows * v.rows, axis=1))
+    row_norms = np.sqrt(h * _row_sums_of_squares(v.rows))
     return h * (star_norm(v.left_trace, k) + star_norm(v.right_trace, k)) + float(
         np.max(row_norms)
     )
@@ -203,7 +225,7 @@ def xh_norm(v: XhElement) -> float:
 def yh_norm(p: ResidualBundle) -> float:
     h, k = p.grid.h, p.grid.k
     initial_sq = l2_norm(InteriorVector(p.rows[0], h)) ** 2
-    later_sq = k * float(np.sum(h * np.sum(p.rows[1:] * p.rows[1:], axis=1)))
+    later_sq = k * float(np.sum(h * _row_sums_of_squares(p.rows[1:])))
     left_sq = star_norm(p.left, k) ** 2
     right_sq = star_norm(p.right, k) ** 2
     return float(np.sqrt(left_sq + initial_sq + h * right_sq + later_sq))

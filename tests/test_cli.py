@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import agediff
 from agediff.cli import RunConfig, main, parse_config
 from agediff.errors import ConfigError
 
@@ -122,6 +125,25 @@ def test_list_command(capsys):
     out = capsys.readouterr().out
     for problem_id in ("example1", "example2", "example3"):
         assert problem_id in out
+
+
+def run_module(*args):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(agediff.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    listed = run_module("agediff", "list")
+    assert listed.returncode == 0, listed.stderr
+    listed_ids = [line.split()[0] for line in listed.stdout.splitlines()]
+    assert listed_ids == ["example1", "example2", "example3"]
+    unknown = run_module("agediff.cli", "examples", "nope")
+    assert unknown.returncode == 1
+    assert "unknown problem 'nope'" in unknown.stderr
 
 
 def test_run_single_builtin(tmp_path, capsys):
