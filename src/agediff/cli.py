@@ -221,7 +221,7 @@ def _write_run_slice(
     output_dir: str,
     tag: str,
 ) -> str:
-    solution = run_solver(problem, grid)
+    solution = run_solver(problem, grid, every=grid.n_steps)  # level 0 and the final one
     x = grid.nodes()
     u_numeric = np.concatenate(
         ([solution.left_trace[-1]], solution.interior[-1], [solution.right_trace[-1]])

@@ -118,6 +118,17 @@ def _attach_orders(
     return rows
 
 
+def _subtract_into(target: XhElement, other: XhElement) -> XhElement:
+    """``target - other`` on one grid, written into ``target``'s own arrays (the same bits)."""
+    for mine, theirs in (
+        (target.left_trace, other.left_trace),
+        (target.rows, other.rows),
+        (target.right_trace, other.right_trace),
+    ):
+        np.subtract(mine, theirs, out=mine)
+    return target
+
+
 def convergence_study(
     problem: ProblemSpec, exact: ExactSolution, base: GridSpec, levels: int
 ) -> list[ConvergenceRow]:
@@ -126,8 +137,7 @@ def convergence_study(
     triples = []
     for grid in grids:
         solution = element_from_solution(run(problem, grid))
-        sampled = restrict(exact.u, grid)
-        triples.append(_error_triple(sampled - solution))
+        triples.append(_error_triple(_subtract_into(restrict(exact.u, grid), solution)))
     return _attach_orders(grids, triples)
 
 
@@ -160,24 +170,39 @@ def restrict_to_coarse(element: XhElement, coarse: GridSpec) -> XhElement:
     )
 
 
+def _self_error(
+    problem: ProblemSpec, reference: XhElement, grid: GridSpec
+) -> tuple[float, float, float]:
+    """Error triple of one coarser run against the reference sampled onto its mesh.
+
+    The difference is written into the run's own history, which is dropped
+    on return.
+    """
+    element = element_from_solution(run(problem, grid))
+    return _error_triple(_subtract_into(element, restrict_to_coarse(reference, grid)))
+
+
 def self_convergence_study(
     problem: ProblemSpec, base: GridSpec, levels: int
 ) -> list[ConvergenceRow]:
     """Errors of each coarser run against the finest run of the ladder.
 
     Needs at least three levels so that at least two error rows exist and
-    one order can be formed.
+    one order can be formed.  The coarser rungs read only every 4th level
+    and every 2nd node of the finest run, so it is recorded with
+    ``every=4`` and viewed as an element of the next coarser mesh.  The
+    coarser rungs then run one at a time, so at most one of their histories
+    is alive next to the reference.
     """
     if not (isinstance(levels, int) and levels >= 3):
         raise InvalidParameter(f"self-convergence needs levels >= 3, got {levels!r}")
     grids = _grid_ladder(base, levels)
-    elements = [element_from_solution(run(problem, grid)) for grid in grids]
-    reference = elements[-1]
-    triples = []
-    for grid, element in zip(grids[:-1], elements[:-1]):
-        sampled = restrict_to_coarse(reference, grid)
-        triples.append(_error_triple(element - sampled))
-    return _attach_orders(grids[:-1], triples)
+    finest = run(problem, grids[-1], every=4)
+    reference = XhElement(
+        finest.left_trace, finest.interior[:, 1::2], finest.right_trace, grids[-2]
+    )
+    triples = [_self_error(problem, reference, grid) for grid in reversed(grids[:-1])]
+    return _attach_orders(grids[:-1], triples[::-1])
 
 
 def consistency_study(

@@ -103,6 +103,12 @@ class ResidualBundle:
 
 
 def element_from_solution(solution: SolutionHistory) -> XhElement:
+    """View a full solution history as an element; a strided one has no element."""
+    if solution.every != 1:
+        raise DimensionMismatch(
+            f"history was recorded with every={solution.every}; an element holds "
+            "every level, so run with every=1"
+        )
     return XhElement(
         solution.left_trace, solution.interior, solution.right_trace, solution.grid
     )

@@ -16,9 +16,13 @@ left value is computed at every stored level, including the last one, so a
 solution history always satisfies the boundary identity row by row.
 
 :func:`run` computes the mesh constants once and writes each new row in
-place into its preallocated history.  It shares one private stepping kernel
-with the public :func:`step` and :func:`solve_left_boundary`, so a run and a
-chain of public calls agree bit for bit.
+place into its preallocated history.  ``run(problem, grid, every=e)`` keeps
+only levels 0, e, 2e, ..., n_steps (interior rows and both traces); the
+levels in between are stepped through a two-row work buffer, so the history
+holds n_steps/e + 1 rows.  With ``every=1`` every row is written straight
+into the history.  It shares one private stepping kernel with the public
+:func:`step` and :func:`solve_left_boundary`, so a run and a chain of public
+calls agree bit for bit, whatever ``every`` is.
 """
 
 from __future__ import annotations
@@ -36,19 +40,22 @@ from .quadrature import InteriorVector, qh
 
 @dataclass(frozen=True)
 class SolutionHistory:
-    """Every computed level of one run.
+    """The recorded levels of one run: every ``every``-th one, n = 0..n_steps.
 
-    ``interior`` has shape (n_steps + 1, m_total - 1); ``left_trace`` and
-    ``right_trace`` hold U_0^n and U_M^n for n = 0..n_steps.
+    ``interior`` has shape (n_steps // every + 1, m_total - 1); row j and
+    entry j of ``left_trace`` and ``right_trace`` hold U^n, U_0^n and U_M^n
+    at level n = j * every.
     """
 
     left_trace: np.ndarray
     right_trace: np.ndarray
     interior: np.ndarray
     grid: GridSpec
+    every: int = 1
 
     def __post_init__(self):
-        n_levels = self.grid.n_steps + 1
+        _check_every(self.every, self.grid)
+        n_levels = self.grid.n_steps // self.every + 1
         width = self.grid.m_total - 1
         if self.left_trace.shape != (n_levels,) or self.right_trace.shape != (n_levels,):
             raise DimensionMismatch(
@@ -59,6 +66,18 @@ class SolutionHistory:
             raise DimensionMismatch(
                 f"interior must have shape ({n_levels}, {width}), got {self.interior.shape}"
             )
+
+
+def _check_every(every, grid: GridSpec) -> None:
+    if not (
+        isinstance(every, int)
+        and not isinstance(every, bool)
+        and every >= 1
+        and grid.n_steps % every == 0
+    ):
+        raise InvalidParameter(
+            f"every must be a positive integer dividing n_steps = {grid.n_steps}, got {every!r}"
+        )
 
 
 def _interior_coordinates(u: InteriorVector) -> np.ndarray:
@@ -155,8 +174,8 @@ def step(
     return InteriorVector(advanced, grid.h)
 
 
-def run(problem: ProblemSpec, grid: GridSpec) -> SolutionHistory:
-    """March from the initial profile to t_final and record every level."""
+def run(problem: ProblemSpec, grid: GridSpec, every: int = 1) -> SolutionHistory:
+    """March from the initial profile to t_final, recording every ``every``-th level."""
     if problem.a_dagger != grid.a_dagger:
         raise InvalidParameter(
             f"problem lives on [0, {problem.a_dagger!r}] but grid covers [0, {grid.a_dagger!r}]"
@@ -167,6 +186,7 @@ def run(problem: ProblemSpec, grid: GridSpec) -> SolutionHistory:
         raise StabilityViolation(
             f"stability bound violated: lam + 2*r = {grid.lam + 2.0 * grid.r!r} > 1"
         )
+    _check_every(every, grid)
 
     x = grid.interior_nodes()
     h = grid.h
@@ -174,39 +194,48 @@ def run(problem: ProblemSpec, grid: GridSpec) -> SolutionHistory:
     t_levels = grid.time_levels()
     n_steps = grid.n_steps
 
-    interior = np.empty((n_steps + 1, grid.m_total - 1))
+    interior = np.empty((n_steps // every + 1, grid.m_total - 1))
+    # unrecorded levels alternate between the two rows, so a step never
+    # overwrites the row it reads
+    work = np.empty((2, grid.m_total - 1))
     initial_row = _nodal_values(problem.initial(x), x, "initial profile")
     if not np.all(np.isfinite(initial_row)):
         raise NonFiniteState("initial profile is not finite", time_level=0)
     interior[0] = initial_row
 
-    right_trace = np.empty(n_steps + 1)
+    boundary = np.empty(n_steps + 1)
     for n in range(n_steps + 1):
-        right_trace[n] = problem.boundary_value(t_levels[n])
-    if not np.all(np.isfinite(right_trace)):
+        boundary[n] = problem.boundary_value(t_levels[n])
+    if not np.all(np.isfinite(boundary)):
         raise NonFiniteState("right boundary data is not finite")
 
-    left_trace = np.empty(n_steps + 1)
+    left_trace = np.empty(n_steps // every + 1)
+    row = interior[0]
     for n in range(n_steps + 1):
-        row = interior[n]
         left = _left_value(row, x, h, problem)
         if not math.isfinite(left):
             raise NonFiniteState(
                 f"left boundary value became non-finite at time level {n}", time_level=n
             )
-        left_trace[n] = left
+        if n % every == 0:
+            left_trace[n // every] = left
         if n < n_steps:
-            advanced = interior[n + 1]
-            _advance(row, left, right_trace[n], problem, x, h, stencil, advanced)
+            if (n + 1) % every == 0:
+                advanced = interior[(n + 1) // every]
+            else:
+                advanced = work[n % 2]
+            _advance(row, left, boundary[n], problem, x, h, stencil, advanced)
             if not np.isfinite(advanced).all():
                 raise NonFiniteState(
                     f"state became non-finite at time level {n + 1} (t = {t_levels[n + 1]!r})",
                     time_level=n + 1,
                 )
+            row = advanced
 
     return SolutionHistory(
         left_trace=left_trace,
-        right_trace=right_trace,
+        right_trace=boundary[::every].copy(),
         interior=interior,
         grid=grid,
+        every=every,
     )

@@ -1,9 +1,11 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from agediff import harness
 from agediff.errors import AlignmentError, InvalidParameter
 from agediff.grid import GridSpec, build_grid, refine
 from agediff.harness import (
@@ -21,8 +23,8 @@ from agediff.harness import (
     write_slice_csv,
     write_stability_csv,
 )
-from agediff.model import ExactSolution, ProblemSpec, builtin_problem
-from agediff.residual import restrict
+from agediff.model import ExactSolution, ProblemSpec, builtin_problem, problem_from_expressions
+from agediff.residual import element_from_solution, restrict
 from agediff.solver import run
 
 
@@ -255,3 +257,73 @@ def test_slice_csv_with_and_without_exact(tmp_path):
     without = tmp_path / "without.csv"
     write_slice_csv(str(without), x, numeric)
     assert without.read_text().splitlines()[0] == "x,u_numeric"
+
+
+def whole_history_self_convergence(problem, base, levels):
+    # the study as it was when every rung kept its whole history at once
+    grids = [base]
+    for _ in range(levels - 1):
+        grids.append(refine(grids[-1]))
+    elements = [element_from_solution(run(problem, grid)) for grid in grids]
+    triples = [
+        harness._error_triple(element - restrict_to_coarse(elements[-1], grid))
+        for grid, element in zip(grids[:-1], elements[:-1])
+    ]
+    return harness._attach_orders(grids[:-1], triples)
+
+
+def whole_history_convergence(problem, exact, base, levels):
+    grids = [base]
+    for _ in range(levels - 1):
+        grids.append(refine(grids[-1]))
+    triples = [
+        harness._error_triple(restrict(exact.u, grid) - element_from_solution(run(problem, grid)))
+        for grid in grids
+    ]
+    return harness._attach_orders(grids, triples)
+
+
+def inline_problem():
+    return problem_from_expressions(
+        mortality="0.5 + s/(1 - exp(-1)) + x/4",
+        fertility="2*exp(x)",
+        initial="e - exp(x)",
+        psi1="1 + x/2",
+        psi2="abs(1 - x)",
+        right_boundary="exp(-t)/10",
+    )
+
+
+@pytest.mark.parametrize(
+    "problem_id,levels", [("example2", 3), ("example2", 4), ("example3", 4), ("inline", 3)]
+)
+def test_self_convergence_equals_the_whole_history_study(problem_id, levels):
+    problem = inline_problem() if problem_id == "inline" else builtin_problem(problem_id)[0]
+    base = build_grid(1.0, 7, 0.4, 0.05)
+    expected = whole_history_self_convergence(problem, base, levels)
+    assert self_convergence_study(problem, base, levels) == expected
+
+
+@pytest.mark.parametrize("problem_id", ["example1", "example3"])
+def test_convergence_equals_the_whole_history_study(problem_id):
+    problem, exact = builtin_problem(problem_id)
+    base = build_grid(1.0, 7, 0.4, 0.05)
+    assert convergence_study(problem, exact, base, 3) == whole_history_convergence(
+        problem, exact, base, 3
+    )
+
+
+def test_self_convergence_memory_stays_below_the_finest_history():
+    # the finest rung keeps every 4th level and the coarser rungs run one at
+    # a time; keeping every rung's whole history measured 1.30x
+    problem, _ = builtin_problem("example2")
+    base = build_grid(1.0, 7, 0.4, 0.2)
+    finest = refine(refine(refine(base)))
+    history_bytes = (finest.n_steps + 1) * (finest.m_total - 1) * 8
+    tracemalloc.start()
+    try:
+        self_convergence_study(problem, base, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * history_bytes

@@ -11,9 +11,10 @@ from agediff.errors import (
     StabilityViolation,
 )
 from agediff.grid import build_grid, refine
-from agediff.model import ProblemSpec, builtin_problem
+from agediff.model import ProblemSpec, builtin_problem, problem_from_expressions
 from agediff.quadrature import InteriorVector, qh
-from agediff.solver import run, solve_left_boundary, step
+from agediff.residual import element_from_solution
+from agediff.solver import SolutionHistory, run, solve_left_boundary, step
 
 
 def make_problem(**overrides):
@@ -212,21 +213,25 @@ def test_coefficient_shape_and_finiteness_guards():
 
 
 def test_solution_history_shape_validation():
-    from agediff.solver import SolutionHistory
-
     grid = build_grid(1.0, 7, 0.4, 0.05)
-    levels = grid.n_steps + 1
-    good = dict(
-        left_trace=np.zeros(levels),
-        right_trace=np.zeros(levels),
-        interior=np.zeros((levels, grid.m_total - 1)),
-        grid=grid,
-    )
-    SolutionHistory(**good)
-    with pytest.raises(DimensionMismatch):
-        SolutionHistory(**{**good, "left_trace": np.zeros(levels + 1)})
-    with pytest.raises(DimensionMismatch):
-        SolutionHistory(**{**good, "interior": np.zeros((levels, grid.m_total))})
+    for every in (1, 5):
+        levels = grid.n_steps // every + 1
+        good = dict(
+            left_trace=np.zeros(levels),
+            right_trace=np.zeros(levels),
+            interior=np.zeros((levels, grid.m_total - 1)),
+            grid=grid,
+            every=every,
+        )
+        SolutionHistory(**good)
+        with pytest.raises(DimensionMismatch):
+            SolutionHistory(**{**good, "left_trace": np.zeros(levels + 1)})
+        with pytest.raises(DimensionMismatch):
+            SolutionHistory(**{**good, "interior": np.zeros((levels, grid.m_total))})
+        with pytest.raises(DimensionMismatch):
+            SolutionHistory(**{**good, "every": 2 * every})
+        with pytest.raises(InvalidParameter):
+            SolutionHistory(**{**good, "every": 3})
 
 
 @pytest.mark.parametrize("problem_id", ["example2", "example3"])
@@ -265,3 +270,75 @@ def test_small_update_margin_keeps_the_state_nonnegative():
     assert len(calls) == grid.n_steps
     assert solution.interior.min() >= 0.0
     assert np.all(np.isfinite(solution.interior))
+
+
+def strided_problems():
+    example2, _ = builtin_problem("example2")
+    example3, _ = builtin_problem("example3")
+    inline = problem_from_expressions(
+        mortality="0.5 + s/(1 - exp(-1)) + x/4",
+        fertility="2*exp(x)",
+        initial="e - exp(x)",
+        psi1="1 + x/2",
+        psi2="abs(1 - x)",
+        right_boundary="exp(-t)/10",
+    )
+    return {"example2": example2, "example3": example3, "inline": inline}
+
+
+@pytest.mark.parametrize("problem_id", ["example2", "example3", "inline"])
+def test_strided_run_keeps_every_kth_level_bit_for_bit(problem_id):
+    problem = strided_problems()[problem_id]
+    grid = build_grid(1.0, 7, 0.4, 0.2)
+    assert grid.n_steps == 200
+    full = run(problem, grid)
+    for every in (1, 2, 4, grid.n_steps):
+        strided = run(problem, grid, every=every)
+        assert strided.every == every
+        assert strided.interior.shape == (grid.n_steps // every + 1, grid.m_total - 1)
+        assert np.array_equal(strided.interior, full.interior[::every])
+        assert np.array_equal(strided.left_trace, full.left_trace[::every])
+        assert np.array_equal(strided.right_trace, full.right_trace[::every])
+
+
+@pytest.mark.parametrize("every", [0, -1, 3, 2.0, True])
+def test_invalid_stride_is_rejected_before_any_coefficient_call(every):
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(args) or fn(*args)
+
+    problem = make_problem(
+        mortality=counted(lambda x, s: np.zeros_like(x)),
+        fertility=counted(lambda x, s: np.zeros_like(x)),
+        psi1=counted(lambda x: np.ones_like(x)),
+        psi2=counted(lambda x: np.ones_like(x)),
+        initial=counted(lambda x: math.e - np.exp(x)),
+        right_boundary=counted(lambda t: 0.0),
+    )
+    grid = build_grid(1.0, 7, 0.4, 0.2)
+    assert grid.n_steps % 3 != 0
+    with pytest.raises(InvalidParameter, match="every"):
+        run(problem, grid, every=every)
+    assert calls == []
+
+
+def test_non_finite_state_names_an_unrecorded_level():
+    problem = make_problem(mortality=lambda x, s: np.full_like(x, -1e6))
+    grid = build_grid(1.0, 7, 0.4, 0.2)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteState) as full:
+        run(problem, grid)
+    level = full.value.time_level
+    every = next(e for e in (4, 8, 2, 5) if level % e)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteState) as strided:
+        run(problem, grid, every=every)
+    assert strided.value.time_level == level
+    assert str(strided.value) == str(full.value)
+
+
+def test_element_from_solution_rejects_a_strided_history():
+    problem, _ = builtin_problem("example2")
+    grid = build_grid(1.0, 7, 0.4, 0.2)
+    assert element_from_solution(run(problem, grid, every=1)).grid == grid
+    with pytest.raises(DimensionMismatch, match="every=2"):
+        element_from_solution(run(problem, grid, every=2))
