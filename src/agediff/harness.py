@@ -28,7 +28,7 @@ from .grid import GridSpec, refine
 from .model import ExactSolution, ProblemSpec
 from .quadrature import InteriorVector, inf_norm, l2_norm
 from .residual import (
-    ResidualBundle,
+    _BLOCK_ROWS,
     XhElement,
     apply_phi,
     element_from_solution,
@@ -170,39 +170,39 @@ def restrict_to_coarse(element: XhElement, coarse: GridSpec) -> XhElement:
     )
 
 
-def _self_error(
-    problem: ProblemSpec, reference: XhElement, grid: GridSpec
-) -> tuple[float, float, float]:
-    """Error triple of one coarser run against the reference sampled onto its mesh.
-
-    The difference is written into the run's own history, which is dropped
-    on return.
-    """
-    element = element_from_solution(run(problem, grid))
-    return _error_triple(_subtract_into(element, restrict_to_coarse(reference, grid)))
-
-
 def self_convergence_study(
     problem: ProblemSpec, base: GridSpec, levels: int
 ) -> list[ConvergenceRow]:
     """Errors of each coarser run against the finest run of the ladder.
 
     Needs at least three levels so that at least two error rows exist and
-    one order can be formed.  The coarser rungs read only every 4th level
-    and every 2nd node of the finest run, so it is recorded with
-    ``every=4`` and viewed as an element of the next coarser mesh.  The
-    coarser rungs then run one at a time, so at most one of their histories
-    is alive next to the reference.
+    one order can be formed.  The coarser rungs run first and keep their
+    whole histories.  The finest rung keeps none: an observer subtracts
+    each of its levels from every coarser rung whose time level it shares,
+    at the shared nodes, in place.  The operands and their order are those
+    of ``coarse - restrict_to_coarse(finest, coarse.grid)``.
     """
     if not (isinstance(levels, int) and levels >= 3):
         raise InvalidParameter(f"self-convergence needs levels >= 3, got {levels!r}")
     grids = _grid_ladder(base, levels)
-    finest = run(problem, grids[-1], every=4)
-    reference = XhElement(
-        finest.left_trace, finest.interior[:, 1::2], finest.right_trace, grids[-2]
-    )
-    triples = [_self_error(problem, reference, grid) for grid in reversed(grids[:-1])]
-    return _attach_orders(grids[:-1], triples[::-1])
+    errors = [element_from_solution(run(problem, grid)) for grid in grids[:-1]]
+
+    def subtract_finest(n: int, left: float, row: np.ndarray, right: float) -> None:
+        # the rung `depth` refinements below the finest shares every
+        # 4**depth-th level and every 2**depth-th node
+        for depth in range(1, levels):
+            level, offset = divmod(n, 4**depth)
+            if offset:
+                return
+            error = errors[-depth]
+            stride = 2**depth
+            np.subtract(error.rows[level], row[stride - 1 :: stride], out=error.rows[level])
+            error.left_trace[level] -= left
+            error.right_trace[level] -= right
+
+    finest = grids[-1]
+    run(problem, finest, every=finest.n_steps, observe=subtract_finest)
+    return _attach_orders(grids[:-1], [_error_triple(error) for error in errors])
 
 
 def consistency_study(
@@ -228,22 +228,26 @@ def _perturbation(grid: GridSpec, scale: float) -> XhElement:
     The mode shape is drawn once from a fixed seed, so every call sees the
     same smooth function; only the sampling mesh changes.  Scaling by the
     mesh-dependent factor keeps the perturbation inside the shrinking
-    neighbourhood where the stability estimate applies.
+    neighbourhood where the stability estimate applies.  The rows are built
+    one block at a time and scaled in place, so the only whole-history
+    array is the result.
     """
     rng = np.random.default_rng(987654321)
     amplitudes = rng.uniform(0.5, 1.0, size=3)
     x = grid.interior_nodes()
     t = grid.time_levels()
+    spatial = [np.sin((mode + 1) * np.pi * x / grid.a_dagger) for mode in range(3)]
+    temporal = [np.cos((mode + 1) * np.pi * t / grid.t_final) for mode in range(3)]
     rows = np.zeros((grid.n_steps + 1, grid.m_total - 1))
-    for mode in range(3):
-        spatial = np.sin((mode + 1) * np.pi * x / grid.a_dagger)
-        temporal = np.cos((mode + 1) * np.pi * t / grid.t_final)
-        rows += amplitudes[mode] * temporal[:, None] * spatial[None, :]
+    for start in range(0, grid.n_steps + 1, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        block = rows[start:stop]
+        for mode in range(3):
+            block += amplitudes[mode] * temporal[mode][start:stop, None] * spatial[mode][None, :]
     zeros = np.zeros(grid.n_steps + 1)
-    raw = XhElement(zeros, rows, zeros.copy(), grid)
-    norm = xh_norm(raw)
-    factor = scale * grid.h / norm
-    return XhElement(zeros, rows * factor, zeros.copy(), grid)
+    perturbation = XhElement(zeros, rows, zeros.copy(), grid)
+    rows *= scale * grid.h / xh_norm(perturbation)
+    return perturbation
 
 
 def stability_probe(
@@ -254,8 +258,10 @@ def stability_probe(
     V is the computed solution, W = V + perturbation.  V - W is known in
     closed form (it is the negated perturbation), so the numerator is taken
     from the perturbation directly instead of through a cancelling
-    subtraction.  A vanishing denominator is reported as a degenerate row,
-    never raised.
+    subtraction.  W is formed in V's own arrays once phi(V) is known, and
+    phi(V) - phi(W) in phi(V)'s, so each rung holds three whole-history
+    arrays at most.  A vanishing denominator is reported as a degenerate
+    row, never raised.
     """
     if not (math.isfinite(perturbation_scale) and perturbation_scale >= 0.0):
         raise InvalidParameter(
@@ -265,18 +271,24 @@ def stability_probe(
     rows = []
     for grid in grids:
         solution = element_from_solution(run(problem, grid))
-        perturbation = _perturbation(grid, perturbation_scale)
-        perturbed = XhElement(
-            solution.left_trace + perturbation.left_trace,
-            solution.rows + perturbation.rows,
-            solution.right_trace + perturbation.right_trace,
-            grid,
-        )
         initial = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
-        residual_gap = apply_phi(solution, problem, grid, initial) - apply_phi(
-            perturbed, problem, grid, initial
-        )
+        residual_gap = apply_phi(solution, problem, grid, initial)
+        perturbation = _perturbation(grid, perturbation_scale)
         numerator = xh_norm(perturbation)
+        for mine, theirs in (
+            (solution.left_trace, perturbation.left_trace),
+            (solution.rows, perturbation.rows),
+            (solution.right_trace, perturbation.right_trace),
+        ):
+            np.add(mine, theirs, out=mine)
+        del perturbation
+        perturbed = apply_phi(solution, problem, grid, initial)
+        for mine, theirs in (
+            (residual_gap.left, perturbed.left),
+            (residual_gap.rows, perturbed.rows),
+            (residual_gap.right, perturbed.right),
+        ):
+            np.subtract(mine, theirs, out=mine)
         denominator = yh_norm(residual_gap)
         if denominator == 0.0 or not math.isfinite(numerator / denominator):
             rows.append(StabilityRow(h=grid.h, ratio=None, degenerate=True))

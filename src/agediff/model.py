@@ -150,10 +150,11 @@ def exact_weighted_integral(
     """Adaptive reference value of integral psi(x) * u(x, t) dx over [0, a_dagger].
 
     This is the measuring stick the nodal quadrature is compared against in
-    tests; it never feeds the scheme itself.
+    tests; it never feeds the scheme itself.  It needs scipy, which only the
+    ``test`` extra installs (``pip install -e ".[test]"``).
     """
-    # Imported here: scipy is the slowest import in the package and nothing
-    # else needs it.
+    # Imported here: scipy is the slowest import in the package, nothing
+    # else needs it, and it is not a runtime dependency.
     from scipy import integrate
 
     result = integrate.quad(

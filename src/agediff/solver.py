@@ -20,15 +20,26 @@ place into its preallocated history.  ``run(problem, grid, every=e)`` keeps
 only levels 0, e, 2e, ..., n_steps (interior rows and both traces); the
 levels in between are stepped through a two-row work buffer, so the history
 holds n_steps/e + 1 rows.  With ``every=1`` every row is written straight
-into the history.  It shares one private stepping kernel with the public
-:func:`step` and :func:`solve_left_boundary`, so a run and a chain of public
-calls agree bit for bit, whatever ``every`` is.
+into the history.
+
+``run(problem, grid, observe=f)`` also calls ``f(n, left, row, right)`` once
+for every level n = 0..n_steps, after the Robin value U_0^n has been
+computed and checked finite and before the step to n + 1.  ``row`` is the
+live interior row U^n: the observer must not modify it, and it is valid only
+during the call.  A study that needs only a reduction over the levels (such
+as the self-convergence errors) can therefore run with ``every=n_steps`` and
+read every level from the observer instead of a stored history.
+
+:func:`run` shares one private stepping kernel with the public :func:`step`
+and :func:`solve_left_boundary`, so a run and a chain of public calls agree
+bit for bit, whatever ``every`` is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -174,8 +185,17 @@ def step(
     return InteriorVector(advanced, grid.h)
 
 
-def run(problem: ProblemSpec, grid: GridSpec, every: int = 1) -> SolutionHistory:
-    """March from the initial profile to t_final, recording every ``every``-th level."""
+def run(
+    problem: ProblemSpec,
+    grid: GridSpec,
+    every: int = 1,
+    observe: Optional[Callable[[int, float, np.ndarray, float], object]] = None,
+) -> SolutionHistory:
+    """March from the initial profile to t_final, recording every ``every``-th level.
+
+    ``observe``, if given, is called as ``observe(n, left, row, right)`` at
+    every level n; see the module docstring.
+    """
     if problem.a_dagger != grid.a_dagger:
         raise InvalidParameter(
             f"problem lives on [0, {problem.a_dagger!r}] but grid covers [0, {grid.a_dagger!r}]"
@@ -187,6 +207,8 @@ def run(problem: ProblemSpec, grid: GridSpec, every: int = 1) -> SolutionHistory
             f"stability bound violated: lam + 2*r = {grid.lam + 2.0 * grid.r!r} > 1"
         )
     _check_every(every, grid)
+    if observe is not None and not callable(observe):
+        raise InvalidParameter(f"observe must be callable or None, got {observe!r}")
 
     x = grid.interior_nodes()
     h = grid.h
@@ -219,6 +241,8 @@ def run(problem: ProblemSpec, grid: GridSpec, every: int = 1) -> SolutionHistory
             )
         if n % every == 0:
             left_trace[n // every] = left
+        if observe is not None:
+            observe(n, left, row, boundary[n])
         if n < n_steps:
             if (n + 1) % every == 0:
                 advanced = interior[(n + 1) // every]

@@ -24,7 +24,8 @@ from agediff.harness import (
     write_stability_csv,
 )
 from agediff.model import ExactSolution, ProblemSpec, builtin_problem, problem_from_expressions
-from agediff.residual import element_from_solution, restrict
+from agediff.quadrature import InteriorVector
+from agediff.residual import XhElement, apply_phi, element_from_solution, restrict, xh_norm, yh_norm
 from agediff.solver import run
 
 
@@ -304,6 +305,53 @@ def test_self_convergence_equals_the_whole_history_study(problem_id, levels):
     assert self_convergence_study(problem, base, levels) == expected
 
 
+def whole_array_stability_probe(problem, base, levels, scale):
+    # the probe as it was when the perturbation, W, phi(V), phi(W) and the
+    # gap were separate whole-history arrays
+    grids = [base]
+    for _ in range(levels - 1):
+        grids.append(refine(grids[-1]))
+    rows = []
+    for grid in grids:
+        solution = element_from_solution(run(problem, grid))
+        rng = np.random.default_rng(987654321)
+        amplitudes = rng.uniform(0.5, 1.0, size=3)
+        x = grid.interior_nodes()
+        t = grid.time_levels()
+        field = np.zeros((grid.n_steps + 1, grid.m_total - 1))
+        for mode in range(3):
+            spatial = np.sin((mode + 1) * np.pi * x / grid.a_dagger)
+            temporal = np.cos((mode + 1) * np.pi * t / grid.t_final)
+            field += amplitudes[mode] * temporal[:, None] * spatial[None, :]
+        zeros = np.zeros(grid.n_steps + 1)
+        factor = scale * grid.h / xh_norm(XhElement(zeros, field, zeros, grid))
+        perturbation = XhElement(zeros, field * factor, zeros, grid)
+        perturbed = XhElement(
+            solution.left_trace + perturbation.left_trace,
+            solution.rows + perturbation.rows,
+            solution.right_trace + perturbation.right_trace,
+            grid,
+        )
+        initial = InteriorVector(problem.initial(x), grid.h)
+        gap = apply_phi(solution, problem, grid, initial) - apply_phi(perturbed, problem, grid, initial)
+        numerator, denominator = xh_norm(perturbation), yh_norm(gap)
+        if denominator == 0.0 or not math.isfinite(numerator / denominator):
+            rows.append(StabilityRow(h=grid.h, ratio=None, degenerate=True))
+        else:
+            rows.append(StabilityRow(h=grid.h, ratio=numerator / denominator, degenerate=False))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "problem_id,scale", [("example1", 1.0), ("example3", 1.0), ("example3", 0.5), ("inline", 1.0)]
+)
+def test_stability_probe_equals_the_whole_array_probe(problem_id, scale):
+    problem = inline_problem() if problem_id == "inline" else builtin_problem(problem_id)[0]
+    base = build_grid(1.0, 7, 0.4, 0.05)
+    expected = whole_array_stability_probe(problem, base, 3, scale)
+    assert stability_probe(problem, base, 3, scale) == expected
+
+
 @pytest.mark.parametrize("problem_id", ["example1", "example3"])
 def test_convergence_equals_the_whole_history_study(problem_id):
     problem, exact = builtin_problem(problem_id)
@@ -313,17 +361,39 @@ def test_convergence_equals_the_whole_history_study(problem_id):
     )
 
 
-def test_self_convergence_memory_stays_below_the_finest_history():
-    # the finest rung keeps every 4th level and the coarser rungs run one at
-    # a time; keeping every rung's whole history measured 1.30x
-    problem, _ = builtin_problem("example2")
-    base = build_grid(1.0, 7, 0.4, 0.2)
-    finest = refine(refine(refine(base)))
-    history_bytes = (finest.n_steps + 1) * (finest.m_total - 1) * 8
+def traced_peak(study, *args):
     tracemalloc.start()
     try:
-        self_convergence_study(problem, base, 4)
+        study(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5 * history_bytes
+    return peak
+
+
+def finest_history_bytes(base, levels):
+    finest = base
+    for _ in range(levels - 1):
+        finest = refine(finest)
+    return (finest.n_steps + 1) * (finest.m_total - 1) * 8
+
+
+def test_self_convergence_memory_stays_below_the_finest_history():
+    # the finest rung is streamed through an observer and only the coarser
+    # rungs keep their histories (0.16x); keeping every 4th level of the
+    # finest rung measured 0.39x, and every rung's whole history 1.30x
+    problem, _ = builtin_problem("example2")
+    base = build_grid(1.0, 7, 0.4, 0.2)
+    peak = traced_peak(self_convergence_study, problem, base, 4)
+    assert peak <= 0.25 * finest_history_bytes(base, 4)
+
+
+def test_stability_probe_memory_stays_within_a_few_histories():
+    # at most three whole-history arrays are alive at once (3.34x): V (then
+    # W) and phi(V) (then the gap) with the perturbation or phi(W); keeping
+    # the perturbation alive next to phi(W) measured 4.34x, and separate
+    # copies for W, phi(W) and the gap 6.25x
+    problem, _ = builtin_problem("example3")
+    base = build_grid(1.0, 7, 0.4, 0.2)
+    peak = traced_peak(stability_probe, problem, base, 4)
+    assert peak <= 4.0 * finest_history_bytes(base, 4)

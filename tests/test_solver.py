@@ -301,14 +301,13 @@ def test_strided_run_keeps_every_kth_level_bit_for_bit(problem_id):
         assert np.array_equal(strided.right_trace, full.right_trace[::every])
 
 
-@pytest.mark.parametrize("every", [0, -1, 3, 2.0, True])
-def test_invalid_stride_is_rejected_before_any_coefficient_call(every):
-    calls = []
+def counted_problem(calls):
+    """A problem whose every coefficient call is appended to ``calls``."""
 
     def counted(fn):
         return lambda *args: calls.append(args) or fn(*args)
 
-    problem = make_problem(
+    return make_problem(
         mortality=counted(lambda x, s: np.zeros_like(x)),
         fertility=counted(lambda x, s: np.zeros_like(x)),
         psi1=counted(lambda x: np.ones_like(x)),
@@ -316,11 +315,65 @@ def test_invalid_stride_is_rejected_before_any_coefficient_call(every):
         initial=counted(lambda x: math.e - np.exp(x)),
         right_boundary=counted(lambda t: 0.0),
     )
+
+
+@pytest.mark.parametrize("every", [0, -1, 3, 2.0, True])
+def test_invalid_stride_is_rejected_before_any_coefficient_call(every):
+    calls = []
+    problem = counted_problem(calls)
     grid = build_grid(1.0, 7, 0.4, 0.2)
     assert grid.n_steps % 3 != 0
     with pytest.raises(InvalidParameter, match="every"):
         run(problem, grid, every=every)
     assert calls == []
+
+
+@pytest.mark.parametrize("problem_id", ["example2", "example3", "inline"])
+def test_observer_sees_every_level_bit_for_bit(problem_id):
+    problem = strided_problems()[problem_id]
+    grid = build_grid(1.0, 7, 0.4, 0.2)
+    full = run(problem, grid)
+    for every in (1, 4, grid.n_steps):
+        seen = []
+
+        def observe(n, left, row, right):
+            seen.append((n, left, row.copy(), right))
+
+        strided = run(problem, grid, every=every, observe=observe)
+        assert [n for n, _, _, _ in seen] == list(range(grid.n_steps + 1))
+        for n, left, row, right in seen:
+            assert left == full.left_trace[n]
+            assert right == full.right_trace[n]
+            assert np.array_equal(row, full.interior[n])
+        assert np.array_equal(strided.interior, full.interior[::every])
+        assert np.array_equal(strided.left_trace, full.left_trace[::every])
+        assert np.array_equal(strided.right_trace, full.right_trace[::every])
+
+
+@pytest.mark.parametrize("observe", [0, "print", object()])
+def test_non_callable_observer_is_rejected_before_any_coefficient_call(observe):
+    calls = []
+    problem = counted_problem(calls)
+    with pytest.raises(InvalidParameter, match="observe"):
+        run(problem, build_grid(1.0, 7, 0.4, 0.2), observe=observe)
+    assert calls == []
+
+
+def test_observer_exception_propagates_out_of_run():
+    class Stop(Exception):
+        pass
+
+    levels = []
+
+    def observe(n, left, row, right):
+        levels.append(n)
+        if n == 3:
+            raise Stop(n)
+
+    problem, _ = builtin_problem("example2")
+    with pytest.raises(Stop):
+        run(problem, build_grid(1.0, 7, 0.4, 0.2), observe=observe)
+    assert levels == [0, 1, 2, 3]
 
 
 def test_non_finite_state_names_an_unrecorded_level():
