@@ -55,16 +55,8 @@ from .quadrature import (
     star_norm,
     weights,
 )
-from .residual import (
-    ResidualBundle,
-    XhElement,
-    apply_phi,
-    element_from_solution,
-    restrict,
-    xh_norm,
-    yh_norm,
-)
-from .solver import SolutionHistory, run, solve_left_boundary, step
+from .residual import apply_phi, element_from_solution, restrict, xh_norm, yh_norm
+from .solver import GridFunction, run, solve_left_boundary, step
 
 __version__ = "0.1.0"
 
@@ -77,6 +69,7 @@ __all__ = [
     "DimensionMismatch",
     "EvalError",
     "ExactSolution",
+    "GridFunction",
     "GridSpec",
     "InteriorVector",
     "InvalidParameter",
@@ -84,12 +77,9 @@ __all__ = [
     "ParseError",
     "ProblemSpec",
     "QuadratureFailure",
-    "ResidualBundle",
-    "SolutionHistory",
     "StabilityRow",
     "StabilityViolation",
     "UnknownProblem",
-    "XhElement",
     "apply_phi",
     "builtin_ids",
     "builtin_problem",

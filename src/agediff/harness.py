@@ -27,16 +27,8 @@ from .errors import AlignmentError, InvalidParameter
 from .grid import GridSpec, refine
 from .model import ExactSolution, ProblemSpec
 from .quadrature import InteriorVector, inf_norm, l2_norm
-from .residual import (
-    _BLOCK_ROWS,
-    XhElement,
-    apply_phi,
-    element_from_solution,
-    restrict,
-    xh_norm,
-    yh_norm,
-)
-from .solver import run
+from .residual import _BLOCK_ROWS, apply_phi, restrict, xh_norm, yh_norm
+from .solver import GridFunction, _check_domain, run
 
 
 @dataclass(frozen=True)
@@ -84,9 +76,9 @@ def _order(previous: float, current: float) -> Optional[float]:
     return None
 
 
-def _error_triple(error: XhElement) -> tuple[float, float, float]:
+def _error_triple(error: GridFunction) -> tuple[float, float, float]:
     h = error.grid.h
-    final = InteriorVector(error.rows[-1], h)
+    final = InteriorVector(error.interior[-1], h)
     err_inf = max(inf_norm(final), abs(float(error.left_trace[-1])), abs(float(error.right_trace[-1])))
     return err_inf, l2_norm(final), xh_norm(error)
 
@@ -118,14 +110,11 @@ def _attach_orders(
     return rows
 
 
-def _subtract_into(target: XhElement, other: XhElement) -> XhElement:
-    """``target - other`` on one grid, written into ``target``'s own arrays (the same bits)."""
-    for mine, theirs in (
-        (target.left_trace, other.left_trace),
-        (target.rows, other.rows),
-        (target.right_trace, other.right_trace),
-    ):
-        np.subtract(mine, theirs, out=mine)
+def _apply_into(ufunc: np.ufunc, target: GridFunction, other: GridFunction) -> GridFunction:
+    """``ufunc(target, other)`` written into ``target``'s own three arrays (the same bits)."""
+    for name in ("left_trace", "interior", "right_trace"):
+        mine = getattr(target, name)
+        ufunc(mine, getattr(other, name), out=mine)
     return target
 
 
@@ -136,12 +125,12 @@ def convergence_study(
     grids = _grid_ladder(base, levels)
     triples = []
     for grid in grids:
-        solution = element_from_solution(run(problem, grid))
-        triples.append(_error_triple(_subtract_into(restrict(exact.u, grid), solution)))
+        solution = run(problem, grid)
+        triples.append(_error_triple(_apply_into(np.subtract, restrict(exact.u, grid), solution)))
     return _attach_orders(grids, triples)
 
 
-def restrict_to_coarse(element: XhElement, coarse: GridSpec) -> XhElement:
+def restrict_to_coarse(element: GridFunction, coarse: GridSpec) -> GridFunction:
     """Sample an element from a nested finer mesh down to ``coarse``.
 
     The fine mesh must be ``coarse`` refined some number of times; anything
@@ -162,9 +151,9 @@ def restrict_to_coarse(element: XhElement, coarse: GridSpec) -> XhElement:
         )
     space_stride = 2**depth
     time_stride = 4**depth
-    return XhElement(
+    return GridFunction(
         element.left_trace[::time_stride],
-        element.rows[::time_stride, space_stride - 1 :: space_stride],
+        element.interior[::time_stride, space_stride - 1 :: space_stride],
         element.right_trace[::time_stride],
         coarse,
     )
@@ -185,7 +174,7 @@ def self_convergence_study(
     if not (isinstance(levels, int) and levels >= 3):
         raise InvalidParameter(f"self-convergence needs levels >= 3, got {levels!r}")
     grids = _grid_ladder(base, levels)
-    errors = [element_from_solution(run(problem, grid)) for grid in grids[:-1]]
+    errors = [run(problem, grid) for grid in grids[:-1]]
 
     def subtract_finest(n: int, left: float, row: np.ndarray, right: float) -> None:
         # the rung `depth` refinements below the finest shares every
@@ -196,7 +185,7 @@ def self_convergence_study(
                 return
             error = errors[-depth]
             stride = 2**depth
-            np.subtract(error.rows[level], row[stride - 1 :: stride], out=error.rows[level])
+            np.subtract(error.interior[level], row[stride - 1 :: stride], out=error.interior[level])
             error.left_trace[level] -= left
             error.right_trace[level] -= right
 
@@ -209,6 +198,7 @@ def consistency_study(
     problem: ProblemSpec, exact: ExactSolution, base: GridSpec, levels: int
 ) -> list[ConsistencyRow]:
     """Residual norm of the restricted exact solution on each mesh."""
+    _check_domain(problem, base)
     grids = _grid_ladder(base, levels)
     rows = []
     previous = None
@@ -222,7 +212,7 @@ def consistency_study(
     return rows
 
 
-def _perturbation(grid: GridSpec, scale: float) -> XhElement:
+def _perturbation(grid: GridSpec, scale: float) -> GridFunction:
     """A fixed low-frequency field, scaled to xh-norm = scale * h.
 
     The mode shape is drawn once from a fixed seed, so every call sees the
@@ -245,7 +235,7 @@ def _perturbation(grid: GridSpec, scale: float) -> XhElement:
         for mode in range(3):
             block += amplitudes[mode] * temporal[mode][start:stop, None] * spatial[mode][None, :]
     zeros = np.zeros(grid.n_steps + 1)
-    perturbation = XhElement(zeros, rows, zeros.copy(), grid)
+    perturbation = GridFunction(zeros, rows, zeros.copy(), grid)
     rows *= scale * grid.h / xh_norm(perturbation)
     return perturbation
 
@@ -270,25 +260,14 @@ def stability_probe(
     grids = _grid_ladder(base, levels)
     rows = []
     for grid in grids:
-        solution = element_from_solution(run(problem, grid))
+        solution = run(problem, grid)
         initial = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
         residual_gap = apply_phi(solution, problem, grid, initial)
         perturbation = _perturbation(grid, perturbation_scale)
         numerator = xh_norm(perturbation)
-        for mine, theirs in (
-            (solution.left_trace, perturbation.left_trace),
-            (solution.rows, perturbation.rows),
-            (solution.right_trace, perturbation.right_trace),
-        ):
-            np.add(mine, theirs, out=mine)
+        _apply_into(np.add, solution, perturbation)
         del perturbation
-        perturbed = apply_phi(solution, problem, grid, initial)
-        for mine, theirs in (
-            (residual_gap.left, perturbed.left),
-            (residual_gap.rows, perturbed.rows),
-            (residual_gap.right, perturbed.right),
-        ):
-            np.subtract(mine, theirs, out=mine)
+        _apply_into(np.subtract, residual_gap, apply_phi(solution, problem, grid, initial))
         denominator = yh_norm(residual_gap)
         if denominator == 0.0 or not math.isfinite(numerator / denominator):
             rows.append(StabilityRow(h=grid.h, ratio=None, degenerate=True))

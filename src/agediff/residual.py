@@ -1,12 +1,15 @@
 """Residual of the discrete equations and the norms of the ambient spaces.
 
-An :class:`XhElement` is an arbitrary space-time grid function (boundary
-traces plus interior rows); the solver's output is one particular element.
-:func:`apply_phi` evaluates, in difference-quotient form, how far an element
-is from satisfying every discrete equation: the Robin row, the right
-boundary rows, the initial row and the interior update identities.  A
-solution history is a root of this map up to floating-point noise, which is
-pinned by tests rather than assumed.
+Elements of X_h and residuals in Y_h are both
+:class:`~agediff.solver.GridFunction` values, the type that
+:func:`agediff.solver.run` returns; only the norm applied to them differs.
+:func:`apply_phi` maps an element to its residual, one slot per discrete
+equation in the same layout: the Robin row, the right boundary rows, the
+initial row and the interior update identities, each in difference-quotient
+form.  A solution history is a root of this map up to floating-point noise,
+which is pinned by tests rather than assumed.  X_h and Y_h hold every time
+level, so :func:`apply_phi`, :func:`xh_norm` and :func:`yh_norm` reject a
+strided history (``every != 1``) with DimensionMismatch.
 
 Norms: for elements,
 
@@ -22,7 +25,6 @@ over interior nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,7 +33,13 @@ from .errors import DimensionMismatch, EvalError
 from .grid import GridSpec
 from .model import ProblemSpec
 from .quadrature import InteriorVector, l2_norm, qh, star_norm
-from .solver import SolutionHistory, _coefficient_values, _nodal_values
+from .solver import (
+    GridFunction,
+    _boundary_values,
+    _check_domain,
+    _coefficient_values,
+    _nodal_values,
+)
 
 # Rows per block in apply_phi's update residual and in the norms: the
 # temporaries scale with a block rather than with the whole history, and
@@ -39,82 +47,21 @@ from .solver import SolutionHistory, _coefficient_values, _nodal_values
 _BLOCK_ROWS = 256
 
 
-def _check_shapes(left: np.ndarray, rows: np.ndarray, right: np.ndarray, grid: GridSpec) -> None:
-    n_levels = grid.n_steps + 1
-    width = grid.m_total - 1
-    if left.shape != (n_levels,) or right.shape != (n_levels,):
+def _require_every_level(v: GridFunction) -> None:
+    if v.every != 1:
         raise DimensionMismatch(
-            f"boundary traces must have shape ({n_levels},), got {left.shape} and {right.shape}"
-        )
-    if rows.shape != (n_levels, width):
-        raise DimensionMismatch(f"rows must have shape ({n_levels}, {width}), got {rows.shape}")
-
-
-@dataclass(frozen=True)
-class XhElement:
-    """A grid function on one mesh: traces at x_0 and x_M plus interior rows."""
-
-    left_trace: np.ndarray
-    rows: np.ndarray
-    right_trace: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "left_trace", np.asarray(self.left_trace, dtype=float))
-        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=float))
-        object.__setattr__(self, "right_trace", np.asarray(self.right_trace, dtype=float))
-        _check_shapes(self.left_trace, self.rows, self.right_trace, self.grid)
-
-    def __sub__(self, other: "XhElement") -> "XhElement":
-        if self.grid != other.grid:
-            raise DimensionMismatch("elements live on different grids")
-        return XhElement(
-            self.left_trace - other.left_trace,
-            self.rows - other.rows,
-            self.right_trace - other.right_trace,
-            self.grid,
-        )
-
-
-@dataclass(frozen=True)
-class ResidualBundle:
-    """Residual components, one slot per discrete equation."""
-
-    left: np.ndarray
-    rows: np.ndarray
-    right: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "left", np.asarray(self.left, dtype=float))
-        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=float))
-        object.__setattr__(self, "right", np.asarray(self.right, dtype=float))
-        _check_shapes(self.left, self.rows, self.right, self.grid)
-
-    def __sub__(self, other: "ResidualBundle") -> "ResidualBundle":
-        if self.grid != other.grid:
-            raise DimensionMismatch("residual bundles live on different grids")
-        return ResidualBundle(
-            self.left - other.left,
-            self.rows - other.rows,
-            self.right - other.right,
-            self.grid,
-        )
-
-
-def element_from_solution(solution: SolutionHistory) -> XhElement:
-    """View a full solution history as an element; a strided one has no element."""
-    if solution.every != 1:
-        raise DimensionMismatch(
-            f"history was recorded with every={solution.every}; an element holds "
+            f"grid function was recorded with every={v.every}; X_h and Y_h hold "
             "every level, so run with every=1"
         )
-    return XhElement(
-        solution.left_trace, solution.interior, solution.right_trace, solution.grid
-    )
 
 
-def restrict(u: Callable[[np.ndarray, float], np.ndarray], grid: GridSpec) -> XhElement:
+def element_from_solution(solution: GridFunction) -> GridFunction:
+    """Check that a solution history holds every level and return it unchanged."""
+    _require_every_level(solution)
+    return solution
+
+
+def restrict(u: Callable[[np.ndarray, float], np.ndarray], grid: GridSpec) -> GridFunction:
     """Sample a function of (x, t) on every node of the mesh.
 
     The right trace is sampled at a_dagger itself, not at the rounded node
@@ -133,15 +80,15 @@ def restrict(u: Callable[[np.ndarray, float], np.ndarray], grid: GridSpec) -> Xh
         np.all(np.isfinite(rows)) and np.all(np.isfinite(left)) and np.all(np.isfinite(right))
     ):
         raise EvalError("sampled function is not finite on the grid")
-    return XhElement(left, rows, right, grid)
+    return GridFunction(left, rows, right, grid)
 
 
 def apply_phi(
-    v: XhElement,
+    v: GridFunction,
     problem: ProblemSpec,
     grid: GridSpec,
     initial: InteriorVector,
-) -> ResidualBundle:
+) -> GridFunction:
     """Evaluate the residual of every discrete equation at an element.
 
     Interior rows use the raw difference-quotient form of the update
@@ -152,8 +99,10 @@ def apply_phi(
                 + d_i(s1^{n-1}) V_i^{n-1}
                 - (V_{i+1}^{n-1} + V_{i-1}^{n-1} - 2 V_i^{n-1})/h^2
     """
+    _require_every_level(v)
     if v.grid != grid:
         raise DimensionMismatch("element does not live on the supplied grid")
+    _check_domain(problem, grid)
     if len(initial) != grid.m_total - 1 or initial.h != grid.h:
         raise DimensionMismatch(
             f"initial data has length {len(initial)} (h = {initial.h!r}), "
@@ -161,7 +110,6 @@ def apply_phi(
         )
     h, k = grid.h, grid.k
     x = grid.interior_nodes()
-    t_levels = grid.time_levels()
     n_levels = grid.n_steps + 1
 
     psi1 = _nodal_values(problem.psi1(x), x, "psi1")
@@ -169,10 +117,10 @@ def apply_phi(
 
     # d(s1^n) is only needed by update row n + 1, so it is stored there and
     # overwritten in place below; the last level's d is checked, not kept
-    p_rows = np.empty_like(v.rows)
+    p_rows = np.empty_like(v.interior)
     birth = np.empty(n_levels)
     for n in range(n_levels):
-        row = v.rows[n]
+        row = v.interior[n]
         s2 = qh(InteriorVector(psi2 * row, h))
         fertility = _coefficient_values(problem.fertility, x, s2, "fertility")
         birth[n] = qh(InteriorVector(fertility * row, h))
@@ -182,19 +130,14 @@ def apply_phi(
             p_rows[n + 1] = mortality
 
     robin_coeff = 1.0 + 1.0 / h
-    p_left = robin_coeff * v.left_trace - v.rows[:, 0] / h - birth
+    p_left = robin_coeff * v.left_trace - v.interior[:, 0] / h - birth
+    p_right = (v.right_trace - _boundary_values(problem, grid)) / h
 
-    if problem.homogeneous:
-        p_right = v.right_trace / h
-    else:
-        g_values = np.array([problem.boundary_value(t) for t in t_levels])
-        p_right = (v.right_trace - g_values) / h
-
-    p_rows[0] = v.rows[0] - initial.values
+    p_rows[0] = v.interior[0] - initial.values
     for start in range(1, n_levels, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_levels)
-        current = v.rows[start:stop]
-        previous = v.rows[start - 1 : stop - 1]
+        current = v.interior[start:stop]
+        previous = v.interior[start - 1 : stop - 1]
         previous_left = np.concatenate(
             (v.left_trace[start - 1 : stop - 1, None], previous[:, :-1]), axis=1
         )
@@ -208,7 +151,7 @@ def apply_phi(
             - (previous_right + previous_left - 2.0 * previous) / (h * h)
         )
 
-    return ResidualBundle(p_left, p_rows, p_right, grid)
+    return GridFunction(p_left, p_rows, p_right, grid)
 
 
 def _row_sums_of_squares(rows: np.ndarray) -> np.ndarray:
@@ -220,18 +163,20 @@ def _row_sums_of_squares(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def xh_norm(v: XhElement) -> float:
+def xh_norm(v: GridFunction) -> float:
+    _require_every_level(v)
     h, k = v.grid.h, v.grid.k
-    row_norms = np.sqrt(h * _row_sums_of_squares(v.rows))
+    row_norms = np.sqrt(h * _row_sums_of_squares(v.interior))
     return h * (star_norm(v.left_trace, k) + star_norm(v.right_trace, k)) + float(
         np.max(row_norms)
     )
 
 
-def yh_norm(p: ResidualBundle) -> float:
+def yh_norm(p: GridFunction) -> float:
+    _require_every_level(p)
     h, k = p.grid.h, p.grid.k
-    initial_sq = l2_norm(InteriorVector(p.rows[0], h)) ** 2
-    later_sq = k * float(np.sum(h * _row_sums_of_squares(p.rows[1:])))
-    left_sq = star_norm(p.left, k) ** 2
-    right_sq = star_norm(p.right, k) ** 2
+    initial_sq = l2_norm(InteriorVector(p.interior[0], h)) ** 2
+    later_sq = k * float(np.sum(h * _row_sums_of_squares(p.interior[1:])))
+    left_sq = star_norm(p.left_trace, k) ** 2
+    right_sq = star_norm(p.right_trace, k) ** 2
     return float(np.sqrt(left_sq + initial_sq + h * right_sq + later_sq))

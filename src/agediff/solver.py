@@ -15,6 +15,11 @@ for U_0^n, which rearranges to U_0^n = (h*qh(...) + U_1^n) / (h + 1).  The
 left value is computed at every stored level, including the last one, so a
 solution history always satisfies the boundary identity row by row.
 
+A :class:`GridFunction` (two boundary traces plus interior rows on one
+mesh) is the package's one space-time type: :func:`run` returns its solution
+history as one, and :mod:`agediff.residual` measures elements and residuals
+as grid functions too.
+
 :func:`run` computes the mesh constants once and writes each new row in
 place into its preallocated history.  ``run(problem, grid, every=e)`` keeps
 only levels 0, e, 2e, ..., n_steps (interior rows and both traces); the
@@ -50,21 +55,25 @@ from .quadrature import InteriorVector, qh
 
 
 @dataclass(frozen=True)
-class SolutionHistory:
-    """The recorded levels of one run: every ``every``-th one, n = 0..n_steps.
+class GridFunction:
+    """A space-time grid function on one mesh: two boundary traces plus interior rows.
 
-    ``interior`` has shape (n_steps // every + 1, m_total - 1); row j and
-    entry j of ``left_trace`` and ``right_trace`` hold U^n, U_0^n and U_M^n
-    at level n = j * every.
+    A computed solution, an element of X_h and a residual in Y_h are all grid
+    functions; they differ only in the norm applied to them (``xh_norm`` or
+    ``yh_norm``).  ``interior`` has shape (n_steps // every + 1, m_total - 1);
+    row j and entry j of ``left_trace`` and ``right_trace`` hold the values at
+    x_1..x_{M-1}, x_0 and x_M on level n = j * every.
     """
 
     left_trace: np.ndarray
-    right_trace: np.ndarray
     interior: np.ndarray
+    right_trace: np.ndarray
     grid: GridSpec
     every: int = 1
 
     def __post_init__(self):
+        for name in ("left_trace", "interior", "right_trace"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         _check_every(self.every, self.grid)
         n_levels = self.grid.n_steps // self.every + 1
         width = self.grid.m_total - 1
@@ -78,6 +87,17 @@ class SolutionHistory:
                 f"interior must have shape ({n_levels}, {width}), got {self.interior.shape}"
             )
 
+    def __sub__(self, other: "GridFunction") -> "GridFunction":
+        if self.grid != other.grid or self.every != other.every:
+            raise DimensionMismatch("grid functions live on different grids or level strides")
+        return GridFunction(
+            self.left_trace - other.left_trace,
+            self.interior - other.interior,
+            self.right_trace - other.right_trace,
+            self.grid,
+            self.every,
+        )
+
 
 def _check_every(every, grid: GridSpec) -> None:
     if not (
@@ -89,6 +109,23 @@ def _check_every(every, grid: GridSpec) -> None:
         raise InvalidParameter(
             f"every must be a positive integer dividing n_steps = {grid.n_steps}, got {every!r}"
         )
+
+
+def _check_domain(problem: ProblemSpec, grid: GridSpec) -> None:
+    if problem.a_dagger != grid.a_dagger:
+        raise InvalidParameter(
+            f"problem lives on [0, {problem.a_dagger!r}] but grid covers [0, {grid.a_dagger!r}]"
+        )
+
+
+def _boundary_values(problem: ProblemSpec, grid: GridSpec) -> np.ndarray:
+    """g(t^n) at every time level n = 0..n_steps, checked finite (zeros when homogeneous)."""
+    values = np.fromiter(
+        (problem.boundary_value(t) for t in grid.time_levels()), dtype=float, count=grid.n_steps + 1
+    )
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteState("right boundary data is not finite")
+    return values
 
 
 def _interior_coordinates(u: InteriorVector) -> np.ndarray:
@@ -190,16 +227,13 @@ def run(
     grid: GridSpec,
     every: int = 1,
     observe: Optional[Callable[[int, float, np.ndarray, float], object]] = None,
-) -> SolutionHistory:
+) -> GridFunction:
     """March from the initial profile to t_final, recording every ``every``-th level.
 
     ``observe``, if given, is called as ``observe(n, left, row, right)`` at
     every level n; see the module docstring.
     """
-    if problem.a_dagger != grid.a_dagger:
-        raise InvalidParameter(
-            f"problem lives on [0, {problem.a_dagger!r}] but grid covers [0, {grid.a_dagger!r}]"
-        )
+    _check_domain(problem, grid)
     if grid.lam + 2.0 * grid.r > 1.0:
         # GridSpec construction already enforces this; kept as a cheap guard
         # so a tampered grid cannot start stepping.
@@ -213,7 +247,6 @@ def run(
     x = grid.interior_nodes()
     h = grid.h
     stencil = _stencil(grid)
-    t_levels = grid.time_levels()
     n_steps = grid.n_steps
 
     interior = np.empty((n_steps // every + 1, grid.m_total - 1))
@@ -225,11 +258,7 @@ def run(
         raise NonFiniteState("initial profile is not finite", time_level=0)
     interior[0] = initial_row
 
-    boundary = np.empty(n_steps + 1)
-    for n in range(n_steps + 1):
-        boundary[n] = problem.boundary_value(t_levels[n])
-    if not np.all(np.isfinite(boundary)):
-        raise NonFiniteState("right boundary data is not finite")
+    boundary = _boundary_values(problem, grid)
 
     left_trace = np.empty(n_steps // every + 1)
     row = interior[0]
@@ -251,15 +280,10 @@ def run(
             _advance(row, left, boundary[n], problem, x, h, stencil, advanced)
             if not np.isfinite(advanced).all():
                 raise NonFiniteState(
-                    f"state became non-finite at time level {n + 1} (t = {t_levels[n + 1]!r})",
+                    f"state became non-finite at time level {n + 1} "
+                    f"(t = {grid.time_levels()[n + 1]!r})",
                     time_level=n + 1,
                 )
             row = advanced
 
-    return SolutionHistory(
-        left_trace=left_trace,
-        right_trace=boundary[::every].copy(),
-        interior=interior,
-        grid=grid,
-        every=every,
-    )
+    return GridFunction(left_trace, interior, boundary[::every].copy(), grid, every)

@@ -278,7 +278,7 @@ def test_slice_matches_a_fully_restricted_exact_solution(tmp_path, problem_id, t
         str(reference),
         grid.nodes(),
         np.concatenate(([solution.left_trace[-1]], solution.interior[-1], [solution.right_trace[-1]])),
-        np.concatenate(([sampled.left_trace[-1]], sampled.rows[-1], [sampled.right_trace[-1]])),
+        np.concatenate(([sampled.left_trace[-1]], sampled.interior[-1], [sampled.right_trace[-1]])),
     )
     written = out_dir / f"{problem_id}_slice_h{grid.h!r}.csv"
     assert written.read_bytes() == reference.read_bytes()

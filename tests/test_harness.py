@@ -25,8 +25,8 @@ from agediff.harness import (
 )
 from agediff.model import ExactSolution, ProblemSpec, builtin_problem, problem_from_expressions
 from agediff.quadrature import InteriorVector
-from agediff.residual import XhElement, apply_phi, element_from_solution, restrict, xh_norm, yh_norm
-from agediff.solver import run
+from agediff.residual import apply_phi, restrict, xh_norm, yh_norm
+from agediff.solver import GridFunction, run
 
 
 def zero_problem():
@@ -111,7 +111,7 @@ def test_restrict_to_coarse_produces_nested_samples():
     fine_samples = restrict(exact.u, fine)
     restricted = restrict_to_coarse(fine_samples, coarse)
     direct = restrict(exact.u, coarse)
-    assert np.array_equal(restricted.rows, direct.rows)
+    assert np.array_equal(restricted.interior, direct.interior)
     assert np.array_equal(restricted.left_trace, direct.left_trace)
     assert np.array_equal(restricted.right_trace, direct.right_trace)
     assert restricted.grid == coarse
@@ -122,7 +122,7 @@ def test_restrict_to_coarse_is_the_identity_at_equal_depth():
     grid = build_grid(1.0, 7, 0.4, 0.05)
     element = restrict(exact.u, grid)
     same = restrict_to_coarse(element, grid)
-    assert np.array_equal(same.rows, element.rows)
+    assert np.array_equal(same.interior, element.interior)
 
 
 def test_restrict_to_coarse_rejects_foreign_grids():
@@ -265,7 +265,7 @@ def whole_history_self_convergence(problem, base, levels):
     grids = [base]
     for _ in range(levels - 1):
         grids.append(refine(grids[-1]))
-    elements = [element_from_solution(run(problem, grid)) for grid in grids]
+    elements = [run(problem, grid) for grid in grids]
     triples = [
         harness._error_triple(element - restrict_to_coarse(elements[-1], grid))
         for grid, element in zip(grids[:-1], elements[:-1])
@@ -278,7 +278,7 @@ def whole_history_convergence(problem, exact, base, levels):
     for _ in range(levels - 1):
         grids.append(refine(grids[-1]))
     triples = [
-        harness._error_triple(restrict(exact.u, grid) - element_from_solution(run(problem, grid)))
+        harness._error_triple(restrict(exact.u, grid) - run(problem, grid))
         for grid in grids
     ]
     return harness._attach_orders(grids, triples)
@@ -313,7 +313,7 @@ def whole_array_stability_probe(problem, base, levels, scale):
         grids.append(refine(grids[-1]))
     rows = []
     for grid in grids:
-        solution = element_from_solution(run(problem, grid))
+        solution = run(problem, grid)
         rng = np.random.default_rng(987654321)
         amplitudes = rng.uniform(0.5, 1.0, size=3)
         x = grid.interior_nodes()
@@ -324,11 +324,11 @@ def whole_array_stability_probe(problem, base, levels, scale):
             temporal = np.cos((mode + 1) * np.pi * t / grid.t_final)
             field += amplitudes[mode] * temporal[:, None] * spatial[None, :]
         zeros = np.zeros(grid.n_steps + 1)
-        factor = scale * grid.h / xh_norm(XhElement(zeros, field, zeros, grid))
-        perturbation = XhElement(zeros, field * factor, zeros, grid)
-        perturbed = XhElement(
+        factor = scale * grid.h / xh_norm(GridFunction(zeros, field, zeros, grid))
+        perturbation = GridFunction(zeros, field * factor, zeros, grid)
+        perturbed = GridFunction(
             solution.left_trace + perturbation.left_trace,
-            solution.rows + perturbation.rows,
+            solution.interior + perturbation.interior,
             solution.right_trace + perturbation.right_trace,
             grid,
         )

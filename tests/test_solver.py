@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,10 +12,11 @@ from agediff.errors import (
     StabilityViolation,
 )
 from agediff.grid import build_grid, refine
-from agediff.model import ProblemSpec, builtin_problem, problem_from_expressions
+from agediff.harness import consistency_study
+from agediff.model import ExactSolution, ProblemSpec, builtin_problem, problem_from_expressions
 from agediff.quadrature import InteriorVector, qh
-from agediff.residual import element_from_solution
-from agediff.solver import SolutionHistory, run, solve_left_boundary, step
+from agediff.residual import apply_phi, element_from_solution, restrict
+from agediff.solver import GridFunction, run, solve_left_boundary, step
 
 
 def make_problem(**overrides):
@@ -212,26 +214,52 @@ def test_coefficient_shape_and_finiteness_guards():
         run(non_finite, grid)
 
 
-def test_solution_history_shape_validation():
+# (fields to replace in a well-formed grid function, expected error); the
+# builders take the recorded level count, the interior width and the stride
+SHAPE_CASES = {
+    "well-formed": (lambda levels, width, every: {}, None),
+    "long-left-trace": (lambda levels, width, every: {"left_trace": np.zeros(levels + 1)}, DimensionMismatch),
+    "short-right-trace": (lambda levels, width, every: {"right_trace": np.zeros(levels - 1)}, DimensionMismatch),
+    "wide-rows": (lambda levels, width, every: {"interior": np.zeros((levels, width + 1))}, DimensionMismatch),
+    "wider-rows": (lambda levels, width, every: {"interior": np.zeros((levels, width + 2))}, DimensionMismatch),
+    "narrow-rows": (lambda levels, width, every: {"interior": np.zeros((levels, width - 2))}, DimensionMismatch),
+    "extra-row": (lambda levels, width, every: {"interior": np.zeros((levels + 1, width))}, DimensionMismatch),
+    "doubled-every": (lambda levels, width, every: {"every": 2 * every}, DimensionMismatch),
+    "non-dividing-every": (lambda levels, width, every: {"every": 3}, InvalidParameter),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_CASES.values(), ids=SHAPE_CASES.keys())
+@pytest.mark.parametrize("every", [1, 5], ids=["every1", "every5"])
+def test_grid_function_shape_validation(every, case):
     grid = build_grid(1.0, 7, 0.4, 0.05)
-    for every in (1, 5):
-        levels = grid.n_steps // every + 1
-        good = dict(
-            left_trace=np.zeros(levels),
-            right_trace=np.zeros(levels),
-            interior=np.zeros((levels, grid.m_total - 1)),
-            grid=grid,
-            every=every,
-        )
-        SolutionHistory(**good)
-        with pytest.raises(DimensionMismatch):
-            SolutionHistory(**{**good, "left_trace": np.zeros(levels + 1)})
-        with pytest.raises(DimensionMismatch):
-            SolutionHistory(**{**good, "interior": np.zeros((levels, grid.m_total))})
-        with pytest.raises(DimensionMismatch):
-            SolutionHistory(**{**good, "every": 2 * every})
-        with pytest.raises(InvalidParameter):
-            SolutionHistory(**{**good, "every": 3})
+    assert grid.n_steps % 10 == 0 and grid.n_steps % 3 != 0
+    levels = grid.n_steps // every + 1
+    width = grid.m_total - 1
+    good = dict(
+        left_trace=np.zeros(levels),
+        interior=np.zeros((levels, width)),
+        right_trace=np.zeros(levels),
+        grid=grid,
+        every=every,
+    )
+    overrides, error = case
+    if error is None:
+        made = GridFunction(**good)
+        # float64 arrays are kept, never copied
+        for name in ("left_trace", "interior", "right_trace"):
+            assert getattr(made, name) is good[name]
+    else:
+        with pytest.raises(error):
+            GridFunction(**{**good, **overrides(levels, width, every)})
+
+
+def test_grid_function_coerces_to_float_arrays():
+    grid = build_grid(1.0, 1, 0.4, 0.01)
+    levels = grid.n_steps + 1
+    made = GridFunction([0] * levels, [[1] * (grid.m_total - 1)] * levels, range(levels), grid)
+    assert made.interior.dtype == made.left_trace.dtype == made.right_trace.dtype == np.float64
+    assert np.array_equal(made.right_trace, np.arange(levels))
 
 
 @pytest.mark.parametrize("problem_id", ["example2", "example3"])
@@ -392,6 +420,24 @@ def test_non_finite_state_names_an_unrecorded_level():
 def test_element_from_solution_rejects_a_strided_history():
     problem, _ = builtin_problem("example2")
     grid = build_grid(1.0, 7, 0.4, 0.2)
-    assert element_from_solution(run(problem, grid, every=1)).grid == grid
+    solution = run(problem, grid, every=1)
+    assert element_from_solution(solution) is solution
     with pytest.raises(DimensionMismatch, match="every=2"):
         element_from_solution(run(problem, grid, every=2))
+
+
+def test_mismatched_domain_is_rejected_before_any_coefficient_call():
+    calls = []
+    problem = dataclasses.replace(counted_problem(calls), a_dagger=2.0)
+    grid = build_grid(1.0, 7, 0.4, 0.05)
+    element = restrict(lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), grid)
+    initial = InteriorVector(np.zeros(grid.m_total - 1), grid.h)
+    exact = ExactSolution(u=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), description="zero")
+    with pytest.raises(InvalidParameter, match="lives on"):
+        run(problem, grid)
+    with pytest.raises(InvalidParameter, match="lives on"):
+        apply_phi(element, problem, grid, initial)
+    with pytest.raises(InvalidParameter, match="lives on"):
+        consistency_study(problem, exact, grid, 2)
+    assert calls == []
+
