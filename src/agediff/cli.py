@@ -28,7 +28,6 @@ from . import harness, model
 from .errors import (
     AgediffError,
     ConfigError,
-    EvalError,
     NonFiniteState,
     ParseError,
     StabilityViolation,
@@ -36,6 +35,7 @@ from .errors import (
 from .exprdsl import parse_expr
 from .grid import GridSpec, build_grid, refine
 from .model import ExactSolution, ProblemSpec
+from .residual import _sample_nodes
 from .solver import run as run_solver
 
 _STUDIES = ("single", "convergence", "self_convergence", "consistency", "stability")
@@ -228,17 +228,8 @@ def _write_run_slice(
     )
     path = f"{output_dir}/{tag}_slice_h{grid.h!r}.csv"
     if exact is not None:
-        # Sampled like restrict does, but at the final level only.
-        t = grid.t_final
-        u_exact = np.concatenate(
-            (
-                [exact.u(np.asarray(0.0), t)],
-                exact.u(grid.interior_nodes(), t),
-                [exact.u(np.asarray(grid.a_dagger), t)],
-            )
-        )
-        if not np.all(np.isfinite(u_exact)):
-            raise EvalError("sampled function is not finite on the grid")
+        # Sampled as restrict samples every level, at the final time only.
+        u_exact = _sample_nodes(exact.u, grid, [grid.t_final])[0]
         harness.write_slice_csv(path, x, u_numeric, u_exact)
     else:
         harness.write_slice_csv(path, x, u_numeric)

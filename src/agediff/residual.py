@@ -21,11 +21,16 @@ and for residuals
 
 with |.|_* the k-weighted time-trace norm and |.| the h-weighted l2 norm
 over interior nodes.
+
+As in the stepping kernel, the three quadratures of each level in
+:func:`apply_phi` share one scratch :class:`~agediff.quadrature.InteriorVector`
+allocated per call: each weighted product is written into its values in
+place before ``qh``, which only reads it and keeps no reference to it.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,26 +66,31 @@ def element_from_solution(solution: GridFunction) -> GridFunction:
     return solution
 
 
-def restrict(u: Callable[[np.ndarray, float], np.ndarray], grid: GridSpec) -> GridFunction:
-    """Sample a function of (x, t) on every node of the mesh.
+def _sample_nodes(
+    u: Callable[[np.ndarray, float], np.ndarray], grid: GridSpec, times: Sequence[float]
+) -> np.ndarray:
+    """u at x_0, x_1..x_{M-1} and a_dagger on each time in ``times``, one call per time.
 
-    The right trace is sampled at a_dagger itself, not at the rounded node
-    m_total * h; the two can differ by an ulp.
+    Row j holds the M + 1 node values at times[j].  The last column is
+    sampled at a_dagger itself, not at the rounded node m_total * h; the two
+    can differ by an ulp.
     """
-    x = grid.interior_nodes()
-    t_levels = grid.time_levels()
-    rows = np.empty((grid.n_steps + 1, grid.m_total - 1))
-    left = np.empty(grid.n_steps + 1)
-    right = np.empty(grid.n_steps + 1)
-    for n, t in enumerate(t_levels):
-        rows[n] = u(x, float(t))
-        left[n] = u(np.asarray(0.0), float(t))
-        right[n] = u(np.asarray(grid.a_dagger), float(t))
-    if not (
-        np.all(np.isfinite(rows)) and np.all(np.isfinite(left)) and np.all(np.isfinite(right))
-    ):
+    x = np.concatenate(([0.0], grid.interior_nodes(), [grid.a_dagger]))
+    samples = np.empty((len(times), x.shape[0]))
+    for j, t in enumerate(times):
+        samples[j] = u(x, float(t))
+    if not np.all(np.isfinite(samples)):
         raise EvalError("sampled function is not finite on the grid")
-    return GridFunction(left, rows, right, grid)
+    return samples
+
+
+def restrict(u: Callable[[np.ndarray, float], np.ndarray], grid: GridSpec) -> GridFunction:
+    """Sample a function of (x, t) on every node of the mesh, one call per level.
+
+    Both traces and the interior rows are views of one array of samples.
+    """
+    samples = _sample_nodes(u, grid, grid.time_levels())
+    return GridFunction(samples[:, 0], samples[:, 1:-1], samples[:, -1], grid)
 
 
 def apply_phi(
@@ -119,12 +129,16 @@ def apply_phi(
     # overwritten in place below; the last level's d is checked, not kept
     p_rows = np.empty_like(v.interior)
     birth = np.empty(n_levels)
+    weighted = InteriorVector(np.empty(grid.m_total - 1), h)
     for n in range(n_levels):
         row = v.interior[n]
-        s2 = qh(InteriorVector(psi2 * row, h))
+        np.multiply(psi2, row, out=weighted.values)
+        s2 = qh(weighted)
         fertility = _coefficient_values(problem.fertility, x, s2, "fertility")
-        birth[n] = qh(InteriorVector(fertility * row, h))
-        s1 = qh(InteriorVector(psi1 * row, h))
+        np.multiply(fertility, row, out=weighted.values)
+        birth[n] = qh(weighted)
+        np.multiply(psi1, row, out=weighted.values)
+        s1 = qh(weighted)
         mortality = _coefficient_values(problem.mortality, x, s1, "mortality")
         if n + 1 < n_levels:
             p_rows[n + 1] = mortality

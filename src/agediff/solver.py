@@ -38,6 +38,13 @@ read every level from the observer instead of a stored history.
 :func:`run` shares one private stepping kernel with the public :func:`step`
 and :func:`solve_left_boundary`, so a run and a chain of public calls agree
 bit for bit, whatever ``every`` is.
+
+The three quadratures of a step (s2, the birth integral and s1) share one
+scratch :class:`~agediff.quadrature.InteriorVector`, allocated once per
+:func:`run` (once per call of :func:`step` or :func:`solve_left_boundary`):
+each weighted product is written into its values in place before ``qh``.
+``qh`` only reads its argument and keeps no reference to it, and the
+scratch never leaves the kernel.
 """
 
 from __future__ import annotations
@@ -153,11 +160,16 @@ def _stencil(grid: GridSpec) -> tuple[float, float, float, float]:
     return grid.k, grid.r, 1.0 - grid.lam - 2.0 * grid.r, grid.r + grid.lam
 
 
-def _left_value(u: np.ndarray, x: np.ndarray, h: float, problem: ProblemSpec) -> float:
+def _left_value(
+    u: np.ndarray, x: np.ndarray, h: float, problem: ProblemSpec, weighted: InteriorVector
+) -> float:
+    """U_0 from the Robin law; ``weighted`` is scratch for the two integrands."""
     psi2 = _nodal_values(problem.psi2(x), x, "psi2")
-    s2 = qh(InteriorVector(psi2 * u, h))
+    np.multiply(psi2, u, out=weighted.values)
+    s2 = qh(weighted)
     fertility = _coefficient_values(problem.fertility, x, s2, "fertility")
-    birth = qh(InteriorVector(fertility * u, h))
+    np.multiply(fertility, u, out=weighted.values)
+    birth = qh(weighted)
     return (h * birth + u[0]) / (h + 1.0)
 
 
@@ -167,11 +179,11 @@ def _advance(
     right: float,
     problem: ProblemSpec,
     x: np.ndarray,
-    h: float,
     stencil: tuple[float, float, float, float],
     out: np.ndarray,
+    weighted: InteriorVector,
 ) -> None:
-    """Write the next interior row into ``out``.
+    """Write the next interior row into ``out``; ``weighted`` is scratch for psi1*U.
 
     Each element is ((c_i*U_i + (r+lam)*U_{i-1}) + r*U_{i+1}) with
     c_i = (1 - lam - 2r) - k*d_i, evaluated in that order.  A negative c_i
@@ -179,7 +191,8 @@ def _advance(
     """
     k, r, diagonal, upwind = stencil
     psi1 = _nodal_values(problem.psi1(x), x, "psi1")
-    s1 = qh(InteriorVector(psi1 * u, h))
+    np.multiply(psi1, u, out=weighted.values)
+    s1 = qh(weighted)
     mortality = _coefficient_values(problem.mortality, x, s1, "mortality")
     np.multiply(mortality, k, out=out)
     np.subtract(diagonal, out, out=out)
@@ -197,8 +210,14 @@ def _advance(
 
 
 def solve_left_boundary(u: InteriorVector, problem: ProblemSpec) -> float:
-    """Solve the discrete Robin condition for U_0 given the interior row."""
-    return _left_value(u.values, _interior_coordinates(u), u.h, problem)
+    """Solve the discrete Robin condition for U_0 given the interior row.
+
+    This takes no grid, so unlike :func:`step` and :func:`run` it cannot
+    check that the row's mesh covers [0, problem.a_dagger]; the nodes are
+    taken to be x_i = i * u.h.
+    """
+    weighted = InteriorVector(np.empty(len(u)), u.h)
+    return _left_value(u.values, _interior_coordinates(u), u.h, problem, weighted)
 
 
 def step(
@@ -209,14 +228,16 @@ def step(
     grid: GridSpec,
 ) -> InteriorVector:
     """Advance the interior row one time level, given its boundary values U_0 and U_M."""
+    _check_domain(problem, grid)
     if len(u_prev) != grid.m_total - 1 or u_prev.h != grid.h:
         raise DimensionMismatch(
             f"row of length {len(u_prev)} (h = {u_prev.h!r}) does not match grid width "
             f"{grid.m_total - 1} (h = {grid.h!r})"
         )
     advanced = np.empty(len(u_prev))
+    weighted = InteriorVector(np.empty(len(u_prev)), grid.h)
     x = grid.interior_nodes()
-    _advance(u_prev.values, left, right, problem, x, grid.h, _stencil(grid), advanced)
+    _advance(u_prev.values, left, right, problem, x, _stencil(grid), advanced, weighted)
     if not np.isfinite(advanced).all():
         raise NonFiniteState("time step produced a non-finite value")
     return InteriorVector(advanced, grid.h)
@@ -253,6 +274,7 @@ def run(
     # unrecorded levels alternate between the two rows, so a step never
     # overwrites the row it reads
     work = np.empty((2, grid.m_total - 1))
+    weighted = InteriorVector(np.empty(grid.m_total - 1), h)
     initial_row = _nodal_values(problem.initial(x), x, "initial profile")
     if not np.all(np.isfinite(initial_row)):
         raise NonFiniteState("initial profile is not finite", time_level=0)
@@ -263,7 +285,7 @@ def run(
     left_trace = np.empty(n_steps // every + 1)
     row = interior[0]
     for n in range(n_steps + 1):
-        left = _left_value(row, x, h, problem)
+        left = _left_value(row, x, h, problem, weighted)
         if not math.isfinite(left):
             raise NonFiniteState(
                 f"left boundary value became non-finite at time level {n}", time_level=n
@@ -277,7 +299,7 @@ def run(
                 advanced = interior[(n + 1) // every]
             else:
                 advanced = work[n % 2]
-            _advance(row, left, boundary[n], problem, x, h, stencil, advanced)
+            _advance(row, left, boundary[n], problem, x, stencil, advanced, weighted)
             if not np.isfinite(advanced).all():
                 raise NonFiniteState(
                     f"state became non-finite at time level {n + 1} "

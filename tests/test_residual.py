@@ -54,6 +54,44 @@ def test_restrict_rejects_non_finite_samples():
         restrict(lambda x, t: np.full_like(np.asarray(x, dtype=float), math.nan), grid)
 
 
+def three_call_restrict(u, grid):
+    """Reference sampler: the interior row and each trace in a call of its own."""
+    x = grid.interior_nodes()
+    rows = np.empty((grid.n_steps + 1, grid.m_total - 1))
+    left = np.empty(grid.n_steps + 1)
+    right = np.empty(grid.n_steps + 1)
+    for n, t in enumerate(grid.time_levels()):
+        rows[n] = u(x, float(t))
+        left[n] = u(np.asarray(0.0), float(t))
+        right[n] = u(np.asarray(grid.a_dagger), float(t))
+    return left, rows, right
+
+
+SAMPLED_FUNCTIONS = {
+    "example1": builtin_problem("example1")[1].u,
+    "example3": builtin_problem("example3")[1].u,
+    "sin-sqrt-log1p": lambda x, t: np.sin(3.0 * x + t) * np.sqrt(1.0 + x) + np.log1p(x * (1.0 + t)),
+}
+
+
+# m_total * h = 0.8999999999999999 here, so the right trace's node is not x_M
+ROUNDED_END = build_grid(0.9, 2, 0.4, 0.05)
+
+
+@pytest.mark.parametrize("grid", [build_grid(1.0, 7, 0.4, 0.05), ROUNDED_END], ids=["unit", "rounded-end"])
+@pytest.mark.parametrize("u", SAMPLED_FUNCTIONS.values(), ids=SAMPLED_FUNCTIONS.keys())
+def test_restrict_equals_three_calls_per_level_bit_for_bit(u, grid):
+    if grid is ROUNDED_END:
+        assert grid.m_total * grid.h != grid.a_dagger
+    calls = []
+    element = restrict(lambda x, t: calls.append(t) or u(x, t), grid)
+    assert len(calls) == grid.n_steps + 1
+    sampled = (element.left_trace, element.interior, element.right_trace)
+    for got, want in zip(sampled, three_call_restrict(u, grid)):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_restricted_exact_matches_the_initial_row_bitwise():
     problem, exact = builtin_problem("example1")
     grid = build_grid(1.0, 7, 0.4, 0.2)

@@ -1,9 +1,11 @@
+import collections
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from agediff import residual, solver
 from agediff.errors import (
     DimensionMismatch,
     EvalError,
@@ -436,8 +438,51 @@ def test_mismatched_domain_is_rejected_before_any_coefficient_call():
     with pytest.raises(InvalidParameter, match="lives on"):
         run(problem, grid)
     with pytest.raises(InvalidParameter, match="lives on"):
+        step(InteriorVector(np.ones(grid.m_total - 1), grid.h), 1.0, 0.0, problem, grid)
+    with pytest.raises(InvalidParameter, match="lives on"):
         apply_phi(element, problem, grid, initial)
     with pytest.raises(InvalidParameter, match="lives on"):
         consistency_study(problem, exact, grid, 2)
     assert calls == []
 
+
+@pytest.fixture
+def traced_counts(monkeypatch):
+    """Count qh calls through the names the stepper and apply_phi use, and vector builds."""
+    counts = collections.Counter()
+
+    def counted_qh(v):
+        counts["qh"] += 1
+        return qh(v)
+
+    post_init = InteriorVector.__post_init__
+
+    def counted_post_init(self):
+        counts["vectors"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(solver, "qh", counted_qh)
+    monkeypatch.setattr(residual, "qh", counted_qh)
+    monkeypatch.setattr(InteriorVector, "__post_init__", counted_post_init)
+    return counts
+
+
+@pytest.mark.parametrize("problem_id", ["example2", "example3", "inline"])
+def test_run_and_apply_phi_make_the_pinned_qh_calls(traced_counts, problem_id):
+    # 3 qh per step plus the final Robin solve's 2; 3 per level in apply_phi.
+    # The InteriorVector builds are per call, not per level.
+    problem = strided_problems()[problem_id]
+    vectors = set()
+    grids = [build_grid(1.0, 7, 0.4, 0.05), build_grid(1.0, 7, 0.4, 0.2)]
+    assert grids[0].n_steps != grids[1].n_steps
+    for grid in grids:
+        initial = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
+        traced_counts.clear()
+        solution = run(problem, grid)
+        assert traced_counts["qh"] == 3 * grid.n_steps + 2
+        run_vectors = traced_counts["vectors"]
+        traced_counts.clear()
+        apply_phi(solution, problem, grid, initial)
+        assert traced_counts["qh"] == 3 * (grid.n_steps + 1)
+        vectors.add((run_vectors, traced_counts["vectors"]))
+    assert len(vectors) == 1
