@@ -11,14 +11,12 @@ and the coefficient expression language in :mod:`agediff.exprdsl`.
 
 from .errors import (
     AgediffError,
-    AlignmentError,
     ConfigError,
     DimensionMismatch,
     EvalError,
     InvalidParameter,
     NonFiniteState,
     ParseError,
-    QuadratureFailure,
     StabilityViolation,
     UnknownProblem,
 )
@@ -31,7 +29,6 @@ from .harness import (
     consistency_study,
     convergence_study,
     read_convergence_csv,
-    restrict_to_coarse,
     self_convergence_study,
     stability_probe,
     write_consistency_csv,
@@ -44,7 +41,6 @@ from .model import (
     ProblemSpec,
     builtin_ids,
     builtin_problem,
-    exact_weighted_integral,
     problem_from_expressions,
 )
 from .quadrature import (
@@ -62,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgediffError",
-    "AlignmentError",
     "ConfigError",
     "ConsistencyRow",
     "ConvergenceRow",
@@ -76,7 +71,6 @@ __all__ = [
     "NonFiniteState",
     "ParseError",
     "ProblemSpec",
-    "QuadratureFailure",
     "StabilityRow",
     "StabilityViolation",
     "UnknownProblem",
@@ -87,7 +81,6 @@ __all__ = [
     "convergence_study",
     "element_from_solution",
     "eval_expr",
-    "exact_weighted_integral",
     "format_expr",
     "inf_norm",
     "l2_norm",
@@ -97,7 +90,6 @@ __all__ = [
     "read_convergence_csv",
     "refine",
     "restrict",
-    "restrict_to_coarse",
     "run",
     "self_convergence_study",
     "solve_left_boundary",

@@ -33,7 +33,7 @@ from .errors import (
     StabilityViolation,
 )
 from .exprdsl import parse_expr
-from .grid import GridSpec, build_grid, refine
+from .grid import GridSpec, build_grid
 from .model import ExactSolution, ProblemSpec
 from .residual import _sample_nodes
 from .solver import run as run_solver
@@ -267,10 +267,8 @@ def _execute(config: RunConfig, perturbation_scale: float = 1.0) -> int:
         write(rows, path)
         written.append(path)
         if config.study in ("convergence", "self_convergence"):
-            grid = base
-            for _ in range(config.levels):
+            for grid in harness._grid_ladder(base, config.levels):
                 written.append(_write_run_slice(problem, exact, grid, out, tag))
-                grid = refine(grid)
 
     for path in written:
         print(f"wrote {path}")

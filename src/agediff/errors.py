@@ -55,14 +55,6 @@ class UnknownProblem(AgediffError):
     """The requested built-in problem id does not exist."""
 
 
-class QuadratureFailure(AgediffError):
-    """The adaptive reference quadrature did not reach its tolerance."""
-
-
-class AlignmentError(AgediffError):
-    """Grids passed to a multi-level comparison are not nested refinements."""
-
-
 class ConfigError(AgediffError):
     """A config file is malformed.
 

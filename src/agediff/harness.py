@@ -23,12 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AlignmentError, InvalidParameter
+from .errors import InvalidParameter
 from .grid import GridSpec, refine
 from .model import ExactSolution, ProblemSpec
 from .quadrature import InteriorVector, inf_norm, l2_norm
 from .residual import _BLOCK_ROWS, apply_phi, restrict, xh_norm, yh_norm
-from .solver import GridFunction, _check_domain, run
+from .solver import GridFunction, _check_domain, _initial_row, run
 
 
 @dataclass(frozen=True)
@@ -130,35 +130,6 @@ def convergence_study(
     return _attach_orders(grids, triples)
 
 
-def restrict_to_coarse(element: GridFunction, coarse: GridSpec) -> GridFunction:
-    """Sample an element from a nested finer mesh down to ``coarse``.
-
-    The fine mesh must be ``coarse`` refined some number of times; anything
-    else raises AlignmentError.
-    """
-    fine = element.grid
-    if fine.a_dagger != coarse.a_dagger or fine.r != coarse.r:
-        raise AlignmentError("grids do not describe the same problem setup")
-    probe = coarse
-    depth = 0
-    while probe.m_total < fine.m_total:
-        probe = refine(probe)
-        depth += 1
-    if probe != fine:
-        raise AlignmentError(
-            f"fine grid (m_total = {fine.m_total}) is not a refinement of the "
-            f"coarse grid (m_total = {coarse.m_total})"
-        )
-    space_stride = 2**depth
-    time_stride = 4**depth
-    return GridFunction(
-        element.left_trace[::time_stride],
-        element.interior[::time_stride, space_stride - 1 :: space_stride],
-        element.right_trace[::time_stride],
-        coarse,
-    )
-
-
 def self_convergence_study(
     problem: ProblemSpec, base: GridSpec, levels: int
 ) -> list[ConvergenceRow]:
@@ -169,7 +140,7 @@ def self_convergence_study(
     whole histories.  The finest rung keeps none: an observer subtracts
     each of its levels from every coarser rung whose time level it shares,
     at the shared nodes, in place.  The operands and their order are those
-    of ``coarse - restrict_to_coarse(finest, coarse.grid)``.
+    of ``coarse - finest`` sampled at the coarse rung's nodes and levels.
     """
     if not (isinstance(levels, int) and levels >= 3):
         raise InvalidParameter(f"self-convergence needs levels >= 3, got {levels!r}")
@@ -203,8 +174,8 @@ def consistency_study(
     rows = []
     previous = None
     for grid in grids:
+        initial = InteriorVector(_initial_row(problem, grid.interior_nodes()), grid.h)
         sampled = restrict(exact.u, grid)
-        initial = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
         residual = yh_norm(apply_phi(sampled, problem, grid, initial))
         order = _order(previous, residual) if previous is not None else None
         rows.append(ConsistencyRow(h=grid.h, residual_yh=residual, order=order))
@@ -261,7 +232,7 @@ def stability_probe(
     rows = []
     for grid in grids:
         solution = run(problem, grid)
-        initial = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
+        initial = InteriorVector(_initial_row(problem, grid.interior_nodes()), grid.h)
         residual_gap = apply_phi(solution, problem, grid, initial)
         perturbation = _perturbation(grid, perturbation_scale)
         numerator = xh_norm(perturbation)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import QuadratureFailure, UnknownProblem
+from .errors import UnknownProblem
 from . import exprdsl
 
 Coefficient = Callable[[np.ndarray, float], np.ndarray]
@@ -139,36 +139,6 @@ def builtin_description(problem_id: str) -> str:
 def builtin_problem(problem_id: str) -> tuple[ProblemSpec, Optional[ExactSolution]]:
     """Return a built-in problem and its exact solution, if one is known."""
     return _builtin(problem_id)[0]()
-
-
-def exact_weighted_integral(
-    exact: ExactSolution,
-    psi: AgeProfile,
-    t: float,
-    a_dagger: float = 1.0,
-) -> float:
-    """Adaptive reference value of integral psi(x) * u(x, t) dx over [0, a_dagger].
-
-    This is the measuring stick the nodal quadrature is compared against in
-    tests; it never feeds the scheme itself.  It needs scipy, which only the
-    ``test`` extra installs (``pip install -e ".[test]"``).
-    """
-    # Imported here: scipy is the slowest import in the package, nothing
-    # else needs it, and it is not a runtime dependency.
-    from scipy import integrate
-
-    result = integrate.quad(
-        lambda x: float(psi(np.asarray(x, dtype=float))) * float(exact.u(np.asarray(x, dtype=float), t)),
-        0.0,
-        float(a_dagger),
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
-        full_output=1,
-    )
-    if len(result) > 3:
-        raise QuadratureFailure(f"adaptive quadrature did not converge: {result[-1]}")
-    return float(result[0])
 
 
 def _nodewise(ast: exprdsl.ExprAst, x: np.ndarray, bindings: dict) -> np.ndarray:

@@ -148,6 +148,14 @@ def _nodal_values(values, x: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def _initial_row(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
+    """The initial profile at the nodes ``x``, checked finite."""
+    values = _nodal_values(problem.initial(x), x, "initial profile")
+    if not np.isfinite(values).all():
+        raise NonFiniteState("initial profile is not finite", time_level=0)
+    return values
+
+
 def _coefficient_values(fn, x: np.ndarray, s: float, what: str) -> np.ndarray:
     values = _nodal_values(fn(x, s), x, what)
     if not np.isfinite(values).all():
@@ -275,10 +283,7 @@ def run(
     # overwrites the row it reads
     work = np.empty((2, grid.m_total - 1))
     weighted = InteriorVector(np.empty(grid.m_total - 1), h)
-    initial_row = _nodal_values(problem.initial(x), x, "initial profile")
-    if not np.all(np.isfinite(initial_row)):
-        raise NonFiniteState("initial profile is not finite", time_level=0)
-    interior[0] = initial_row
+    interior[0] = _initial_row(problem, x)
 
     boundary = _boundary_values(problem, grid)
 

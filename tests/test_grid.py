@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from agediff.errors import InvalidParameter, StabilityViolation
 from agediff.grid import GridSpec, build_grid, refine
@@ -108,6 +111,7 @@ def test_refine_can_cross_into_stability():
         dict(a_dagger=math.inf, m_prime=7, r=0.4, t_target=0.2),
         dict(a_dagger=1.0, m_prime=0, r=0.4, t_target=0.2),
         dict(a_dagger=1.0, m_prime=7.0, r=0.4, t_target=0.2),
+        dict(a_dagger=1.0, m_prime=True, r=0.4, t_target=0.2),
         dict(a_dagger=1.0, m_prime=7, r=0.0, t_target=0.2),
         dict(a_dagger=1.0, m_prime=7, r=math.nan, t_target=0.2),
         dict(a_dagger=1.0, m_prime=7, r=0.4, t_target=0.0),
@@ -119,29 +123,55 @@ def test_build_grid_rejects_bad_parameters(kwargs):
         build_grid(**kwargs)
 
 
-def test_gridspec_rejects_inconsistent_fields():
-    good = build_grid(1.0, 7, 0.4, 0.2)
-    fields = dict(
-        a_dagger=good.a_dagger,
-        m_prime=good.m_prime,
-        r=good.r,
-        h=good.h,
-        k=good.k,
-        lam=good.lam,
-        m_total=good.m_total,
-        n_steps=good.n_steps,
-        t_final=good.t_final,
-    )
-    for bad in (
-        dict(m_total=22),
-        dict(h=good.h * (1.0 + 1e-9)),
-        dict(k=good.k * 2.0),
-        dict(lam=good.lam + 1e-12),
-        dict(t_final=good.t_final + good.k),
-        dict(n_steps=0),
-    ):
-        with pytest.raises(InvalidParameter):
-            GridSpec(**{**fields, **bad})
+@pytest.mark.parametrize("n_steps", [0, True, 10.0])
+def test_gridspec_rejects_bad_step_counts(n_steps):
+    with pytest.raises(InvalidParameter, match="n_steps"):
+        GridSpec(1.0, 7, 0.4, n_steps)
+
+
+def test_gridspec_stores_only_its_four_inputs():
+    assert [field.name for field in dataclasses.fields(GridSpec)] == ["a_dagger", "m_prime", "r", "n_steps"]
+    grid = dataclasses.replace(build_grid(1.0, 7, 0.4, 0.2), n_steps=10)
+    assert grid == GridSpec(1.0, 7, 0.4, 10)
+    assert grid.t_final == 10 * grid.k
+    assert np.array_equal(grid.time_levels(), np.arange(11) * grid.k)
+
+
+def reference_ladder(a_dagger, m_prime, r, t_target, levels):
+    """(m_total, h, k, lam, n_steps, t_final) per rung, field by field as the
+    nine-field mesh of earlier versions computed them."""
+    a_dagger, r, t_target = float(a_dagger), float(r), float(t_target)
+    m_total = 2 * (m_prime + 3)
+    h = a_dagger / m_total
+    k = r * (h * h)
+    n_steps = math.ceil(t_target / k)
+    rungs = [(m_total, h, k, r * h, n_steps, n_steps * k)]
+    for _ in range(levels - 1):
+        m_prime = 2 * m_prime + 3
+        m_total = 2 * (m_prime + 3)
+        h = a_dagger / m_total
+        k = r * (h * h)
+        n_steps = 4 * n_steps
+        rungs.append((m_total, h, k, r * h, n_steps, n_steps * k))
+    return rungs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a_dagger=st.floats(0.05, 50.0),
+    m_prime=st.integers(1, 200),
+    r=st.floats(1e-4, 0.5),
+    t_target=st.floats(1e-3, 5.0),
+)
+def test_derived_fields_match_the_field_by_field_arithmetic(a_dagger, m_prime, r, t_target):
+    try:
+        grid = build_grid(a_dagger, m_prime, r, t_target)
+    except StabilityViolation:
+        assume(False)
+    for expected in reference_ladder(a_dagger, m_prime, r, t_target, levels=4):
+        derived = (grid.m_total, grid.h, grid.k, grid.lam, grid.n_steps, grid.t_final)
+        assert list(map(repr, derived)) == list(map(repr, expected))
+        grid = refine(grid)
 
 
 def test_gridspec_equality_and_hash():

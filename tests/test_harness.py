@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from agediff import harness
-from agediff.errors import AlignmentError, InvalidParameter
+from agediff.errors import InvalidParameter, NonFiniteState
 from agediff.grid import GridSpec, build_grid, refine
 from agediff.harness import (
     ConsistencyRow,
@@ -15,7 +16,6 @@ from agediff.harness import (
     consistency_study,
     convergence_study,
     read_convergence_csv,
-    restrict_to_coarse,
     self_convergence_study,
     stability_probe,
     write_consistency_csv,
@@ -104,39 +104,12 @@ def test_self_convergence_agrees_with_exact_on_the_coarsest_order():
     assert against_self[1].order_inf == pytest.approx(against_exact[1].order_inf, abs=0.2)
 
 
-def test_restrict_to_coarse_produces_nested_samples():
+def test_consistency_rejects_a_non_finite_initial_profile():
     problem, exact = builtin_problem("example1")
-    coarse = build_grid(1.0, 7, 0.4, 0.05)
-    fine = refine(refine(coarse))
-    fine_samples = restrict(exact.u, fine)
-    restricted = restrict_to_coarse(fine_samples, coarse)
-    direct = restrict(exact.u, coarse)
-    assert np.array_equal(restricted.interior, direct.interior)
-    assert np.array_equal(restricted.left_trace, direct.left_trace)
-    assert np.array_equal(restricted.right_trace, direct.right_trace)
-    assert restricted.grid == coarse
-
-
-def test_restrict_to_coarse_is_the_identity_at_equal_depth():
-    problem, exact = builtin_problem("example1")
-    grid = build_grid(1.0, 7, 0.4, 0.05)
-    element = restrict(exact.u, grid)
-    same = restrict_to_coarse(element, grid)
-    assert np.array_equal(same.interior, element.interior)
-
-
-def test_restrict_to_coarse_rejects_foreign_grids():
-    problem, exact = builtin_problem("example1")
-    coarse = build_grid(1.0, 7, 0.4, 0.05)
-    sibling = restrict(exact.u, build_grid(1.0, 8, 0.4, 0.05))
-    with pytest.raises(AlignmentError, match="not a refinement"):
-        restrict_to_coarse(sibling, coarse)
-    other_r = restrict(exact.u, build_grid(1.0, 17, 0.3, 0.05))
-    with pytest.raises(AlignmentError, match="same problem setup"):
-        restrict_to_coarse(other_r, coarse)
-    other_domain = restrict(lambda x, t: np.zeros_like(x), build_grid(2.0, 17, 0.4, 0.05))
-    with pytest.raises(AlignmentError, match="same problem setup"):
-        restrict_to_coarse(other_domain, coarse)
+    bad = dataclasses.replace(problem, initial=lambda x: np.full_like(x, math.nan))
+    with pytest.raises(NonFiniteState, match="initial profile is not finite") as excinfo:
+        consistency_study(bad, exact, build_grid(1.0, 7, 0.4, 0.05), 2)
+    assert excinfo.value.time_level == 0
 
 
 @pytest.mark.parametrize("problem_id,t_final", [("example1", 0.2), ("example3", 0.8)])
@@ -258,6 +231,22 @@ def test_slice_csv_with_and_without_exact(tmp_path):
     without = tmp_path / "without.csv"
     write_slice_csv(str(without), x, numeric)
     assert without.read_text().splitlines()[0] == "x,u_numeric"
+
+
+def restrict_to_coarse(element, coarse):
+    """Sample an element on a nested finer mesh down to the mesh ``coarse``."""
+    fine = element.grid
+    probe, depth = coarse, 0
+    while probe.m_total < fine.m_total:
+        probe, depth = refine(probe), depth + 1
+    assert probe == fine, "the element's mesh is not a refinement of the coarse mesh"
+    space_stride, time_stride = 2**depth, 4**depth
+    return GridFunction(
+        element.left_trace[::time_stride],
+        element.interior[::time_stride, space_stride - 1 :: space_stride],
+        element.right_trace[::time_stride],
+        coarse,
+    )
 
 
 def whole_history_self_convergence(problem, base, levels):

@@ -13,12 +13,33 @@ from agediff.model import (
     builtin_description,
     builtin_ids,
     builtin_problem,
-    exact_weighted_integral,
     problem_from_expressions,
 )
 
 E = math.e
 DECAY = 1.0 - math.exp(-1.0)
+
+
+def exact_weighted_integral(exact, psi, t, a_dagger=1.0):
+    """Adaptive reference value of integral psi(x) * u(x, t) dx over [0, a_dagger].
+
+    The measuring stick the closed-form problems are checked against; it
+    never feeds the scheme.  scipy is imported here so that only the tests
+    that call it need scipy.
+    """
+    from scipy import integrate
+
+    result = integrate.quad(
+        lambda x: float(psi(np.asarray(x, dtype=float))) * float(exact.u(np.asarray(x, dtype=float), t)),
+        0.0,
+        float(a_dagger),
+        epsabs=1e-12,
+        epsrel=1e-12,
+        limit=200,
+        full_output=1,
+    )
+    assert len(result) <= 3, f"adaptive quadrature did not converge: {result[-1]}"
+    return float(result[0])
 
 
 def test_builtin_registry():
