@@ -52,7 +52,7 @@ from .quadrature import (
     weights,
 )
 from .residual import apply_phi, element_from_solution, restrict, xh_norm, yh_norm
-from .solver import GridFunction, run, solve_left_boundary, step
+from .solver import GridFunction, run
 
 __version__ = "0.1.0"
 
@@ -92,10 +92,8 @@ __all__ = [
     "restrict",
     "run",
     "self_convergence_study",
-    "solve_left_boundary",
     "stability_probe",
     "star_norm",
-    "step",
     "weights",
     "write_consistency_csv",
     "write_convergence_csv",

@@ -4,8 +4,9 @@ Subcommands: ``run`` executes whatever study a config file asks for;
 ``convergence``, ``consistency`` and ``stability`` do the same but force the
 study type; ``examples`` runs a built-in problem with its conventional
 parameters; ``list`` shows the built-ins.  Exit codes: 0 on success, 1 for
-configuration problems, 2 when the mesh violates the stability bound or a
-step meets a negative update coefficient, 3 when the state blows up mid-run.
+configuration problems or an output file that cannot be written, 2 when the
+mesh violates the stability bound or a step meets a negative update
+coefficient, 3 when the state blows up mid-run.
 
 Config files are line-oriented ``key = value`` pairs with ``#`` comments.
 The optional section headers ``[problem]`` and ``[study]`` group the keys;
@@ -355,6 +356,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except AgediffError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # config reads raise ConfigError, so this is a failed CSV write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

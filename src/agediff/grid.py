@@ -96,7 +96,10 @@ def build_grid(a_dagger: float, m_prime: int, r: float, t_target: float) -> Grid
     if not (math.isfinite(t_target) and t_target > 0.0):
         raise InvalidParameter(f"t_target must be positive and finite, got {t_target!r}")
     probe = GridSpec(float(a_dagger), m_prime, float(r), 1)
-    return replace(probe, n_steps=math.ceil(t_target / probe.k))
+    steps = t_target / probe.k
+    if not math.isfinite(steps):
+        raise InvalidParameter(f"t_target / k overflows: {t_target!r} / {probe.k!r}")
+    return replace(probe, n_steps=math.ceil(steps))
 
 
 def refine(grid: GridSpec) -> GridSpec:

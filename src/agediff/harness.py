@@ -19,7 +19,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -76,6 +76,11 @@ def _order(previous: float, current: float) -> Optional[float]:
     return None
 
 
+def _orders(values: Sequence[float]) -> list[Optional[float]]:
+    """None for the first value, then the observed order against the one before."""
+    return [None, *(_order(previous, current) for previous, current in zip(values, values[1:]))]
+
+
 def _error_triple(error: GridFunction) -> tuple[float, float, float]:
     h = error.grid.h
     final = InteriorVector(error.interior[-1], h)
@@ -86,28 +91,22 @@ def _error_triple(error: GridFunction) -> tuple[float, float, float]:
 def _attach_orders(
     grids: list[GridSpec], triples: list[tuple[float, float, float]]
 ) -> list[ConvergenceRow]:
-    rows = []
-    for index, (grid, (err_inf, err_l2, err_xh)) in enumerate(zip(grids, triples)):
-        if index == 0:
-            orders = (None, None, None)
-        else:
-            prev = triples[index - 1]
-            orders = (_order(prev[0], err_inf), _order(prev[1], err_l2), _order(prev[2], err_xh))
-        rows.append(
-            ConvergenceRow(
-                h=grid.h,
-                k=grid.k,
-                m_total=grid.m_total,
-                n_steps=grid.n_steps,
-                err_inf=err_inf,
-                err_l2=err_l2,
-                err_xh=err_xh,
-                order_inf=orders[0],
-                order_l2=orders[1],
-                order_xh=orders[2],
-            )
+    orders = zip(*(_orders(metric) for metric in zip(*triples)))
+    return [
+        ConvergenceRow(
+            h=grid.h,
+            k=grid.k,
+            m_total=grid.m_total,
+            n_steps=grid.n_steps,
+            err_inf=err_inf,
+            err_l2=err_l2,
+            err_xh=err_xh,
+            order_inf=order_inf,
+            order_l2=order_l2,
+            order_xh=order_xh,
         )
-    return rows
+        for grid, (err_inf, err_l2, err_xh), (order_inf, order_l2, order_xh) in zip(grids, triples, orders)
+    ]
 
 
 def _apply_into(ufunc: np.ufunc, target: GridFunction, other: GridFunction) -> GridFunction:
@@ -171,16 +170,15 @@ def consistency_study(
     """Residual norm of the restricted exact solution on each mesh."""
     _check_domain(problem, base)
     grids = _grid_ladder(base, levels)
-    rows = []
-    previous = None
+    residuals = []
     for grid in grids:
         initial = InteriorVector(_initial_row(problem, grid.interior_nodes()), grid.h)
         sampled = restrict(exact.u, grid)
-        residual = yh_norm(apply_phi(sampled, problem, grid, initial))
-        order = _order(previous, residual) if previous is not None else None
-        rows.append(ConsistencyRow(h=grid.h, residual_yh=residual, order=order))
-        previous = residual
-    return rows
+        residuals.append(yh_norm(apply_phi(sampled, problem, grid, initial)))
+    return [
+        ConsistencyRow(h=grid.h, residual_yh=residual, order=order)
+        for grid, residual, order in zip(grids, residuals, _orders(residuals))
+    ]
 
 
 def _perturbation(grid: GridSpec, scale: float) -> GridFunction:

@@ -35,16 +35,14 @@ during the call.  A study that needs only a reduction over the levels (such
 as the self-convergence errors) can therefore run with ``every=n_steps`` and
 read every level from the observer instead of a stored history.
 
-:func:`run` shares one private stepping kernel with the public :func:`step`
-and :func:`solve_left_boundary`, so a run and a chain of public calls agree
-bit for bit, whatever ``every`` is.
+``observe=`` is the one per-level interface: the stepping kernel
+(``_left_value`` and ``_advance``) is private to :func:`run`.
 
 The three quadratures of a step (s2, the birth integral and s1) share one
 scratch :class:`~agediff.quadrature.InteriorVector`, allocated once per
-:func:`run` (once per call of :func:`step` or :func:`solve_left_boundary`):
-each weighted product is written into its values in place before ``qh``.
-``qh`` only reads its argument and keeps no reference to it, and the
-scratch never leaves the kernel.
+:func:`run`: each weighted product is written into its values in place
+before ``qh``.  ``qh`` only reads its argument and keeps no reference to
+it, and the scratch never leaves the kernel.
 """
 
 from __future__ import annotations
@@ -135,10 +133,6 @@ def _boundary_values(problem: ProblemSpec, grid: GridSpec) -> np.ndarray:
     return values
 
 
-def _interior_coordinates(u: InteriorVector) -> np.ndarray:
-    return np.arange(1, len(u) + 1) * u.h
-
-
 def _nodal_values(values, x: np.ndarray, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != x.shape:
@@ -161,11 +155,6 @@ def _coefficient_values(fn, x: np.ndarray, s: float, what: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise EvalError(f"{what} evaluated to a non-finite value (s = {s!r})")
     return values
-
-
-def _stencil(grid: GridSpec) -> tuple[float, float, float, float]:
-    """(k, r, 1 - lam - 2r, r + lam): the update weights apart from -k*d."""
-    return grid.k, grid.r, 1.0 - grid.lam - 2.0 * grid.r, grid.r + grid.lam
 
 
 def _left_value(
@@ -217,40 +206,6 @@ def _advance(
     out[-1] += r * right
 
 
-def solve_left_boundary(u: InteriorVector, problem: ProblemSpec) -> float:
-    """Solve the discrete Robin condition for U_0 given the interior row.
-
-    This takes no grid, so unlike :func:`step` and :func:`run` it cannot
-    check that the row's mesh covers [0, problem.a_dagger]; the nodes are
-    taken to be x_i = i * u.h.
-    """
-    weighted = InteriorVector(np.empty(len(u)), u.h)
-    return _left_value(u.values, _interior_coordinates(u), u.h, problem, weighted)
-
-
-def step(
-    u_prev: InteriorVector,
-    left: float,
-    right: float,
-    problem: ProblemSpec,
-    grid: GridSpec,
-) -> InteriorVector:
-    """Advance the interior row one time level, given its boundary values U_0 and U_M."""
-    _check_domain(problem, grid)
-    if len(u_prev) != grid.m_total - 1 or u_prev.h != grid.h:
-        raise DimensionMismatch(
-            f"row of length {len(u_prev)} (h = {u_prev.h!r}) does not match grid width "
-            f"{grid.m_total - 1} (h = {grid.h!r})"
-        )
-    advanced = np.empty(len(u_prev))
-    weighted = InteriorVector(np.empty(len(u_prev)), grid.h)
-    x = grid.interior_nodes()
-    _advance(u_prev.values, left, right, problem, x, _stencil(grid), advanced, weighted)
-    if not np.isfinite(advanced).all():
-        raise NonFiniteState("time step produced a non-finite value")
-    return InteriorVector(advanced, grid.h)
-
-
 def run(
     problem: ProblemSpec,
     grid: GridSpec,
@@ -275,7 +230,8 @@ def run(
 
     x = grid.interior_nodes()
     h = grid.h
-    stencil = _stencil(grid)
+    # (k, r, 1 - lam - 2r, r + lam): the update weights apart from -k*d
+    stencil = (grid.k, grid.r, 1.0 - grid.lam - 2.0 * grid.r, grid.r + grid.lam)
     n_steps = grid.n_steps
 
     interior = np.empty((n_steps // every + 1, grid.m_total - 1))

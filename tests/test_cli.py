@@ -205,6 +205,28 @@ def test_unstable_mesh_is_refused_before_writing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_step_count_overflow_is_a_configuration_error(tmp_path, capsys):
+    text = "problem = example1\nm_prime = 7\nr = 0.4\nt_final = 1e308\n"
+    config = write_config(tmp_path, text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", config, "--output-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: t_target / k overflows")
+    assert not out_dir.exists()
+
+
+def test_unwritable_output_is_one_error_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    assert main(["examples", "example1", "--levels", "1", "--output-dir", str(blocker / "sub")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output:")
+    assert captured.err.count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_blowup_exits_with_code_3(tmp_path, capsys):
     text = "d = 0 - 1000000\nB = 0\nu0 = 1\nm_prime = 7\nr = 0.4\nt_final = 0.2\n"
     config = write_config(tmp_path, text)

@@ -116,6 +116,7 @@ def test_refine_can_cross_into_stability():
         dict(a_dagger=1.0, m_prime=7, r=math.nan, t_target=0.2),
         dict(a_dagger=1.0, m_prime=7, r=0.4, t_target=0.0),
         dict(a_dagger=1.0, m_prime=7, r=0.4, t_target=-0.5),
+        dict(a_dagger=1.0, m_prime=7, r=0.4, t_target=1e308),
     ],
 )
 def test_build_grid_rejects_bad_parameters(kwargs):

@@ -14,11 +14,11 @@ from agediff.errors import (
     StabilityViolation,
 )
 from agediff.grid import build_grid, refine
-from agediff.harness import consistency_study
+from agediff.harness import consistency_study, convergence_study, self_convergence_study, stability_probe
 from agediff.model import ExactSolution, ProblemSpec, builtin_problem, problem_from_expressions
 from agediff.quadrature import InteriorVector, qh
 from agediff.residual import apply_phi, element_from_solution, restrict
-from agediff.solver import GridFunction, run, solve_left_boundary, step
+from agediff.solver import GridFunction, run
 
 
 def make_problem(**overrides):
@@ -42,12 +42,12 @@ def birth_integral(problem, row, h):
     return qh(InteriorVector(fertility * row, h))
 
 
-def test_left_boundary_without_births():
+def test_left_trace_without_births_is_the_robin_quotient():
     problem = make_problem()
     grid = build_grid(1.0, 7, 0.4, 0.2)
-    u = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
-    # no fertility: the Robin solve reduces to U_0 = U_1 / (h + 1)
-    assert solve_left_boundary(u, problem) == u.values[0] / (grid.h + 1.0)
+    solution = run(problem, grid)
+    # no fertility: the Robin solve reduces to U_0 = U_1 / (h + 1) at every level
+    assert np.array_equal(solution.left_trace, solution.interior[:, 0] / (grid.h + 1.0))
 
 
 def test_zero_initial_state_is_a_fixed_point():
@@ -73,24 +73,22 @@ def test_update_is_a_contraction_without_sources():
     assert np.all(peak[1:] <= peak[:-1] * (1.0 + 1e-12))
 
 
-def test_step_matches_the_stencil():
-    problem, _ = builtin_problem("example1")
-    grid = build_grid(1.0, 7, 0.4, 0.2)
+@pytest.mark.parametrize("problem_id,t_final", [("example1", 0.2), ("example2", 0.8), ("example3", 0.8)])
+def test_every_level_of_run_is_the_documented_stencil(problem_id, t_final):
+    # ((c_i*U_i + (r+lam)*U_{i-1}) + r*U_{i+1}) with c_i = (1 - lam - 2r) - k*d_i(s1),
+    # from row n and both trace values, in that order and so bit for bit
+    problem, _ = builtin_problem(problem_id)
+    grid = build_grid(1.0, 7, 0.4, t_final)
+    solution = run(problem, grid)
     x = grid.interior_nodes()
-    u = InteriorVector(problem.initial(x), grid.h)
-    left = solve_left_boundary(u, problem)
-    right = 0.0
-    advanced = step(u, left, right, problem, grid)
-
-    s1 = qh(InteriorVector(problem.psi1(x) * u.values, grid.h))
-    d = problem.mortality(x, s1)
-    padded = np.concatenate(([left], u.values, [right]))
-    expected = (
-        (1.0 - grid.lam - 2.0 * grid.r - grid.k * d) * padded[1:-1]
-        + (grid.r + grid.lam) * padded[:-2]
-        + grid.r * padded[2:]
-    )
-    assert np.allclose(advanced.values, expected, rtol=0, atol=1e-16)
+    assert np.array_equal(solution.interior[0], problem.initial(x))
+    for n in range(grid.n_steps):
+        u = solution.interior[n]
+        s1 = qh(InteriorVector(problem.psi1(x) * u, grid.h))
+        c = (1.0 - grid.lam - 2.0 * grid.r) - grid.k * problem.mortality(x, s1)
+        padded = np.concatenate(([solution.left_trace[n]], u, [solution.right_trace[n]]))
+        expected = (c * u + (grid.r + grid.lam) * padded[:-2]) + grid.r * padded[2:]
+        assert np.array_equal(solution.interior[n + 1], expected), n
 
 
 def test_run_is_deterministic():
@@ -101,15 +99,6 @@ def test_run_is_deterministic():
     assert np.array_equal(first.interior, second.interior)
     assert np.array_equal(first.left_trace, second.left_trace)
     assert np.array_equal(first.right_trace, second.right_trace)
-
-
-def test_left_trace_matches_the_boundary_solve():
-    problem, _ = builtin_problem("example1")
-    grid = build_grid(1.0, 7, 0.4, 0.05)
-    solution = run(problem, grid)
-    for n in (0, 1, grid.n_steps // 2, grid.n_steps):
-        row = InteriorVector(solution.interior[n], grid.h)
-        assert solution.left_trace[n] == solve_left_boundary(row, problem)
 
 
 @pytest.mark.parametrize("problem_id,t_final", [("example1", 0.2), ("example2", 0.8), ("example3", 0.8)])
@@ -179,14 +168,6 @@ def test_run_refuses_tampered_grid_before_stepping():
     with pytest.raises(StabilityViolation):
         run(probed, grid)
     assert calls == []
-
-
-def test_step_rejects_wrong_row_length():
-    problem, _ = builtin_problem("example1")
-    grid = build_grid(1.0, 7, 0.4, 0.2)
-    short = InteriorVector(np.ones(9), grid.h)
-    with pytest.raises(DimensionMismatch):
-        step(short, 0.0, 0.0, problem, grid)
 
 
 def test_blowup_raises_non_finite_state():
@@ -264,21 +245,6 @@ def test_grid_function_coerces_to_float_arrays():
     assert np.array_equal(made.right_trace, np.arange(levels))
 
 
-@pytest.mark.parametrize("problem_id", ["example2", "example3"])
-def test_run_equals_a_chain_of_public_calls(problem_id):
-    problem, _ = builtin_problem(problem_id)
-    grid = build_grid(1.0, 7, 0.4, 0.05)
-    solution = run(problem, grid)
-    times = grid.time_levels()
-    row = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
-    for n in range(grid.n_steps + 1):
-        assert np.array_equal(solution.interior[n], row.values)
-        left = solve_left_boundary(row, problem)
-        assert solution.left_trace[n] == left
-        if n < grid.n_steps:
-            row = step(row, left, problem.boundary_value(times[n]), problem, grid)
-
-
 @pytest.mark.parametrize("d", [1000.0, 300.0])
 def test_negative_update_coefficient_is_a_stability_violation(d):
     # M = 20, r = 0.4: 1 - lam - 2r = 0.18 and k = 0.001, so k*d exceeds it
@@ -286,9 +252,6 @@ def test_negative_update_coefficient_is_a_stability_violation(d):
     grid = build_grid(1.0, 7, 0.4, 0.8)
     with pytest.raises(StabilityViolation, match="update coefficient"):
         run(problem, grid)
-    row = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
-    with pytest.raises(StabilityViolation, match="update coefficient"):
-        step(row, 0.0, 0.0, problem, grid)
 
 
 def test_small_update_margin_keeps_the_state_nonnegative():
@@ -435,15 +398,18 @@ def test_mismatched_domain_is_rejected_before_any_coefficient_call():
     element = restrict(lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), grid)
     initial = InteriorVector(np.zeros(grid.m_total - 1), grid.h)
     exact = ExactSolution(u=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), description="zero")
-    with pytest.raises(InvalidParameter, match="lives on"):
-        run(problem, grid)
-    with pytest.raises(InvalidParameter, match="lives on"):
-        step(InteriorVector(np.ones(grid.m_total - 1), grid.h), 1.0, 0.0, problem, grid)
-    with pytest.raises(InvalidParameter, match="lives on"):
-        apply_phi(element, problem, grid, initial)
-    with pytest.raises(InvalidParameter, match="lives on"):
-        consistency_study(problem, exact, grid, 2)
-    assert calls == []
+    entry_points = [
+        lambda: run(problem, grid),
+        lambda: apply_phi(element, problem, grid, initial),
+        lambda: consistency_study(problem, exact, grid, 2),
+        lambda: convergence_study(problem, exact, grid, 2),
+        lambda: self_convergence_study(problem, grid, 3),
+        lambda: stability_probe(problem, grid, 2),
+    ]
+    for call in entry_points:
+        with pytest.raises(InvalidParameter, match="lives on"):
+            call()
+        assert calls == []
 
 
 @pytest.fixture
