@@ -41,6 +41,8 @@ class GridSpec:
             value = getattr(self, name)
             if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
                 raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
+        if (self.n_steps + 1) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+            raise InvalidParameter(f"n_steps = {self.n_steps:.6g} needs more levels than numpy can allocate")
         for name in ("a_dagger", "r", "k", "t_final"):
             value = getattr(self, name)
             if not (isinstance(value, float) and math.isfinite(value) and value > 0.0):

@@ -174,7 +174,8 @@ def consistency_study(
     for grid in grids:
         initial = InteriorVector(_initial_row(problem, grid.interior_nodes()), grid.h)
         sampled = restrict(exact.u, grid)
-        residuals.append(yh_norm(apply_phi(sampled, problem, grid, initial)))
+        residuals.append(yh_norm(apply_phi(sampled, problem, grid, initial, out=sampled)))
+        del sampled  # before the next, eight times larger, rung is sampled
     return [
         ConsistencyRow(h=grid.h, residual_yh=residual, order=order)
         for grid, residual, order in zip(grids, residuals, _orders(residuals))

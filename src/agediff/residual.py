@@ -22,15 +22,16 @@ and for residuals
 with |.|_* the k-weighted time-trace norm and |.| the h-weighted l2 norm
 over interior nodes.
 
-As in the stepping kernel, the three quadratures of each level in
-:func:`apply_phi` share one scratch :class:`~agediff.quadrature.InteriorVector`
-allocated per call: each weighted product is written into its values in
-place before ``qh``, which only reads it and keeps no reference to it.
+One call of :func:`apply_phi` is one ascending pass over blocks of levels
+whose buffers are allocated once, among them the scratch
+:class:`~agediff.quadrature.InteriorVector` that each weighted product is
+written into before ``qh``.  It may write the residual into the element
+itself (``out=v``); if it raises, the contents of ``out`` are unspecified.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -79,8 +80,9 @@ def _sample_nodes(
     samples = np.empty((len(times), x.shape[0]))
     for j, t in enumerate(times):
         samples[j] = u(x, float(t))
-    if not np.all(np.isfinite(samples)):
-        raise EvalError("sampled function is not finite on the grid")
+    for start in range(0, len(samples), _BLOCK_ROWS):
+        if not np.isfinite(samples[start : start + _BLOCK_ROWS]).all():
+            raise EvalError("sampled function is not finite on the grid")
     return samples
 
 
@@ -98,6 +100,7 @@ def apply_phi(
     problem: ProblemSpec,
     grid: GridSpec,
     initial: InteriorVector,
+    out: Optional[GridFunction] = None,
 ) -> GridFunction:
     """Evaluate the residual of every discrete equation at an element.
 
@@ -108,64 +111,78 @@ def apply_phi(
         P_i^n = (V_i^n - V_i^{n-1})/k + (V_i^{n-1} - V_{i-1}^{n-1})/h
                 + d_i(s1^{n-1}) V_i^{n-1}
                 - (V_{i+1}^{n-1} + V_{i-1}^{n-1} - 2 V_i^{n-1})/h^2
+
+    Returns ``out`` (a fresh grid function when None) holding the residual.
+    ``out`` may be ``v`` itself; if apply_phi raises, its contents are unspecified.
     """
-    _require_every_level(v)
-    if v.grid != grid:
-        raise DimensionMismatch("element does not live on the supplied grid")
+    n_levels, width = grid.n_steps + 1, grid.m_total - 1
+    if out is None:
+        out = GridFunction(np.empty(n_levels), np.empty((n_levels, width)), np.empty(n_levels), grid)
+    for name, function in (("element", v), ("out", out)):
+        _require_every_level(function)
+        if function.grid != grid:
+            raise DimensionMismatch(f"{name} does not live on the supplied grid")
     _check_domain(problem, grid)
-    if len(initial) != grid.m_total - 1 or initial.h != grid.h:
+    if len(initial) != width or initial.h != grid.h:
         raise DimensionMismatch(
             f"initial data has length {len(initial)} (h = {initial.h!r}), "
-            f"expected {grid.m_total - 1} (h = {grid.h!r})"
+            f"expected {width} (h = {grid.h!r})"
         )
     h, k = grid.h, grid.k
     x = grid.interior_nodes()
-    n_levels = grid.n_steps + 1
-
     psi1 = _nodal_values(problem.psi1(x), x, "psi1")
     psi2 = _nodal_values(problem.psi2(x), x, "psi2")
+    g = _boundary_values(problem, grid)
 
-    # d(s1^n) is only needed by update row n + 1, so it is stored there and
-    # overwritten in place below; the last level's d is checked, not kept
-    p_rows = np.empty_like(v.interior)
-    birth = np.empty(n_levels)
-    weighted = InteriorVector(np.empty(grid.m_total - 1), h)
-    for n in range(n_levels):
-        row = v.interior[n]
-        np.multiply(psi2, row, out=weighted.values)
-        s2 = qh(weighted)
-        fertility = _coefficient_values(problem.fertility, x, s2, "fertility")
-        np.multiply(fertility, row, out=weighted.values)
-        birth[n] = qh(weighted)
-        np.multiply(psi1, row, out=weighted.values)
-        s1 = qh(weighted)
-        mortality = _coefficient_values(problem.mortality, x, s1, "mortality")
-        if n + 1 < n_levels:
-            p_rows[n + 1] = mortality
-
-    robin_coeff = 1.0 + 1.0 / h
-    p_left = robin_coeff * v.left_trace - v.interior[:, 0] / h - birth
-    p_right = (v.right_trace - _boundary_values(problem, grid)) / h
-
-    p_rows[0] = v.interior[0] - initial.values
-    for start in range(1, n_levels, _BLOCK_ROWS):
+    # Row j of ``nodes`` holds level start - 1 + j at x_0..x_M, and row j of
+    # ``mortality`` its d(s1).  Row 0 is carried over from the previous block,
+    # whose levels ``out`` may already have overwritten.
+    nodes = np.empty((_BLOCK_ROWS + 1, width + 2))
+    mortality = np.empty((_BLOCK_ROWS + 1, width))
+    scratch = np.empty((3, _BLOCK_ROWS, width))
+    birth = np.empty(_BLOCK_ROWS)
+    weighted = InteriorVector(np.empty(width), h)
+    for start in range(0, n_levels, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_levels)
-        current = v.interior[start:stop]
-        previous = v.interior[start - 1 : stop - 1]
-        previous_left = np.concatenate(
-            (v.left_trace[start - 1 : stop - 1, None], previous[:, :-1]), axis=1
-        )
-        previous_right = np.concatenate(
-            (previous[:, 1:], v.right_trace[start - 1 : stop - 1, None]), axis=1
-        )
-        p_rows[start:stop] = (
-            (current - previous) / k
-            + (previous - previous_left) / h
-            + p_rows[start:stop] * previous
-            - (previous_right + previous_left - 2.0 * previous) / (h * h)
-        )
-
-    return GridFunction(p_left, p_rows, p_right, grid)
+        size = stop - start
+        block = nodes[: size + 1]
+        block[1:, 0] = v.left_trace[start:stop]
+        block[1:, 1:-1] = v.interior[start:stop]
+        block[1:, -1] = v.right_trace[start:stop]
+        for j, row in enumerate(block[1:, 1:-1]):
+            np.multiply(psi2, row, out=weighted.values)
+            s2 = qh(weighted)
+            fertility = _coefficient_values(problem.fertility, x, s2, "fertility")
+            np.multiply(fertility, row, out=weighted.values)
+            birth[j] = qh(weighted)
+            np.multiply(psi1, row, out=weighted.values)
+            s1 = qh(weighted)
+            mortality[j + 1] = _coefficient_values(problem.mortality, x, s1, "mortality")
+        out.left_trace[start:stop] = (1.0 + 1.0 / h) * block[1:, 0] - block[1:, 1] / h - birth[:size]
+        out.right_trace[start:stop] = (block[1:, -1] - g[start:stop]) / h
+        # The update rows, term by term in the formula's operand order: the bits of one
+        # array expression without its per-block temporaries.  Level 0 is the initial row.
+        first = 1 if start == 0 else 0
+        previous = block[first:-1]
+        center = previous[:, 1:-1]
+        rows, term, twice = scratch[:, first:size]
+        np.subtract(block[first + 1 :, 1:-1], center, out=rows)
+        rows /= k
+        np.subtract(center, previous[:, :-2], out=term)
+        term /= h
+        rows += term
+        np.multiply(mortality[first:size], center, out=term)
+        rows += term
+        np.add(previous[:, 2:], previous[:, :-2], out=term)
+        term -= np.multiply(2.0, center, out=twice)
+        term /= h * h
+        rows -= term
+        out.interior[start + first : stop] = rows
+        if start == 0:
+            out.interior[0] = block[1, 1:-1] - initial.values
+        nodes[0] = block[-1]
+        mortality[0] = mortality[size]
+    return out
 
 
 def _row_sums_of_squares(rows: np.ndarray) -> np.ndarray:

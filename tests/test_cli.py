@@ -216,6 +216,18 @@ def test_step_count_overflow_is_a_configuration_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_unallocatable_step_count_is_a_configuration_error(tmp_path, capsys):
+    text = "problem = example1\nm_prime = 7\nr = 0.4\nt_final = 1e300\n"
+    config = write_config(tmp_path, text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", config, "--output-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: n_steps = 1e+303 needs more levels")
+    assert captured.err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_unwritable_output_is_one_error_line(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")

@@ -117,11 +117,22 @@ def test_refine_can_cross_into_stability():
         dict(a_dagger=1.0, m_prime=7, r=0.4, t_target=0.0),
         dict(a_dagger=1.0, m_prime=7, r=0.4, t_target=-0.5),
         dict(a_dagger=1.0, m_prime=7, r=0.4, t_target=1e308),
+        dict(a_dagger=1.0, m_prime=7, r=0.4, t_target=1e300),
     ],
 )
 def test_build_grid_rejects_bad_parameters(kwargs):
     with pytest.raises(InvalidParameter):
         build_grid(**kwargs)
+
+
+def test_step_count_beyond_numpy_array_limit_is_rejected():
+    # numpy caps an array at intp-max bytes, so n_steps + 1 float64 levels must fit
+    limit = np.iinfo(np.intp).max // 8
+    assert GridSpec(1.0, 7, 0.4, limit - 1).n_steps == limit - 1
+    with pytest.raises(InvalidParameter, match="more levels than numpy can allocate"):
+        GridSpec(1.0, 7, 0.4, limit)
+    with pytest.raises(InvalidParameter, match="n_steps = 1e\\+303"):
+        build_grid(1.0, 7, 0.4, 1e300)
 
 
 @pytest.mark.parametrize("n_steps", [0, True, 10.0])

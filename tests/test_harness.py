@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -375,6 +376,23 @@ def test_self_convergence_memory_stays_below_the_finest_history():
     base = build_grid(1.0, 7, 0.4, 0.2)
     peak = traced_peak(self_convergence_study, problem, base, 4)
     assert peak <= 0.25 * finest_history_bytes(base, 4)
+
+
+def test_consistency_study_drops_each_rung_before_sampling_the_next(monkeypatch):
+    # each rung's residual overwrites its sampled history, which must be
+    # freed before the next, eight times larger, rung is sampled
+    sampled = []
+
+    def tracking_restrict(u, grid):
+        assert all(ref() is None for ref in sampled)
+        element = restrict(u, grid)
+        sampled.append(weakref.ref(element.interior.base))
+        return element
+
+    monkeypatch.setattr(harness, "restrict", tracking_restrict)
+    problem, exact = builtin_problem("example3")
+    consistency_study(problem, exact, build_grid(1.0, 7, 0.4, 0.05), 3)
+    assert len(sampled) == 3
 
 
 def test_stability_probe_memory_stays_within_a_few_histories():
