@@ -357,6 +357,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except AgediffError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy refuses an allocation larger than the machine at once
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         # config reads raise ConfigError, so this is a failed CSV write
         print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -56,10 +56,12 @@ def qh(v: InteriorVector) -> float:
     """Integrate interior nodal values over [0, a_dagger].
 
     The integral is the dot product of the values with the rule's weight
-    vector (see :func:`weights`), cached per (length, h).  Equal inputs give
-    bit-identical results on every call.
+    vector (see :func:`weights`), cached per (length, h): the same bits as
+    ``weights(n, h) @ values``.  Equal inputs give bit-identical results on
+    every call.
     """
-    return float(_cached_weights(len(v.values), v.h) @ v.values)
+    values = v.values
+    return float(_cached_weights(values.shape[0], v.h).dot(values))
 
 
 def weights(n: int, h: float) -> np.ndarray:

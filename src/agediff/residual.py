@@ -186,11 +186,17 @@ def apply_phi(
 
 
 def _row_sums_of_squares(rows: np.ndarray) -> np.ndarray:
-    """sum_i rows[n, i]**2 for every row n, squaring one block of rows at a time."""
+    """sum_i rows[n, i]**2 for every row n, squaring one block of rows at a time.
+
+    The squares go into one C-contiguous buffer per call, laid out as the
+    temporary ``block * block`` would be, so the row sums keep its bits.
+    """
     sums = np.empty(rows.shape[0])
+    squares = np.empty((min(_BLOCK_ROWS, rows.shape[0]), rows.shape[1]))
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
-        sums[start : start + _BLOCK_ROWS] = np.sum(block * block, axis=1)
+        square = np.multiply(block, block, out=squares[: block.shape[0]])
+        np.sum(square, axis=1, out=sums[start : start + _BLOCK_ROWS])
     return sums
 
 

@@ -20,29 +20,36 @@ mesh) is the package's one space-time type: :func:`run` returns its solution
 history as one, and :mod:`agediff.residual` measures elements and residuals
 as grid functions too.
 
-:func:`run` computes the mesh constants once and writes each new row in
-place into its preallocated history.  ``run(problem, grid, every=e)`` keeps
-only levels 0, e, 2e, ..., n_steps (interior rows and both traces); the
-levels in between are stepped through a two-row work buffer, so the history
-holds n_steps/e + 1 rows.  With ``every=1`` every row is written straight
-into the history.
+:func:`run` computes the mesh constants once and marches in two work rows
+whose shifted views are made once per run; ``run(problem, grid, every=e)``
+copies a work row and both traces into the history at levels 0, e, 2e, ...
 
-``run(problem, grid, observe=f)`` also calls ``f(n, left, row, right)`` once
-for every level n = 0..n_steps, after the Robin value U_0^n has been
-computed and checked finite and before the step to n + 1.  ``row`` is the
-live interior row U^n: the observer must not modify it, and it is valid only
-during the call.  A study that needs only a reduction over the levels (such
-as the self-convergence errors) can therefore run with ``every=n_steps`` and
-read every level from the observer instead of a stored history.
+``run(problem, grid, observe=f)`` also calls ``f(n, left, row, right)`` at
+every level n = 0..n_steps, after U_0^n has been computed and checked finite
+and before the step to n + 1.  ``row`` is the work row holding U^n: the
+observer must not modify it, and it is valid only during the call.  A study
+that needs only a reduction over the levels (such as the self-convergence
+errors) can run with ``every=n_steps`` and read every level from the
+observer.  ``observe=`` is the one per-level interface to the kernel.
 
-``observe=`` is the one per-level interface: the stepping kernel
-(``_left_value`` and ``_advance``) is private to :func:`run`.
+The three quadratures of a step (s2, the birth integral and s1) write their
+integrands into one scratch :class:`~agediff.quadrature.InteriorVector`.
 
-The three quadratures of a step (s2, the birth integral and s1) share one
-scratch :class:`~agediff.quadrature.InteriorVector`, allocated once per
-:func:`run`: each weighted product is written into its values in place
-before ``qh``.  ``qh`` only reads its argument and keeps no reference to
-it, and the scratch never leaves the kernel.
+Finiteness is guarded by scalars; the array checks run only when one fails,
+to pick the error that checking each array at once would raise.  Every
+quadrature weight is nonzero, so a non-finite integrand has a non-finite
+integral.  In stepping order:
+
+1. s2 of level n is not finite: the last step's d (EvalError), then row n
+   (NonFiniteState).  A -inf d makes the row non-finite, so it lands here.
+   If both are finite (a non-finite psi2), stepping goes on.
+2. U_0^n is not finite: B (EvalError), else NonFiniteState.
+3. The least update weight 1 - lam - 2r - k*d_i is NaN or negative: d
+   (EvalError), else StabilityViolation.  NaN and +inf d land here.
+
+inf and NaN thus reach numpy before the error, so the loop runs under
+``np.errstate(invalid="ignore")``, which also silences "invalid value"
+warnings inside the coefficient callables while :func:`run` steps.
 """
 
 from __future__ import annotations
@@ -150,60 +157,15 @@ def _initial_row(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
     return values
 
 
-def _coefficient_values(fn, x: np.ndarray, s: float, what: str) -> np.ndarray:
-    values = _nodal_values(fn(x, s), x, what)
+def _check_coefficient(values: np.ndarray, s: float, what: str) -> None:
     if not np.isfinite(values).all():
         raise EvalError(f"{what} evaluated to a non-finite value (s = {s!r})")
+
+
+def _coefficient_values(fn, x: np.ndarray, s: float, what: str) -> np.ndarray:
+    values = _nodal_values(fn(x, s), x, what)
+    _check_coefficient(values, s, what)
     return values
-
-
-def _left_value(
-    u: np.ndarray, x: np.ndarray, h: float, problem: ProblemSpec, weighted: InteriorVector
-) -> float:
-    """U_0 from the Robin law; ``weighted`` is scratch for the two integrands."""
-    psi2 = _nodal_values(problem.psi2(x), x, "psi2")
-    np.multiply(psi2, u, out=weighted.values)
-    s2 = qh(weighted)
-    fertility = _coefficient_values(problem.fertility, x, s2, "fertility")
-    np.multiply(fertility, u, out=weighted.values)
-    birth = qh(weighted)
-    return (h * birth + u[0]) / (h + 1.0)
-
-
-def _advance(
-    u: np.ndarray,
-    left: float,
-    right: float,
-    problem: ProblemSpec,
-    x: np.ndarray,
-    stencil: tuple[float, float, float, float],
-    out: np.ndarray,
-    weighted: InteriorVector,
-) -> None:
-    """Write the next interior row into ``out``; ``weighted`` is scratch for psi1*U.
-
-    Each element is ((c_i*U_i + (r+lam)*U_{i-1}) + r*U_{i+1}) with
-    c_i = (1 - lam - 2r) - k*d_i, evaluated in that order.  A negative c_i
-    breaks the convex combination and raises StabilityViolation.
-    """
-    k, r, diagonal, upwind = stencil
-    psi1 = _nodal_values(problem.psi1(x), x, "psi1")
-    np.multiply(psi1, u, out=weighted.values)
-    s1 = qh(weighted)
-    mortality = _coefficient_values(problem.mortality, x, s1, "mortality")
-    np.multiply(mortality, k, out=out)
-    np.subtract(diagonal, out, out=out)
-    margin = out.min()
-    if margin < 0.0:
-        raise StabilityViolation(
-            f"update coefficient 1 - lam - 2*r - k*d = {margin!r} < 0 (s1 = {s1!r}); "
-            "refine the mesh or lower r"
-        )
-    out *= u
-    out[1:] += upwind * u[:-1]
-    out[0] += upwind * left
-    out[:-1] += r * u[1:]
-    out[-1] += r * right
 
 
 def run(
@@ -229,44 +191,70 @@ def run(
         raise InvalidParameter(f"observe must be callable or None, got {observe!r}")
 
     x = grid.interior_nodes()
-    h = grid.h
-    # (k, r, 1 - lam - 2r, r + lam): the update weights apart from -k*d
-    stencil = (grid.k, grid.r, 1.0 - grid.lam - 2.0 * grid.r, grid.r + grid.lam)
-    n_steps = grid.n_steps
+    h, k, r = grid.h, grid.k, grid.r
+    diagonal = 1.0 - grid.lam - 2.0 * r  # the weight of U_i apart from -k*d_i
+    upwind = r + grid.lam
+    n_steps, width = grid.n_steps, grid.m_total - 1
 
-    interior = np.empty((n_steps // every + 1, grid.m_total - 1))
-    # unrecorded levels alternate between the two rows, so a step never
-    # overwrites the row it reads
-    work = np.empty((2, grid.m_total - 1))
-    weighted = InteriorVector(np.empty(grid.m_total - 1), h)
-    interior[0] = _initial_row(problem, x)
-
+    interior = np.empty((n_steps // every + 1, width))
+    left_trace = np.empty(n_steps // every + 1)
+    # level n lives in rows[n % 2], so a step never overwrites the row it reads;
+    # each row comes with its views that drop the last and the first entry
+    rows = np.empty((2, width))
+    views = [(row, row[:-1], row[1:]) for row in rows]
+    tmp = np.empty(width - 1)
+    weighted = InteriorVector(np.empty(width), h)
+    products = weighted.values
+    rows[0] = _initial_row(problem, x)
     boundary = _boundary_values(problem, grid)
 
-    left_trace = np.empty(n_steps // every + 1)
-    row = interior[0]
-    for n in range(n_steps + 1):
-        left = _left_value(row, x, h, problem, weighted)
-        if not math.isfinite(left):
-            raise NonFiniteState(
-                f"left boundary value became non-finite at time level {n}", time_level=n
-            )
-        if n % every == 0:
-            left_trace[n // every] = left
-        if observe is not None:
-            observe(n, left, row, boundary[n])
-        if n < n_steps:
-            if (n + 1) % every == 0:
-                advanced = interior[(n + 1) // every]
-            else:
-                advanced = work[n % 2]
-            _advance(row, left, boundary[n], problem, x, stencil, advanced, weighted)
-            if not np.isfinite(advanced).all():
-                raise NonFiniteState(
-                    f"state became non-finite at time level {n + 1} "
-                    f"(t = {grid.time_levels()[n + 1]!r})",
-                    time_level=n + 1,
+    s1 = mortality = None  # the last step's, checked when the row it made is not finite
+    with np.errstate(invalid="ignore"):
+        for n in range(n_steps + 1):
+            row, row_head, row_tail = views[n % 2]
+            np.multiply(_nodal_values(problem.psi2(x), x, "psi2"), row, out=products)
+            s2 = qh(weighted)
+            if not math.isfinite(s2) and n > 0:
+                _check_coefficient(mortality, s1, "mortality")
+                if not np.isfinite(row).all():
+                    message = f"state became non-finite at time level {n} (t = {grid.time_levels()[n]!r})"
+                    raise NonFiniteState(message, time_level=n)
+            fertility = _nodal_values(problem.fertility(x, s2), x, "fertility")
+            np.multiply(fertility, row, out=products)
+            left = (h * qh(weighted) + row[0]) / (h + 1.0)
+            if not math.isfinite(left):
+                _check_coefficient(fertility, s2, "fertility")
+                raise NonFiniteState(f"left boundary value became non-finite at time level {n}", time_level=n)
+            right = boundary.item(n)  # a float; boundary.tolist() would hold one object per level
+            if n % every == 0:
+                left_trace[n // every] = left
+                interior[n // every] = row
+            if observe is not None:
+                observe(n, left, row, right)
+            if n == n_steps:
+                break
+
+            # ((c_i*U_i + (r+lam)*U_{i-1}) + r*U_{i+1}) with c_i = (1 - lam - 2r) - k*d_i,
+            # evaluated in that order; a negative c_i breaks the convex combination
+            np.multiply(_nodal_values(problem.psi1(x), x, "psi1"), row, out=products)
+            s1 = qh(weighted)
+            mortality = _nodal_values(problem.mortality(x, s1), x, "mortality")
+            advanced, head, tail = views[1 - n % 2]
+            np.multiply(mortality, k, out=advanced)
+            np.subtract(diagonal, advanced, out=advanced)
+            margin = advanced.min()
+            if not margin >= 0.0:
+                _check_coefficient(mortality, s1, "mortality")
+                raise StabilityViolation(
+                    f"update coefficient 1 - lam - 2*r - k*d = {margin!r} < 0 (s1 = {s1!r}); "
+                    "refine the mesh or lower r"
                 )
-            row = advanced
+            advanced *= row
+            np.multiply(row_head, upwind, out=tmp)
+            np.add(tail, tmp, out=tail)
+            advanced[0] += upwind * left
+            np.multiply(row_tail, r, out=tmp)
+            np.add(head, tmp, out=head)
+            advanced[-1] += r * right
 
     return GridFunction(left_trace, interior, boundary[::every].copy(), grid, every)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agediff.errors import DimensionMismatch, InvalidParameter
 from agediff.quadrature import (
@@ -215,3 +217,19 @@ def test_mutating_returned_weights_does_not_change_qh():
     w = weights(x.shape[0], h)
     w[:] = 0.0
     assert qh(v) == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    half=st.integers(min_value=3, max_value=159),
+    h=st.floats(min_value=1e-4, max_value=1.0),
+    exponent=st.integers(min_value=-300, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_qh_is_the_weight_vector_product_bit_for_bit(half, h, exponent, seed):
+    # odd lengths 7..319, entries of magnitude 1e-300..1e300 and both signs
+    n = 2 * half + 1
+    values = np.random.default_rng(seed).uniform(-10.0, 10.0, n) * 10.0**exponent
+    expected = float(weights(n, h) @ values)
+    assert math.isfinite(expected)
+    assert np.float64(qh(InteriorVector(values, h))).view(np.int64) == np.float64(expected).view(np.int64)
