@@ -23,8 +23,6 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
-
 from . import harness, model
 from .errors import (
     AgediffError,
@@ -224,9 +222,7 @@ def _write_run_slice(
 ) -> str:
     solution = run_solver(problem, grid, every=grid.n_steps)  # level 0 and the final one
     x = grid.nodes()
-    u_numeric = np.concatenate(
-        ([solution.left_trace[-1]], solution.interior[-1], [solution.right_trace[-1]])
-    )
+    u_numeric = solution.values[-1]
     path = f"{output_dir}/{tag}_slice_h{grid.h!r}.csv"
     if exact is not None:
         # Sampled as restrict samples every level, at the final time only.
@@ -237,8 +233,13 @@ def _write_run_slice(
     return path
 
 
-def _execute(config: RunConfig, perturbation_scale: float = 1.0) -> int:
-    problem, exact, tag = _materialize(config)
+def _execute(
+    config: RunConfig,
+    problem: ProblemSpec,
+    exact: Optional[ExactSolution],
+    tag: str,
+    perturbation_scale: float = 1.0,
+) -> int:
     base = build_grid(config.a_dagger, config.m_prime, config.r, config.t_final)
     written: list[str] = []
     out = config.output_dir
@@ -342,12 +343,12 @@ def main(argv: Optional[list[str]] = None) -> int:
                 levels=args.levels,
                 output_dir=args.output_dir,
             )
-            return _execute(config)
+            return _execute(config, problem, exact, args.id)
         overrides = {} if args.command == "run" else {"study": args.command}
         if args.output_dir is not None:
             overrides["output_dir"] = args.output_dir
         config = replace(_load_config(args.config), **overrides)
-        return _execute(config, perturbation_scale=getattr(args, "scale", 1.0))
+        return _execute(config, *_materialize(config), perturbation_scale=getattr(args, "scale", 1.0))
     except StabilityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

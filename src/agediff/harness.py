@@ -5,7 +5,9 @@ so spatial nodes and time levels of a coarse mesh sit exactly on all finer
 ones and no interpolation ever enters an error number.  Errors against an
 exact solution are measured at the realized final time of the ladder (the
 same float on every level); self-convergence errors compare each coarser
-run with the finest one at the shared nodes and levels.
+run with the finest one at the shared nodes and levels.  A grid function
+holds one row of node values per level, so each difference or sum of grid
+functions below is one ufunc call on their ``values``, written in place.
 
 CSV files are written atomically (temp file, then rename) and print floats
 as shortest round-tripping decimals, so reading a table back reproduces the
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .grid import GridSpec, refine
 from .model import ExactSolution, ProblemSpec
-from .quadrature import InteriorVector, inf_norm, l2_norm
+from .quadrature import InteriorVector, l2_norm
 from .residual import _BLOCK_ROWS, apply_phi, restrict, xh_norm, yh_norm
 from .solver import GridFunction, _check_domain, _initial_row, run
 
@@ -82,10 +84,8 @@ def _orders(values: Sequence[float]) -> list[Optional[float]]:
 
 
 def _error_triple(error: GridFunction) -> tuple[float, float, float]:
-    h = error.grid.h
-    final = InteriorVector(error.interior[-1], h)
-    err_inf = max(inf_norm(final), abs(float(error.left_trace[-1])), abs(float(error.right_trace[-1])))
-    return err_inf, l2_norm(final), xh_norm(error)
+    err_inf = float(np.max(np.abs(error.values[-1])))
+    return err_inf, l2_norm(InteriorVector(error.interior[-1], error.grid.h)), xh_norm(error)
 
 
 def _attach_orders(
@@ -109,14 +109,6 @@ def _attach_orders(
     ]
 
 
-def _apply_into(ufunc: np.ufunc, target: GridFunction, other: GridFunction) -> GridFunction:
-    """``ufunc(target, other)`` written into ``target``'s own three arrays (the same bits)."""
-    for name in ("left_trace", "interior", "right_trace"):
-        mine = getattr(target, name)
-        ufunc(mine, getattr(other, name), out=mine)
-    return target
-
-
 def convergence_study(
     problem: ProblemSpec, exact: ExactSolution, base: GridSpec, levels: int
 ) -> list[ConvergenceRow]:
@@ -125,7 +117,9 @@ def convergence_study(
     triples = []
     for grid in grids:
         solution = run(problem, grid)
-        triples.append(_error_triple(_apply_into(np.subtract, restrict(exact.u, grid), solution)))
+        error = restrict(exact.u, grid)
+        np.subtract(error.values, solution.values, out=error.values)
+        triples.append(_error_triple(error))
     return _attach_orders(grids, triples)
 
 
@@ -146,18 +140,15 @@ def self_convergence_study(
     grids = _grid_ladder(base, levels)
     errors = [run(problem, grid) for grid in grids[:-1]]
 
-    def subtract_finest(n: int, left: float, row: np.ndarray, right: float) -> None:
+    def subtract_finest(n: int, row: np.ndarray) -> None:
         # the rung `depth` refinements below the finest shares every
         # 4**depth-th level and every 2**depth-th node
         for depth in range(1, levels):
             level, offset = divmod(n, 4**depth)
             if offset:
                 return
-            error = errors[-depth]
-            stride = 2**depth
-            np.subtract(error.interior[level], row[stride - 1 :: stride], out=error.interior[level])
-            error.left_trace[level] -= left
-            error.right_trace[level] -= right
+            coarse = errors[-depth].values[level]
+            np.subtract(coarse, row[:: 2**depth], out=coarse)
 
     finest = grids[-1]
     run(problem, finest, every=finest.n_steps, observe=subtract_finest)
@@ -188,9 +179,9 @@ def _perturbation(grid: GridSpec, scale: float) -> GridFunction:
     The mode shape is drawn once from a fixed seed, so every call sees the
     same smooth function; only the sampling mesh changes.  Scaling by the
     mesh-dependent factor keeps the perturbation inside the shrinking
-    neighbourhood where the stability estimate applies.  The rows are built
-    one block at a time and scaled in place, so the only whole-history
-    array is the result.
+    neighbourhood where the stability estimate applies.  The interior is
+    filled one block of levels at a time and scaled in place, so the only
+    whole-history array is the result; both traces stay zero.
     """
     rng = np.random.default_rng(987654321)
     amplitudes = rng.uniform(0.5, 1.0, size=3)
@@ -198,14 +189,13 @@ def _perturbation(grid: GridSpec, scale: float) -> GridFunction:
     t = grid.time_levels()
     spatial = [np.sin((mode + 1) * np.pi * x / grid.a_dagger) for mode in range(3)]
     temporal = [np.cos((mode + 1) * np.pi * t / grid.t_final) for mode in range(3)]
-    rows = np.zeros((grid.n_steps + 1, grid.m_total - 1))
+    perturbation = GridFunction(np.zeros((grid.n_steps + 1, grid.m_total + 1)), grid)
+    rows = perturbation.interior
     for start in range(0, grid.n_steps + 1, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
         block = rows[start:stop]
         for mode in range(3):
             block += amplitudes[mode] * temporal[mode][start:stop, None] * spatial[mode][None, :]
-    zeros = np.zeros(grid.n_steps + 1)
-    perturbation = GridFunction(zeros, rows, zeros.copy(), grid)
     rows *= scale * grid.h / xh_norm(perturbation)
     return perturbation
 
@@ -235,9 +225,10 @@ def stability_probe(
         residual_gap = apply_phi(solution, problem, grid, initial)
         perturbation = _perturbation(grid, perturbation_scale)
         numerator = xh_norm(perturbation)
-        _apply_into(np.add, solution, perturbation)
+        np.add(solution.values, perturbation.values, out=solution.values)
         del perturbation
-        _apply_into(np.subtract, residual_gap, apply_phi(solution, problem, grid, initial))
+        gap = residual_gap.values
+        np.subtract(gap, apply_phi(solution, problem, grid, initial).values, out=gap)
         denominator = yh_norm(residual_gap)
         if denominator == 0.0 or not math.isfinite(numerator / denominator):
             rows.append(StabilityRow(h=grid.h, ratio=None, degenerate=True))

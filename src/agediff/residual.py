@@ -4,12 +4,13 @@ Elements of X_h and residuals in Y_h are both
 :class:`~agediff.solver.GridFunction` values, the type that
 :func:`agediff.solver.run` returns; only the norm applied to them differs.
 :func:`apply_phi` maps an element to its residual, one slot per discrete
-equation in the same layout: the Robin row, the right boundary rows, the
-initial row and the interior update identities, each in difference-quotient
-form.  A solution history is a root of this map up to floating-point noise,
-which is pinned by tests rather than assumed.  X_h and Y_h hold every time
-level, so :func:`apply_phi`, :func:`xh_norm` and :func:`yh_norm` reject a
-strided history (``every != 1``) with DimensionMismatch.
+equation in the same layout: column 0 holds the Robin rows, column M the
+right boundary rows, and columns 1..M-1 the initial row and the interior
+update identities, each in difference-quotient form.  A solution history
+is a root of this map up to floating-point noise, which is pinned by tests
+rather than assumed.  X_h and Y_h hold every time level, so
+:func:`apply_phi`, :func:`xh_norm` and :func:`yh_norm` reject a strided
+history (``every != 1``) with DimensionMismatch.
 
 Norms: for elements,
 
@@ -22,11 +23,12 @@ and for residuals
 with |.|_* the k-weighted time-trace norm and |.| the h-weighted l2 norm
 over interior nodes.
 
-One call of :func:`apply_phi` is one ascending pass over blocks of levels
-whose buffers are allocated once, among them the scratch
-:class:`~agediff.quadrature.InteriorVector` that each weighted product is
-written into before ``qh``.  It may write the residual into the element
-itself (``out=v``); if it raises, the contents of ``out`` are unspecified.
+One call of :func:`apply_phi` checks psi1 and psi2 finite once, then makes
+one ascending pass over blocks of levels whose buffers are allocated once,
+among them the scratch :class:`~agediff.quadrature.InteriorVector` that each
+weighted product is written into before ``qh``.  It may write the residual
+into the element itself (``out=v``); if it raises, the contents of ``out``
+are unspecified.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .quadrature import InteriorVector, l2_norm, qh, star_norm
 from .solver import (
     GridFunction,
     _boundary_values,
+    _check_coefficient,
     _check_domain,
     _coefficient_values,
     _nodal_values,
@@ -87,12 +90,8 @@ def _sample_nodes(
 
 
 def restrict(u: Callable[[np.ndarray, float], np.ndarray], grid: GridSpec) -> GridFunction:
-    """Sample a function of (x, t) on every node of the mesh, one call per level.
-
-    Both traces and the interior rows are views of one array of samples.
-    """
-    samples = _sample_nodes(u, grid, grid.time_levels())
-    return GridFunction(samples[:, 0], samples[:, 1:-1], samples[:, -1], grid)
+    """Sample a function of (x, t) on every node of the mesh, one call per level."""
+    return GridFunction(_sample_nodes(u, grid, grid.time_levels()), grid)
 
 
 def apply_phi(
@@ -117,7 +116,7 @@ def apply_phi(
     """
     n_levels, width = grid.n_steps + 1, grid.m_total - 1
     if out is None:
-        out = GridFunction(np.empty(n_levels), np.empty((n_levels, width)), np.empty(n_levels), grid)
+        out = GridFunction(np.empty((n_levels, grid.m_total + 1)), grid)
     for name, function in (("element", v), ("out", out)):
         _require_every_level(function)
         if function.grid != grid:
@@ -132,10 +131,12 @@ def apply_phi(
     x = grid.interior_nodes()
     psi1 = _nodal_values(problem.psi1(x), x, "psi1")
     psi2 = _nodal_values(problem.psi2(x), x, "psi2")
+    _check_coefficient(psi1, "psi1")
+    _check_coefficient(psi2, "psi2")
     g = _boundary_values(problem, grid)
 
-    # Row j of ``nodes`` holds level start - 1 + j at x_0..x_M, and row j of
-    # ``mortality`` its d(s1).  Row 0 is carried over from the previous block,
+    # Row j of ``nodes`` holds level start - 1 + j, and row j of ``mortality``
+    # its d(s1).  Row 0 is carried over from the previous block,
     # whose levels ``out`` may already have overwritten.
     nodes = np.empty((_BLOCK_ROWS + 1, width + 2))
     mortality = np.empty((_BLOCK_ROWS + 1, width))
@@ -146,9 +147,7 @@ def apply_phi(
         stop = min(start + _BLOCK_ROWS, n_levels)
         size = stop - start
         block = nodes[: size + 1]
-        block[1:, 0] = v.left_trace[start:stop]
-        block[1:, 1:-1] = v.interior[start:stop]
-        block[1:, -1] = v.right_trace[start:stop]
+        block[1:] = v.values[start:stop]
         for j, row in enumerate(block[1:, 1:-1]):
             np.multiply(psi2, row, out=weighted.values)
             s2 = qh(weighted)

@@ -273,6 +273,21 @@ def test_nan_expression_is_a_configuration_error(tmp_path, capsys, slot):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("slot,d,B", [("psi1", "1 + s", "2"), ("psi2", "1", "2"), ("psi2", "1", "2 * exp(x) + s")])
+def test_infinite_psi_is_named_and_exits_1(tmp_path, capsys, slot, d, B):
+    # 1e308*10 is inf, not NaN, so the expression itself evaluates; the run
+    # names psi, also when d reads s and would otherwise see s1 = inf first
+    slots = {"d": d, "B": B, "u0": "1", slot: "1e308*10"}
+    text = "".join(f"{key} = {value}\n" for key, value in slots.items())
+    config = write_config(tmp_path, text + "m_prime = 7\nr = 0.4\nt_final = 0.2\n")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", config, "--output-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {slot} evaluated to a non-finite value\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_unknown_builtin_id(tmp_path, capsys):
     assert main(["examples", "example9", "--output-dir", str(tmp_path)]) == 1
     assert "unknown problem" in capsys.readouterr().err

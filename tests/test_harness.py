@@ -242,12 +242,7 @@ def restrict_to_coarse(element, coarse):
         probe, depth = refine(probe), depth + 1
     assert probe == fine, "the element's mesh is not a refinement of the coarse mesh"
     space_stride, time_stride = 2**depth, 4**depth
-    return GridFunction(
-        element.left_trace[::time_stride],
-        element.interior[::time_stride, space_stride - 1 :: space_stride],
-        element.right_trace[::time_stride],
-        coarse,
-    )
+    return GridFunction(element.values[::time_stride, ::space_stride], coarse)
 
 
 def whole_history_self_convergence(problem, base, levels):
@@ -295,6 +290,11 @@ def test_self_convergence_equals_the_whole_history_study(problem_id, levels):
     assert self_convergence_study(problem, base, levels) == expected
 
 
+def grid_function(left, rows, right, grid):
+    """The grid function on ``grid`` with these traces and interior rows."""
+    return GridFunction(np.column_stack((left, rows, right)), grid)
+
+
 def whole_array_stability_probe(problem, base, levels, scale):
     # the probe as it was when the perturbation, W, phi(V), phi(W) and the
     # gap were separate whole-history arrays
@@ -314,9 +314,9 @@ def whole_array_stability_probe(problem, base, levels, scale):
             temporal = np.cos((mode + 1) * np.pi * t / grid.t_final)
             field += amplitudes[mode] * temporal[:, None] * spatial[None, :]
         zeros = np.zeros(grid.n_steps + 1)
-        factor = scale * grid.h / xh_norm(GridFunction(zeros, field, zeros, grid))
-        perturbation = GridFunction(zeros, field * factor, zeros, grid)
-        perturbed = GridFunction(
+        factor = scale * grid.h / xh_norm(grid_function(zeros, field, zeros, grid))
+        perturbation = grid_function(zeros, field * factor, zeros, grid)
+        perturbed = grid_function(
             solution.left_trace + perturbation.left_trace,
             solution.interior + perturbation.interior,
             solution.right_trace + perturbation.right_trace,

@@ -19,9 +19,14 @@ def initial_vector(problem, grid):
     return InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
 
 
+def grid_function(left, rows, right, grid):
+    """The grid function on ``grid`` with these traces and interior rows."""
+    return GridFunction(np.column_stack((left, rows, right)), grid)
+
+
 def random_element(rng, grid):
     n_levels = grid.n_steps + 1
-    return GridFunction(
+    return grid_function(
         rng.standard_normal(n_levels),
         rng.standard_normal((n_levels, grid.m_total - 1)),
         rng.standard_normal(n_levels),
@@ -142,9 +147,9 @@ def test_xh_norm_values():
     grid = build_grid(1.0, 7, 0.4, 0.001)
     assert grid.n_steps == 1
     width = grid.m_total - 1
-    rows_only = GridFunction(np.zeros(2), np.ones((2, width)), np.zeros(2), grid)
+    rows_only = grid_function(np.zeros(2), np.ones((2, width)), np.zeros(2), grid)
     assert xh_norm(rows_only) == pytest.approx(math.sqrt(grid.h * width), rel=1e-15)
-    left_only = GridFunction(np.ones(2), np.zeros((2, width)), np.zeros(2), grid)
+    left_only = grid_function(np.ones(2), np.zeros((2, width)), np.zeros(2), grid)
     assert xh_norm(left_only) == pytest.approx(grid.h * math.sqrt(2.0 * grid.k), rel=1e-14)
 
 
@@ -152,13 +157,13 @@ def test_yh_norm_values():
     grid = build_grid(1.0, 7, 0.4, 0.001)
     width = grid.m_total - 1
     zeros = np.zeros((2, width))
-    initial_only = GridFunction(np.zeros(2), np.vstack([np.ones(width), np.zeros(width)]), np.zeros(2), grid)
+    initial_only = grid_function(np.zeros(2), np.vstack([np.ones(width), np.zeros(width)]), np.zeros(2), grid)
     assert yh_norm(initial_only) == pytest.approx(math.sqrt(grid.h * width), rel=1e-14)
-    left_only = GridFunction(np.ones(2), zeros, np.zeros(2), grid)
+    left_only = grid_function(np.ones(2), zeros, np.zeros(2), grid)
     assert yh_norm(left_only) == pytest.approx(math.sqrt(2.0 * grid.k), rel=1e-14)
-    right_only = GridFunction(np.zeros(2), zeros, np.ones(2), grid)
+    right_only = grid_function(np.zeros(2), zeros, np.ones(2), grid)
     assert yh_norm(right_only) == pytest.approx(math.sqrt(grid.h * 2.0 * grid.k), rel=1e-14)
-    later_only = GridFunction(np.zeros(2), np.vstack([np.zeros(width), np.ones(width)]), np.zeros(2), grid)
+    later_only = grid_function(np.zeros(2), np.vstack([np.zeros(width), np.ones(width)]), np.zeros(2), grid)
     assert yh_norm(later_only) == pytest.approx(math.sqrt(grid.k * grid.h * width), rel=1e-14)
 
 
@@ -351,7 +356,7 @@ def test_non_finite_mortality_at_the_last_level_still_raises():
         def element(last):
             rows = np.ones((grid.n_steps + 1, grid.m_total - 1))
             rows[-1] = last
-            return GridFunction(np.ones(grid.n_steps + 1), rows, np.zeros(grid.n_steps + 1), grid)
+            return grid_function(np.ones(grid.n_steps + 1), rows, np.zeros(grid.n_steps + 1), grid)
 
         cutoff = 1.5 * qh(InteriorVector(np.ones(grid.m_total - 1), grid.h))
         blows_up = dataclasses.replace(

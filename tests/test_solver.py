@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from agediff import residual, solver
+from agediff import harness, residual, solver
 from agediff.errors import (
     DimensionMismatch,
     EvalError,
@@ -197,16 +197,53 @@ def test_coefficient_shape_and_finiteness_guards():
         run(non_finite, grid)
 
 
+def bad_psi(value, good_calls=0):
+    """psi = 1 at every node for its first ``good_calls`` calls, then ``value`` at one node."""
+    calls = []
+
+    def psi(x):
+        calls.append(None)
+        values = np.ones_like(x)
+        if len(calls) > good_calls:
+            values[len(x) // 2] = value
+        return values
+
+    return psi
+
+
+# d and B that read s would turn a non-finite s into a non-finite coefficient
+# and so blame d or B; ones that ignore s would let the run step on
+PSI_COEFFICIENTS = {
+    "d-B-read-s": dict(mortality=lambda x, s: np.full_like(x, 0.5 + s), fertility=lambda x, s: 2.0 * np.exp(x) + s),
+    "d-B-ignore-s": dict(mortality=lambda x, s: np.full_like(x, 0.5), fertility=lambda x, s: 2.0 * np.exp(x)),
+}
+
+
+@pytest.mark.parametrize("coefficients", PSI_COEFFICIENTS.values(), ids=PSI_COEFFICIENTS.keys())
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("slot", ["psi1", "psi2"])
+def test_non_finite_psi_is_named_by_run_and_apply_phi(slot, value, coefficients):
+    grid = build_grid(1.0, 7, 0.4, 0.05)
+    message = f"^{slot} evaluated to a non-finite value$"
+    for good_calls in (0, 3):  # from the first level, and from a later one
+        with pytest.raises(EvalError, match=message):
+            run(make_problem(**coefficients, **{slot: bad_psi(value, good_calls)}), grid)
+    element = run(make_problem(**coefficients), grid)
+    initial = InteriorVector(element.interior[0].copy(), grid.h)
+    with pytest.raises(EvalError, match=message):
+        apply_phi(element, make_problem(**coefficients, **{slot: bad_psi(value)}), grid, initial)
+
+
 # (fields to replace in a well-formed grid function, expected error); the
-# builders take the recorded level count, the interior width and the stride
+# builders take the recorded level count, the row width M + 1 and the stride
 SHAPE_CASES = {
     "well-formed": (lambda levels, width, every: {}, None),
-    "long-left-trace": (lambda levels, width, every: {"left_trace": np.zeros(levels + 1)}, DimensionMismatch),
-    "short-right-trace": (lambda levels, width, every: {"right_trace": np.zeros(levels - 1)}, DimensionMismatch),
-    "wide-rows": (lambda levels, width, every: {"interior": np.zeros((levels, width + 1))}, DimensionMismatch),
-    "wider-rows": (lambda levels, width, every: {"interior": np.zeros((levels, width + 2))}, DimensionMismatch),
-    "narrow-rows": (lambda levels, width, every: {"interior": np.zeros((levels, width - 2))}, DimensionMismatch),
-    "extra-row": (lambda levels, width, every: {"interior": np.zeros((levels + 1, width))}, DimensionMismatch),
+    "wide-rows": (lambda levels, width, every: {"values": np.zeros((levels, width + 1))}, DimensionMismatch),
+    "wider-rows": (lambda levels, width, every: {"values": np.zeros((levels, width + 2))}, DimensionMismatch),
+    "narrow-rows": (lambda levels, width, every: {"values": np.zeros((levels, width - 2))}, DimensionMismatch),
+    "extra-row": (lambda levels, width, every: {"values": np.zeros((levels + 1, width))}, DimensionMismatch),
+    "missing-row": (lambda levels, width, every: {"values": np.zeros((levels - 1, width))}, DimensionMismatch),
+    "one-dimensional": (lambda levels, width, every: {"values": np.zeros(levels * width)}, DimensionMismatch),
     "doubled-every": (lambda levels, width, every: {"every": 2 * every}, DimensionMismatch),
     "non-dividing-every": (lambda levels, width, every: {"every": 3}, InvalidParameter),
 }
@@ -218,20 +255,13 @@ def test_grid_function_shape_validation(every, case):
     grid = build_grid(1.0, 7, 0.4, 0.05)
     assert grid.n_steps % 10 == 0 and grid.n_steps % 3 != 0
     levels = grid.n_steps // every + 1
-    width = grid.m_total - 1
-    good = dict(
-        left_trace=np.zeros(levels),
-        interior=np.zeros((levels, width)),
-        right_trace=np.zeros(levels),
-        grid=grid,
-        every=every,
-    )
+    width = grid.m_total + 1
+    good = dict(values=np.zeros((levels, width)), grid=grid, every=every)
     overrides, error = case
     if error is None:
         made = GridFunction(**good)
-        # float64 arrays are kept, never copied
-        for name in ("left_trace", "interior", "right_trace"):
-            assert getattr(made, name) is good[name]
+        # a float64 array is kept, never copied
+        assert made.values is good["values"]
     else:
         with pytest.raises(error):
             GridFunction(**{**good, **overrides(levels, width, every)})
@@ -240,9 +270,44 @@ def test_grid_function_shape_validation(every, case):
 def test_grid_function_coerces_to_float_arrays():
     grid = build_grid(1.0, 1, 0.4, 0.01)
     levels = grid.n_steps + 1
-    made = GridFunction([0] * levels, [[1] * (grid.m_total - 1)] * levels, range(levels), grid)
+    made = GridFunction([[0] + [1] * (grid.m_total - 1) + [n] for n in range(levels)], grid)
+    assert made.values.dtype == np.float64
     assert made.interior.dtype == made.left_trace.dtype == made.right_trace.dtype == np.float64
     assert np.array_equal(made.right_trace, np.arange(levels))
+
+
+def test_every_producer_returns_one_c_contiguous_row_per_level():
+    problem, exact = builtin_problem("example3")
+    grid = build_grid(1.0, 7, 0.4, 0.05)
+    initial = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
+    solution = run(problem, grid)
+    made = {
+        "run": solution,
+        "run-strided": run(problem, grid, every=grid.n_steps),
+        "restrict": restrict(exact.u, grid),
+        "apply_phi": apply_phi(solution, problem, grid, initial),
+        "perturbation": harness._perturbation(grid, 1.0),
+    }
+    for name, function in made.items():
+        levels = grid.n_steps // function.every + 1
+        assert function.values.shape == (levels, grid.m_total + 1), name
+        assert function.values.flags.c_contiguous, name
+        assert function.values.dtype == np.float64, name
+
+
+def test_grid_function_traces_and_interior_are_views_of_values():
+    grid = build_grid(1.0, 1, 0.4, 0.01)
+    assert grid.n_steps >= 2
+    made = GridFunction(np.zeros((grid.n_steps + 1, grid.m_total + 1)), grid)
+    made.interior[1] = 5.0
+    made.left_trace[0] = 3.0
+    made.right_trace[-1] = 7.0
+    assert np.array_equal(made.values[1, 1:-1], np.full(grid.m_total - 1, 5.0))
+    assert made.values[1, 0] == made.values[1, -1] == 0.0
+    assert made.values[0, 0] == 3.0 and made.values[-1, -1] == 7.0
+    assert np.count_nonzero(made.values) == grid.m_total - 1 + 2
+    with pytest.raises(AttributeError):
+        made.interior = np.ones((grid.n_steps + 1, grid.m_total - 1))
 
 
 @pytest.mark.parametrize("d", [1000.0, 300.0])
@@ -329,15 +394,18 @@ def test_observer_sees_every_level_bit_for_bit(problem_id):
     for every in (1, 4, grid.n_steps):
         seen = []
 
-        def observe(n, left, row, right):
-            seen.append((n, left, row.copy(), right))
+        def observe(n, row):
+            assert row.shape == (grid.m_total + 1,)
+            seen.append((n, row.copy()))
 
         strided = run(problem, grid, every=every, observe=observe)
-        assert [n for n, _, _, _ in seen] == list(range(grid.n_steps + 1))
-        for n, left, row, right in seen:
-            assert left == full.left_trace[n]
-            assert right == full.right_trace[n]
-            assert np.array_equal(row, full.interior[n])
+        assert [n for n, _ in seen] == list(range(grid.n_steps + 1))
+        for n, row in seen:
+            assert row[0] == full.left_trace[n]
+            assert row[-1] == full.right_trace[n]
+            assert np.array_equal(row[1:-1], full.interior[n])
+            # the same bits, not just equal values: row[0] and row[-1] are the traces
+            assert np.array_equal(row.view(np.int64), full.values[n].view(np.int64))
         assert np.array_equal(strided.interior, full.interior[::every])
         assert np.array_equal(strided.left_trace, full.left_trace[::every])
         assert np.array_equal(strided.right_trace, full.right_trace[::every])
@@ -358,7 +426,7 @@ def test_observer_exception_propagates_out_of_run():
 
     levels = []
 
-    def observe(n, left, row, right):
+    def observe(n, row):
         levels.append(n)
         if n == 3:
             raise Stop(n)
