@@ -45,7 +45,6 @@ from .model import (
 )
 from .quadrature import (
     InteriorVector,
-    inf_norm,
     l2_norm,
     qh,
     star_norm,
@@ -82,7 +81,6 @@ __all__ = [
     "element_from_solution",
     "eval_expr",
     "format_expr",
-    "inf_norm",
     "l2_norm",
     "parse_expr",
     "problem_from_expressions",

@@ -13,24 +13,20 @@ The optional section headers ``[problem]`` and ``[study]`` group the keys;
 when present, keys are checked against their section.  A problem is either
 ``problem = <builtin id>`` or an inline coefficient block (``d``, ``B``,
 ``u0``, optional ``psi1``/``psi2``/``g``/``a_dagger``) written in the
-expression language of :mod:`agediff.exprdsl`.
+expression language of :mod:`agediff.exprdsl`.  Config files are read as
+UTF-8; one that does not decode is a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import harness, model
-from .errors import (
-    AgediffError,
-    ConfigError,
-    NonFiniteState,
-    ParseError,
-    StabilityViolation,
-)
+from .errors import AgediffError, ConfigError, NonFiniteState, ParseError, StabilityViolation
 from .exprdsl import parse_expr
 from .grid import GridSpec, build_grid
 from .model import ExactSolution, ProblemSpec
@@ -39,18 +35,10 @@ from .solver import run as run_solver
 
 _STUDIES = ("single", "convergence", "self_convergence", "consistency", "stability")
 
-_EXPR_SLOTS = {
-    "d": {"x", "s"},
-    "B": {"x", "s"},
-    "psi1": {"x"},
-    "psi2": {"x"},
-    "u0": {"x"},
-    "g": {"t"},
-}
-_PROBLEM_KEYS = {"problem", "a_dagger", *_EXPR_SLOTS}
-_STUDY_KEYS = {"m_prime", "r", "t_final", "study", "levels", "output_dir"}
-
 _EXAMPLE_T_FINAL = {"example1": 0.2, "example2": 0.8, "example3": 0.8}
+
+# Each inline coefficient key and the problem_from_expressions argument it fills.
+_FIELDS = {"d": "mortality", "B": "fertility", "psi1": "psi1", "psi2": "psi2", "u0": "initial", "g": "right_boundary"}
 
 
 @dataclass(frozen=True)
@@ -64,6 +52,72 @@ class RunConfig:
     study: str
     levels: int
     output_dir: str
+
+
+# A converter maps (key, value text) to the value, or raises ValueError with
+# the message the config error reports.
+def _typed(kind: type, noun: str) -> Callable[[str, str], Any]:
+    def convert(key: str, value: str) -> Any:
+        try:
+            return kind(value)
+        except ValueError:
+            raise ValueError(f"key {key!r} needs {noun}, got {value!r}") from None
+
+    return convert
+
+
+_integer = _typed(int, "an integer")
+_number = _typed(float, "a number")
+
+
+def _positive(key: str, value: str) -> float:
+    number = _number(key, value)
+    if not number > 0.0:
+        raise ValueError(f"{key} must be positive, got {value!r}")
+    return number
+
+
+def _study(key: str, value: str) -> str:
+    if value not in _STUDIES:
+        raise ValueError(f"study must be one of {', '.join(_STUDIES)}; got {value!r}")
+    return value
+
+
+def _expression(key: str, value: str) -> str:
+    try:
+        parse_expr(value, model.EXPRESSION_VARIABLES[_FIELDS[key]])
+    except ParseError as exc:
+        raise ValueError(f"invalid expression for {key!r}: {exc}") from exc
+    return value
+
+
+def _text(key: str, value: str) -> str:
+    return value
+
+
+class _Key(NamedTuple):
+    section: str
+    convert: Callable[[str, str], Any]
+    default: Any
+
+
+# problem_from_expressions owns the defaults of a_dagger and the coefficients;
+# a parameter without a default there is a required key here.
+_REQUIRED = inspect.Parameter.empty
+_PARAMETERS = inspect.signature(model.problem_from_expressions).parameters
+
+# Keys are converted in this order, which decides the error among several bad values.
+_KEYS = {
+    "problem": _Key("problem", _text, None),
+    "a_dagger": _Key("problem", _positive, _PARAMETERS["a_dagger"].default),
+    **{key: _Key("problem", _expression, _PARAMETERS[field].default) for key, field in _FIELDS.items()},
+    "m_prime": _Key("study", _integer, _REQUIRED),
+    "r": _Key("study", _number, _REQUIRED),
+    "t_final": _Key("study", _number, _REQUIRED),
+    "study": _Key("study", _study, "single"),
+    "levels": _Key("study", _integer, 3),
+    "output_dir": _Key("study", _text, "."),
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -84,163 +138,71 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _PROBLEM_KEYS | _STUDY_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
-        if section == "problem" and key not in _PROBLEM_KEYS:
-            raise ConfigError(f"key {key!r} belongs in the [study] section", lineno)
-        if section == "study" and key not in _STUDY_KEYS:
-            raise ConfigError(f"key {key!r} belongs in the [problem] section", lineno)
+        home = _KEYS[key].section
+        if section not in (None, home):
+            raise ConfigError(f"key {key!r} belongs in the [{home}] section", lineno)
         if key in entries:
             raise ConfigError(f"duplicate key {key!r}", lineno)
         if not value:
             raise ConfigError(f"empty value for key {key!r}", lineno)
         entries[key] = (value, lineno)
 
-    def take(key: str) -> Optional[tuple[str, int]]:
-        return entries.pop(key, None)
+    builtin = "problem" in entries
+    if builtin:
+        inline = sorted(key for key in _FIELDS if key in entries)
+        if inline:
+            raise ConfigError(
+                f"config names a built-in problem but also defines {inline}; use one or the other"
+            )
+        if "a_dagger" in entries:
+            raise ConfigError("built-in problems fix a_dagger; remove the key", entries["a_dagger"][1])
+    else:
+        missing = sorted(key for key in _FIELDS if _KEYS[key].default is _REQUIRED and key not in entries)
+        if missing:
+            raise ConfigError(f"inline problem needs keys {missing} (or set 'problem = <builtin>')")
 
-    def require_float(key: str) -> float:
-        item = take(key)
-        if item is None:
-            raise ConfigError(f"missing required key {key!r}")
-        value, lineno = item
-        try:
-            result = float(value)
-        except ValueError:
-            raise ConfigError(f"key {key!r} needs a number, got {value!r}", lineno) from None
-        return result
-
-    def require_int(key: str, default: Optional[int] = None) -> int:
-        item = take(key)
-        if item is None:
-            if default is None:
+    def get(key: str, convert: Callable[[str, str], Any], default: Any) -> Any:
+        if key not in entries:
+            if default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r}")
             return default
-        value, lineno = item
+        value, lineno = entries[key]
         try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"key {key!r} needs an integer, got {value!r}", lineno) from None
+            return convert(key, value)
+        except ValueError as exc:
+            raise ConfigError(str(exc), lineno) from exc
 
-    problem_item = take("problem")
-    inline_items = {key: take(key) for key in _EXPR_SLOTS}
-    inline_present = {key for key, item in inline_items.items() if item is not None}
-    a_dagger_item = take("a_dagger")
-
-    expressions = None
-    problem_id = None
-    a_dagger = 1.0
-    if problem_item is not None:
-        if inline_present:
-            raise ConfigError(
-                f"config names a built-in problem but also defines {sorted(inline_present)}; "
-                "use one or the other"
-            )
-        if a_dagger_item is not None:
-            raise ConfigError("built-in problems fix a_dagger; remove the key", a_dagger_item[1])
-        problem_id = problem_item[0]
-    else:
-        missing = {"d", "B", "u0"} - inline_present
-        if missing:
-            raise ConfigError(
-                f"inline problem needs keys {sorted(missing)} (or set 'problem = <builtin>')"
-            )
-        if a_dagger_item is not None:
-            value, lineno = a_dagger_item
-            try:
-                a_dagger = float(value)
-            except ValueError:
-                raise ConfigError(f"key 'a_dagger' needs a number, got {value!r}", lineno) from None
-            if not a_dagger > 0.0:
-                raise ConfigError(f"a_dagger must be positive, got {value!r}", lineno)
-        expressions = {"psi1": "1", "psi2": "1", "g": None}
-        for key, item in inline_items.items():
-            if item is None:
-                continue
-            value, lineno = item
-            try:
-                parse_expr(value, _EXPR_SLOTS[key])
-            except ParseError as exc:
-                raise ConfigError(f"invalid expression for {key!r}: {exc}", lineno) from exc
-            expressions[key] = value
-
-    m_prime = require_int("m_prime")
-    r = require_float("r")
-    t_final = require_float("t_final")
-
-    study = "single"
-    study_item = take("study")
-    if study_item is not None:
-        study = study_item[0]
-        if study not in _STUDIES:
-            raise ConfigError(
-                f"study must be one of {', '.join(_STUDIES)}; got {study!r}", study_item[1]
-            )
-    levels = require_int("levels", default=3)
-
-    output_dir = "."
-    output_item = take("output_dir")
-    if output_item is not None:
-        output_dir = output_item[0]
-
-    return RunConfig(
-        problem_id=problem_id,
-        expressions=expressions,
-        a_dagger=a_dagger,
-        m_prime=m_prime,
-        r=r,
-        t_final=t_final,
-        study=study,
-        levels=levels,
-        output_dir=output_dir,
-    )
+    keys = [key for key in _KEYS if not (builtin and key in _FIELDS)]
+    values = {key: get(key, _KEYS[key].convert, _KEYS[key].default) for key in keys}
+    expressions = None if builtin else {key: values.pop(key) for key in _FIELDS}
+    return RunConfig(problem_id=values.pop("problem"), expressions=expressions, **values)
 
 
 def _materialize(config: RunConfig) -> tuple[ProblemSpec, Optional[ExactSolution], str]:
     if config.problem_id is not None:
         problem, exact = model.builtin_problem(config.problem_id)
         return problem, exact, config.problem_id
-    expressions = config.expressions
-    problem = model.problem_from_expressions(
-        mortality=expressions["d"],
-        fertility=expressions["B"],
-        initial=expressions["u0"],
-        psi1=expressions["psi1"],
-        psi2=expressions["psi2"],
-        right_boundary=expressions["g"],
-        a_dagger=config.a_dagger,
-    )
-    return problem, None, "inline"
+    arguments = {_FIELDS[key]: text for key, text in config.expressions.items()}
+    return model.problem_from_expressions(**arguments, a_dagger=config.a_dagger), None, "inline"
 
 
 def _write_run_slice(
-    problem: ProblemSpec,
-    exact: Optional[ExactSolution],
-    grid: GridSpec,
-    output_dir: str,
-    tag: str,
+    problem: ProblemSpec, exact: Optional[ExactSolution], grid: GridSpec, output_dir: str, tag: str
 ) -> str:
     solution = run_solver(problem, grid, every=grid.n_steps)  # level 0 and the final one
-    x = grid.nodes()
-    u_numeric = solution.values[-1]
     path = f"{output_dir}/{tag}_slice_h{grid.h!r}.csv"
-    if exact is not None:
-        # Sampled as restrict samples every level, at the final time only.
-        u_exact = _sample_nodes(exact.u, grid, [grid.t_final])[0]
-        harness.write_slice_csv(path, x, u_numeric, u_exact)
-    else:
-        harness.write_slice_csv(path, x, u_numeric)
+    # Sampled as restrict samples every level, at the final time only.
+    u_exact = None if exact is None else _sample_nodes(exact.u, grid, [grid.t_final])[0]
+    harness.write_slice_csv(path, grid.nodes(), solution.values[-1], u_exact)
     return path
 
 
 def _execute(
-    config: RunConfig,
-    problem: ProblemSpec,
-    exact: Optional[ExactSolution],
-    tag: str,
-    perturbation_scale: float = 1.0,
+    config: RunConfig, problem: ProblemSpec, exact: Optional[ExactSolution], tag: str, perturbation_scale: float = 1.0
 ) -> int:
-    base = build_grid(config.a_dagger, config.m_prime, config.r, config.t_final)
+    base = build_grid(problem.a_dagger, config.m_prime, config.r, config.t_final)
     written: list[str] = []
     out = config.output_dir
 
@@ -279,9 +241,9 @@ def _execute(
 
 def _load_config(path: str) -> RunConfig:
     try:
-        with open(path) as stream:
+        with open(path, encoding="utf-8") as stream:
             text = stream.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     return parse_config(text)
 
@@ -309,11 +271,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     examples = sub.add_parser("examples", help="run a built-in problem with conventional parameters")
     examples.add_argument("id", help="built-in problem id (see 'agediff list')")
-    examples.add_argument("--levels", type=int, default=3)
+    examples.add_argument("--levels", type=int, default=_KEYS["levels"].default)
     examples.add_argument("--m-prime", type=int, default=7)
     examples.add_argument("--r", type=float, default=0.4)
     examples.add_argument("--t-final", type=float, default=None, help="defaults to the problem's conventional time")
-    examples.add_argument("--output-dir", default=".")
+    examples.add_argument("--output-dir", default=_KEYS["output_dir"].default)
 
     sub.add_parser("list", help="list built-in problems")
     return parser
@@ -328,27 +290,26 @@ def main(argv: Optional[list[str]] = None) -> int:
                 print(f"{problem_id}  {model.builtin_description(problem_id)}")
             return 0
         if args.command == "examples":
-            problem, exact = model.builtin_problem(args.id)
-            t_final = args.t_final
-            if t_final is None:
-                t_final = _EXAMPLE_T_FINAL[args.id]
             config = RunConfig(
                 problem_id=args.id,
                 expressions=None,
-                a_dagger=problem.a_dagger,
+                a_dagger=_KEYS["a_dagger"].default,
                 m_prime=args.m_prime,
                 r=args.r,
-                t_final=t_final,
-                study="convergence" if exact is not None else "self_convergence",
+                t_final=_EXAMPLE_T_FINAL.get(args.id) if args.t_final is None else args.t_final,
+                study="",  # follows from the problem once it is resolved
                 levels=args.levels,
                 output_dir=args.output_dir,
             )
-            return _execute(config, problem, exact, args.id)
-        overrides = {} if args.command == "run" else {"study": args.command}
-        if args.output_dir is not None:
-            overrides["output_dir"] = args.output_dir
-        config = replace(_load_config(args.config), **overrides)
-        return _execute(config, *_materialize(config), perturbation_scale=getattr(args, "scale", 1.0))
+        else:
+            overrides = {} if args.command == "run" else {"study": args.command}
+            if args.output_dir is not None:
+                overrides["output_dir"] = args.output_dir
+            config = replace(_load_config(args.config), **overrides)
+        problem, exact, tag = _materialize(config)
+        if args.command == "examples":
+            config = replace(config, study="convergence" if exact is not None else "self_convergence")
+        return _execute(config, problem, exact, tag, perturbation_scale=getattr(args, "scale", 1.0))
     except StabilityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

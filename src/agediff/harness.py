@@ -56,7 +56,7 @@ class ConsistencyRow:
 
 @dataclass(frozen=True)
 class StabilityRow:
-    """One perturbation-pair ratio; ``degenerate`` marks an underflowed denominator."""
+    """One perturbation-pair ratio; ``degenerate`` marks a zero or non-finite denominator or ratio."""
 
     h: float
     ratio: Optional[float]
@@ -205,13 +205,13 @@ def stability_probe(
 ) -> list[StabilityRow]:
     """Ratio |V - W|_X / |phi(V) - phi(W)|_Y for a fixed smooth perturbation.
 
-    V is the computed solution, W = V + perturbation.  V - W is known in
-    closed form (it is the negated perturbation), so the numerator is taken
-    from the perturbation directly instead of through a cancelling
-    subtraction.  W is formed in V's own arrays once phi(V) is known, and
+    V is the computed solution, W = V + perturbation.  V - W is the negated
+    perturbation, whose xh-norm ``_perturbation`` sets to scale * h, so the
+    numerator is scale * h, taken without a cancelling subtraction or a
+    pass over the history.  W is formed in V's own arrays once phi(V) is known, and
     phi(V) - phi(W) in phi(V)'s, so each rung holds three whole-history
-    arrays at most.  A vanishing denominator is reported as a degenerate
-    row, never raised.
+    arrays at most.  A denominator that is zero or not finite (or a ratio
+    that overflows) is reported as a degenerate row, never raised.
     """
     if not (math.isfinite(perturbation_scale) and perturbation_scale >= 0.0):
         raise InvalidParameter(
@@ -224,13 +224,13 @@ def stability_probe(
         initial = InteriorVector(_initial_row(problem, grid.interior_nodes()), grid.h)
         residual_gap = apply_phi(solution, problem, grid, initial)
         perturbation = _perturbation(grid, perturbation_scale)
-        numerator = xh_norm(perturbation)
+        numerator = perturbation_scale * grid.h
         np.add(solution.values, perturbation.values, out=solution.values)
         del perturbation
         gap = residual_gap.values
         np.subtract(gap, apply_phi(solution, problem, grid, initial).values, out=gap)
         denominator = yh_norm(residual_gap)
-        if denominator == 0.0 or not math.isfinite(numerator / denominator):
+        if not (0.0 < denominator < math.inf and math.isfinite(numerator / denominator)):
             rows.append(StabilityRow(h=grid.h, ratio=None, degenerate=True))
         else:
             rows.append(StabilityRow(h=grid.h, ratio=numerator / denominator, degenerate=False))
@@ -253,7 +253,7 @@ def _write_table(path: str, header: list[str], records) -> None:
     os.makedirs(directory, exist_ok=True)
     handle, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
     try:
-        with os.fdopen(handle, "w", newline="") as stream:
+        with os.fdopen(handle, "w", encoding="utf-8", newline="") as stream:
             stream.write(text)
         os.replace(temp_path, path)
     except BaseException:
@@ -280,7 +280,7 @@ def write_convergence_csv(rows: list[ConvergenceRow], path: str) -> None:
 
 
 def read_convergence_csv(path: str) -> list[ConvergenceRow]:
-    with open(path, newline="") as stream:
+    with open(path, encoding="utf-8", newline="") as stream:
         reader = csv.reader(stream)
         header = next(reader)
         if header != CONVERGENCE_HEADER:

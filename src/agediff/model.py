@@ -43,10 +43,6 @@ class ProblemSpec:
     a_dagger: float = 1.0
     right_boundary: Optional[Callable[[float], float]] = None
 
-    @property
-    def homogeneous(self) -> bool:
-        return self.right_boundary is None
-
     def boundary_value(self, t: float) -> float:
         """Value imposed at the right end at time t (0 when homogeneous)."""
         if self.right_boundary is None:
@@ -158,6 +154,17 @@ def _coefficient_from_ast(ast: exprdsl.ExprAst) -> Coefficient:
     return lambda x, s: _nodewise(ast, x, {"s": float(s)})
 
 
+# The variables each expression of problem_from_expressions may read.
+EXPRESSION_VARIABLES = {
+    "mortality": {"x", "s"},
+    "fertility": {"x", "s"},
+    "psi1": {"x"},
+    "psi2": {"x"},
+    "initial": {"x"},
+    "right_boundary": {"t"},
+}
+
+
 def problem_from_expressions(
     mortality: str,
     fertility: str,
@@ -169,18 +176,18 @@ def problem_from_expressions(
 ) -> ProblemSpec:
     """Build a ProblemSpec from expression strings.
 
-    Each slot sees only its documented variables: the rate coefficients see
-    {x, s}, the weights and the initial profile see {x}, and the boundary
-    history sees {t}.  ParseError propagates with the offending position.
+    Each slot may read only its variables in :data:`EXPRESSION_VARIABLES`.
+    ParseError propagates with the offending position.
     """
-    mortality_ast = exprdsl.parse_expr(mortality, {"x", "s"})
-    fertility_ast = exprdsl.parse_expr(fertility, {"x", "s"})
-    psi1_ast = exprdsl.parse_expr(psi1, {"x"})
-    psi2_ast = exprdsl.parse_expr(psi2, {"x"})
-    initial_ast = exprdsl.parse_expr(initial, {"x"})
+    variables = EXPRESSION_VARIABLES
+    mortality_ast = exprdsl.parse_expr(mortality, variables["mortality"])
+    fertility_ast = exprdsl.parse_expr(fertility, variables["fertility"])
+    psi1_ast = exprdsl.parse_expr(psi1, variables["psi1"])
+    psi2_ast = exprdsl.parse_expr(psi2, variables["psi2"])
+    initial_ast = exprdsl.parse_expr(initial, variables["initial"])
     g = None
     if right_boundary is not None:
-        g_ast = exprdsl.parse_expr(right_boundary, {"t"})
+        g_ast = exprdsl.parse_expr(right_boundary, variables["right_boundary"])
 
         def g(t: float) -> float:
             return exprdsl.eval_expr(g_ast, {"t": float(t)})

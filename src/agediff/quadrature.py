@@ -108,10 +108,6 @@ def l2_norm(v: InteriorVector) -> float:
     return math.sqrt(v.h * float(np.sum(v.values * v.values)))
 
 
-def inf_norm(v: InteriorVector) -> float:
-    return float(np.max(np.abs(v.values)))
-
-
 def star_norm(trace: np.ndarray, k: float) -> float:
     """Time-trace norm sqrt(sum_n k * z_n**2) over all stored levels."""
     trace = np.asarray(trace, dtype=float)

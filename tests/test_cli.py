@@ -92,32 +92,49 @@ def test_parse_inline_defaults():
     assert config.study == "single"
 
 
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("problem = example1\nwhat = 3\n", "line 2: unknown key 'what'"),
-        ("problem = example1\nproblem = example2\n", "line 2: duplicate key"),
-        ("problem =\n", "line 1: empty value"),
-        ("problem = example1\nr = 0.4\nt_final = 0.2\n", "missing required key 'm_prime'"),
-        ("problem = example1\nd = 1\nm_prime = 7\nr = 0.4\nt_final = 0.2\n", "use one or the other"),
-        ("problem = example1\na_dagger = 2\nm_prime = 7\nr = 0.4\nt_final = 0.2\n", "line 2: built-in problems fix a_dagger"),
-        ("d = 1\nu0 = 1\nm_prime = 7\nr = 0.4\nt_final = 0.2\n", "inline problem needs keys ['B']"),
-        ("problem = example1\nm_prime = 7\nr = 0.4\nt_final = 0.2\nstudy = fancy\n", "study must be one of"),
-        ("problem = example1\nm_prime = 7\nr = fast\nt_final = 0.2\n", "line 3: key 'r' needs a number"),
-        ("problem = example1\nm_prime = 7.5\nr = 0.4\nt_final = 0.2\n", "needs an integer"),
-        ("[solver]\n", "line 1: unknown section"),
-        ("[problem]\nm_prime = 7\n", "belongs in the [study] section"),
-        ("[study]\nd = 1\n", "belongs in the [problem] section"),
-        ("d = 1 +\nB = 1\nu0 = 1\nm_prime = 7\nr = 0.4\nt_final = 0.2\n", "invalid expression for 'd'"),
-        ("d = exp(t)\nB = 1\nu0 = 1\nm_prime = 7\nr = 0.4\nt_final = 0.2\n", "invalid expression for 'd'"),
-        ("just words\n", "expected 'key = value'"),
-        ("d = 1\nB = 1\nu0 = 1\na_dagger = -1\nm_prime = 7\nr = 0.4\nt_final = 0.2\n", "a_dagger must be positive"),
-    ],
-)
+REJECTIONS = [
+    ("problem = example1\nwhat = 3\n", "line 2: unknown key 'what'"),
+    ("problem = example1\nproblem = example2\n", "line 2: duplicate key"),
+    ("problem =\n", "line 1: empty value"),
+    ("problem = example1\nr = 0.4\nt_final = 0.2\n", "missing required key 'm_prime'"),
+    ("problem = example1\nd = 1\nm_prime = 7\nr = 0.4\nt_final = 0.2\n", "use one or the other"),
+    ("problem = example1\na_dagger = 2\nm_prime = 7\nr = 0.4\nt_final = 0.2\n", "line 2: built-in problems fix a_dagger"),
+    ("d = 1\nu0 = 1\nm_prime = 7\nr = 0.4\nt_final = 0.2\n", "inline problem needs keys ['B']"),
+    ("problem = example1\nm_prime = 7\nr = 0.4\nt_final = 0.2\nstudy = fancy\n", "study must be one of"),
+    ("problem = example1\nm_prime = 7\nr = fast\nt_final = 0.2\n", "line 3: key 'r' needs a number"),
+    ("problem = example1\nm_prime = 7.5\nr = 0.4\nt_final = 0.2\n", "needs an integer"),
+    ("[solver]\n", "line 1: unknown section"),
+    ("[problem]\nm_prime = 7\n", "belongs in the [study] section"),
+    ("[study]\nd = 1\n", "belongs in the [problem] section"),
+    ("d = 1 +\nB = 1\nu0 = 1\nm_prime = 7\nr = 0.4\nt_final = 0.2\n", "invalid expression for 'd'"),
+    ("d = exp(t)\nB = 1\nu0 = 1\nm_prime = 7\nr = 0.4\nt_final = 0.2\n", "invalid expression for 'd'"),
+    ("just words\n", "expected 'key = value'"),
+    ("d = 1\nB = 1\nu0 = 1\na_dagger = -1\nm_prime = 7\nr = 0.4\nt_final = 0.2\n", "a_dagger must be positive"),
+    ("problem = example1\nm_prime = 7\nr = 0.4\nt_final = 0.2\nlevels = 2.5\n", "line 5: key 'levels' needs an integer"),
+    ("problem = example1\nm_prime = 7\nr = 0.4\nt_final = soon\n", "line 4: key 't_final' needs a number"),
+    ("d = 1\nB = 1\nu0 = 1\na_dagger = wide\nm_prime = 7\nr = 0.4\nt_final = 0.2\n", "line 4: key 'a_dagger' needs a number"),
+    ("problem = example1\nm_prime = 7\nt_final = 0.2\n", "missing required key 'r'"),
+    ("[problem]\noutput_dir = out\n", "line 2: key 'output_dir' belongs in the [study] section"),
+]
+
+
+@pytest.mark.parametrize("text,fragment", REJECTIONS)
 def test_parse_config_rejections(text, fragment):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text)
     assert fragment in str(excinfo.value)
+
+
+@pytest.mark.parametrize("text,fragment", REJECTIONS)
+def test_rejected_config_is_one_error_line(tmp_path, capsys, text, fragment):
+    config = write_config(tmp_path, text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", config, "--output-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert fragment in captured.err
+    assert not out_dir.exists()
 
 
 def test_list_command(capsys):
@@ -296,6 +313,16 @@ def test_unknown_builtin_id(tmp_path, capsys):
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 1
     assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(MINIMAL.encode() + b"# \xff\n")
+    assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read config file {str(path)!r}: 'utf-8' codec")
+    assert captured.err.count("\n") == 1
 
 
 def test_examples_command_is_reproducible(tmp_path):

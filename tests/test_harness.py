@@ -148,6 +148,12 @@ def test_stability_probe_zero_scale_is_degenerate():
     for row in rows:
         assert row.degenerate
         assert row.ratio is None
+    # at this scale the residual gap's yh-norm overflows to inf, and a finite
+    # numerator over it would read as a ratio of 0.0
+    problem, _ = builtin_problem("example3")
+    with np.errstate(over="ignore"):
+        rows = stability_probe(problem, build_grid(1.0, 7, 0.4, 0.05), levels=2, perturbation_scale=1e150)
+    assert [(row.ratio, row.degenerate) for row in rows] == [(None, True)] * 2
 
 
 @pytest.mark.parametrize("scale", [-0.5, math.nan, math.inf])
@@ -324,8 +330,10 @@ def whole_array_stability_probe(problem, base, levels, scale):
         )
         initial = InteriorVector(problem.initial(x), grid.h)
         gap = apply_phi(solution, problem, grid, initial) - apply_phi(perturbed, problem, grid, initial)
-        numerator, denominator = xh_norm(perturbation), yh_norm(gap)
-        if denominator == 0.0 or not math.isfinite(numerator / denominator):
+        # the numerator is the norm the perturbation was scaled to
+        assert xh_norm(perturbation) == pytest.approx(scale * grid.h, rel=1e-14)
+        numerator, denominator = scale * grid.h, yh_norm(gap)
+        if not (0.0 < denominator < math.inf and math.isfinite(numerator / denominator)):
             rows.append(StabilityRow(h=grid.h, ratio=None, degenerate=True))
         else:
             rows.append(StabilityRow(h=grid.h, ratio=numerator / denominator, degenerate=False))

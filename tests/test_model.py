@@ -54,7 +54,7 @@ def test_builtin_registry():
 
 def test_example1_definition():
     problem, exact = builtin_problem("example1")
-    assert problem.homogeneous
+    assert problem.right_boundary is None
     assert problem.boundary_value(0.3) == 0.0
     x = np.linspace(0.0, 1.0, 11)
     assert np.array_equal(problem.mortality(x, 5.0), np.ones_like(x))
@@ -68,7 +68,7 @@ def test_example1_definition():
 def test_example2_has_no_exact_solution():
     problem, exact = builtin_problem("example2")
     assert exact is None
-    assert problem.homogeneous
+    assert problem.right_boundary is None
     x = np.linspace(0.0, 1.0, 5)
     assert np.allclose(problem.mortality(x, 0.0), 0.5, rtol=0, atol=0)
     assert np.allclose(problem.mortality(x, DECAY), 1.5, rtol=1e-15, atol=0)
@@ -77,7 +77,7 @@ def test_example2_has_no_exact_solution():
 
 def test_example3_definition():
     problem, exact = builtin_problem("example3")
-    assert not problem.homogeneous
+    assert problem.right_boundary is not None
     x = np.linspace(0.0, 1.0, 5)
     assert np.allclose(problem.mortality(x, DECAY), 2.0, rtol=1e-15, atol=0)
     assert np.allclose(problem.initial(x), np.exp(-x) / 2.0, rtol=0, atol=0)
@@ -175,7 +175,7 @@ def test_problem_from_expressions_matches_builtin():
         initial="exp(-x)/2",
         right_boundary="exp(-1)/(1 + exp(-t))",
     )
-    assert not inline.homogeneous
+    assert inline.right_boundary is not None
     assert inline.a_dagger == 1.0
     x = np.linspace(0.05, 0.95, 7)
     for s in (0.0, 0.3, 1.0):
@@ -188,7 +188,7 @@ def test_problem_from_expressions_matches_builtin():
 
 def test_problem_from_expressions_defaults():
     inline = problem_from_expressions(mortality="1", fertility="e", initial="e - exp(x)")
-    assert inline.homogeneous
+    assert inline.right_boundary is None
     x = np.linspace(0.0, 1.0, 5)
     assert np.array_equal(inline.psi1(x), np.ones_like(x))
     assert np.array_equal(inline.psi2(x), np.ones_like(x))
