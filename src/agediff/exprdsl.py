@@ -15,6 +15,9 @@ table (exp, log, sin, cos, sqrt, abs; one argument each), the constants
 
 Each AST is compiled once, on its first evaluation, into a tree of
 closures that do the same float operations and checks in the same order.
+Compiling folds each subtree that reads no variable into its value, unless
+evaluating it raises, and specialises '+' and '*' with a constant left
+operand and '/' by a nonzero constant, so they skip a call and a check.
 Each :func:`eval_expr` call still evaluates one point, and raises
 :class:`EvalError` instead of letting NaN leak: ``log`` of a non-positive
 value, ``sqrt`` of a negative value, division by zero, and '^' on a negative
@@ -215,14 +218,18 @@ _Compiled = Callable[[Mapping[str, float]], float]
 _COMPILED: dict[int, _Compiled] = {}
 
 
-def _compile(node: ExprAst) -> _Compiled:
-    """Compile ``node`` to a closure that evaluates it at given bindings."""
+def _compile(node: ExprAst) -> Union[float, _Compiled]:
+    """Compile ``node`` to a closure that evaluates it at given bindings.
+
+    A subtree that reads no variable is folded: its closure runs once, here,
+    and its value is returned instead.  If that run raises, the subtree stays
+    a closure, so each evaluation raises the same error at the same point.
+    """
     match node:
         case Num(value):
-            return lambda bindings: value
+            return value
         case Const(name):
-            value = _CONSTANTS[name]
-            return lambda bindings: value
+            return _CONSTANTS[name]
         case Var(name):
 
             def variable(bindings: Mapping[str, float]) -> float:
@@ -233,13 +240,27 @@ def _compile(node: ExprAst) -> _Compiled:
 
             return variable
         case Neg(operand):
-            operand = _compile(operand)
-            return lambda bindings: -operand(bindings)
+            operands = [_compile(operand)]
+            negated = _closure(operands[0])
+            compiled = lambda bindings: -negated(bindings)
         case Call(func, arg):
-            return _compile_call(func, _compile(arg))
+            operands = [_compile(arg)]
+            compiled = _compile_call(func, _closure(operands[0]))
         case BinOp(op, left, right):
-            return _compile_binop(op, _compile(left), _compile(right))
-    raise EvalError(f"unknown AST node {node!r}")
+            operands = [_compile(left), _compile(right)]
+            compiled = _compile_binop(op, *operands)
+        case _:
+            raise EvalError(f"unknown AST node {node!r}")
+    if any(map(callable, operands)):
+        return compiled
+    try:
+        return compiled({})
+    except EvalError:
+        return compiled
+
+
+def _closure(compiled: Union[float, _Compiled]) -> _Compiled:
+    return compiled if callable(compiled) else lambda bindings: compiled
 
 
 def _compile_call(func: str, arg: _Compiled) -> _Compiled:
@@ -259,7 +280,17 @@ def _compile_call(func: str, arg: _Compiled) -> _Compiled:
     return call
 
 
-def _compile_binop(op: str, left: _Compiled, right: _Compiled) -> _Compiled:
+def _compile_binop(op: str, left: Union[float, _Compiled], right: Union[float, _Compiled]) -> _Compiled:
+    # An operand that is not callable is a folded constant, which cannot
+    # fail, so taking it inline keeps the same operations in the same order.
+    if not callable(left) and callable(right):
+        if op == "+":
+            return lambda bindings: left + right(bindings)
+        if op == "*":
+            return lambda bindings: left * right(bindings)
+    if callable(left) and not callable(right) and op == "/" and right != 0.0:
+        return lambda bindings: left(bindings) / right
+    left, right = _closure(left), _closure(right)
     # Both operands are evaluated, left first, before any check, so the
     # first error raised is the leftmost one.
     if op == "+":
@@ -300,14 +331,18 @@ def eval_expr(node: ExprAst, bindings: Mapping[str, float]) -> float:
     """Evaluate an AST at a point given as a name -> value mapping.
 
     The AST is compiled on its first evaluation; later calls reuse the
-    closure.  A NaN result raises :class:`EvalError`.
+    closure.  A bare :class:`Num` root skips that lookup.  A NaN result
+    raises :class:`EvalError`, checked on every call, a Num root's too.
     """
-    compiled = _COMPILED.get(id(node))
-    if compiled is None:
-        compiled = _compile(node)
-        weakref.finalize(node, _COMPILED.pop, id(node), None)
-        _COMPILED[id(node)] = compiled
-    result = compiled(bindings)
+    if type(node) is Num:
+        result = node.value
+    else:
+        compiled = _COMPILED.get(id(node))
+        if compiled is None:
+            compiled = _closure(_compile(node))
+            weakref.finalize(node, _COMPILED.pop, id(node), None)
+            _COMPILED[id(node)] = compiled
+        result = compiled(bindings)
     if result != result:
         raise EvalError(f"{format_expr(node)} evaluates to NaN at {dict(bindings)!r}")
     return result

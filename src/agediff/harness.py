@@ -229,7 +229,8 @@ def stability_probe(
         del perturbation
         gap = residual_gap.values
         np.subtract(gap, apply_phi(solution, problem, grid, initial).values, out=gap)
-        denominator = yh_norm(residual_gap)
+        with np.errstate(over="ignore"):  # an overflowing gap is a degenerate row
+            denominator = yh_norm(residual_gap)
         if not (0.0 < denominator < math.inf and math.isfinite(numerator / denominator)):
             rows.append(StabilityRow(h=grid.h, ratio=None, degenerate=True))
         else:

@@ -138,7 +138,11 @@ def builtin_problem(problem_id: str) -> tuple[ProblemSpec, Optional[ExactSolutio
 
 
 def _nodewise(ast: exprdsl.ExprAst, x: np.ndarray, bindings: dict) -> np.ndarray:
-    """Evaluate ``ast`` at every node of ``x`` (any shape), one eval_expr call per node."""
+    """Evaluate ``ast`` at every node of ``x`` (any shape), one eval_expr call per node.
+
+    Also for a constant ``ast``: the benchmark pins exprdsl.eval.calls to the
+    node count, so a whole-array path waits for the benchmark to change.
+    """
     x = np.asarray(x, dtype=float)
     evaluate = exprdsl.eval_expr
     # Each pass binds the next node to bindings["x"] before the call.

@@ -426,3 +426,32 @@ def test_update_coefficient_margin_sets_the_exit_code(tmp_path, capsys, d, code)
     if code:
         assert "update coefficient" in capsys.readouterr().err
     assert (out_dir / "inline_slice_h0.05.csv").exists() == (code == 0)
+
+
+def test_inline_run_makes_one_outermost_eval_call_per_node(tmp_path, monkeypatch):
+    # The benchmark pins exprdsl.eval.calls = model.coeff.nodes on inline-ex3;
+    # a coefficient path that skips or repeats eval_expr per node moves it.
+    from agediff import exprdsl, model
+
+    calls = {"eval": 0, "nodes": 0}
+    evaluate, nodewise = exprdsl.eval_expr, model._nodewise
+
+    def outermost(node, bindings):
+        calls["eval"] += 1
+        monkeypatch.setattr(exprdsl, "eval_expr", evaluate)
+        try:
+            return evaluate(node, bindings)
+        finally:
+            monkeypatch.setattr(exprdsl, "eval_expr", outermost)
+
+    def counted(ast, x, bindings):
+        calls["nodes"] += np.asarray(x).size
+        return nodewise(ast, x, bindings)
+
+    monkeypatch.setattr(exprdsl, "eval_expr", outermost)
+    monkeypatch.setattr(model, "_nodewise", counted)
+    homogeneous = INLINE.replace("g = exp(-1) / (1 + exp(-t))\n", "")
+    config = write_config(tmp_path, homogeneous)
+    assert main(["run", "--config", config, "--output-dir", str(tmp_path / "out")]) == 0
+    assert calls["nodes"] > 0
+    assert calls["eval"] == calls["nodes"]

@@ -279,6 +279,30 @@ def test_compiled_evaluation_matches_the_tree_walk(node, x):
     assert outcome(eval_expr, node, {"x": x}) == actual
 
 
+# Mostly constant trees, so that most subtrees are folded at compile time.
+_MOSTLY_CONSTANT_ASTS = st.recursive(
+    st.one_of(
+        st.builds(Num, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e308])),
+        st.builds(Num, st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)),
+        st.builds(Const, st.sampled_from(sorted(_REFERENCE_CONSTANTS))),
+        st.builds(Var, st.just("x")),
+    ),
+    lambda children: st.one_of(
+        st.builds(Neg, children),
+        st.builds(Call, st.sampled_from(sorted(_REFERENCE_FUNCTIONS)), children),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), children, children),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(node=_MOSTLY_CONSTANT_ASTS, x=_POINTS)
+def test_folded_evaluation_matches_the_tree_walk(node, x):
+    # the oracle's own checks, run on trees whose subtrees mostly fold
+    test_compiled_evaluation_matches_the_tree_walk.hypothesis.inner_test(node, x)
+
+
 @settings(max_examples=300, deadline=None)
 @given(node=_ASTS)
 def test_format_then_parse_rebuilds_any_ast(node):
@@ -315,3 +339,45 @@ def test_a_freed_ast_never_lends_its_closure():
     eval_expr(node, {"x": 1.0})
     gc.collect()
     assert len(exprdsl._COMPILED) == before + 1
+
+
+def test_constant_subtree_is_evaluated_once(monkeypatch):
+    calls = []
+    exp = exprdsl._FUNCTIONS["exp"]
+    monkeypatch.setitem(exprdsl._FUNCTIONS, "exp", lambda value: calls.append(value) or exp(value))
+    node = parse_expr("x + exp(1)", {"x"})
+    for i in range(100):
+        assert eval_expr(node, {"x": float(i)}) == float(i) + math.e
+    assert calls == [1.0]
+
+
+@pytest.mark.parametrize("text", ["log(0)*x", "x^0.5 + log(0)"])
+@pytest.mark.parametrize("x", [-1.0, 1.0])
+def test_failing_constant_subtree_raises_where_it_did(text, x):
+    node = parse_expr(text, {"x"})
+    with pytest.raises(EvalError) as expected:
+        reference_eval(node, {"x": x})
+    for _ in range(2):
+        with pytest.raises(EvalError) as actual:
+            eval_expr(node, {"x": x})
+        assert str(actual.value) == str(expected.value)
+
+
+def test_constant_nan_subtree_is_folded_and_caught():
+    node = parse_expr("(1e308*10 - 1e308*10)*x", {"x"})
+    assert math.isnan(reference_eval(node, {"x": 1.0}))
+    with pytest.raises(EvalError, match=r"evaluates to NaN at \{'x': 1.0\}"):
+        eval_expr(node, {"x": 1.0})
+
+
+def test_folded_negative_zero_keeps_its_sign_rules():
+    node = parse_expr("-(0) + x", {"x"})
+    expected = reference_eval(node, {"x": 0.0})
+    assert eval_expr(node, {"x": 0.0}).hex() == expected.hex() == (0.0).hex()
+    assert eval_expr(parse_expr("-(0)", ()), {}).hex() == (-0.0).hex()
+
+
+def test_nan_number_root_still_raises():
+    with pytest.raises(EvalError, match="evaluates to NaN"):
+        eval_expr(Num(math.nan), {})
+    assert eval_expr(Num(2.5), {}) == 2.5
