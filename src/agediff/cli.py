@@ -22,12 +22,12 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import harness, model
 from .errors import AgediffError, ConfigError, NonFiniteState, ParseError, StabilityViolation
-from .exprdsl import parse_expr
+from .exprdsl import ExprAst, parse_expr
 from .grid import GridSpec, build_grid
 from .model import ExactSolution, ProblemSpec
 from .residual import _sample_nodes
@@ -52,6 +52,9 @@ class RunConfig:
     study: str
     levels: int
     output_dir: str
+    # The AST of each expression the config gives, parsed once when it was
+    # checked; _materialize hands these to problem_from_expressions.
+    parsed: Optional[dict] = field(default=None, compare=False, repr=False)
 
 
 # A converter maps (key, value text) to the value, or raises ValueError with
@@ -83,12 +86,11 @@ def _study(key: str, value: str) -> str:
     return value
 
 
-def _expression(key: str, value: str) -> str:
+def _expression(key: str, value: str) -> ExprAst:
     try:
-        parse_expr(value, model.EXPRESSION_VARIABLES[_FIELDS[key]])
+        return parse_expr(value, model.EXPRESSION_VARIABLES[_FIELDS[key]])
     except ParseError as exc:
         raise ValueError(f"invalid expression for {key!r}: {exc}") from exc
-    return value
 
 
 def _text(key: str, value: str) -> str:
@@ -176,15 +178,20 @@ def parse_config(text: str) -> RunConfig:
 
     keys = [key for key in _KEYS if not (builtin and key in _FIELDS)]
     values = {key: get(key, _KEYS[key].convert, _KEYS[key].default) for key in keys}
-    expressions = None if builtin else {key: values.pop(key) for key in _FIELDS}
-    return RunConfig(problem_id=values.pop("problem"), expressions=expressions, **values)
+    expressions = parsed = None
+    if not builtin:
+        # a given expression converts to its AST; an absent one keeps its default text
+        parsed = {key: values.pop(key) for key in _FIELDS if key in entries}
+        expressions = {key: entries[key][0] if key in parsed else values.pop(key) for key in _FIELDS}
+    return RunConfig(problem_id=values.pop("problem"), expressions=expressions, parsed=parsed, **values)
 
 
 def _materialize(config: RunConfig) -> tuple[ProblemSpec, Optional[ExactSolution], str]:
     if config.problem_id is not None:
         problem, exact = model.builtin_problem(config.problem_id)
         return problem, exact, config.problem_id
-    arguments = {_FIELDS[key]: text for key, text in config.expressions.items()}
+    parsed = config.parsed or {}
+    arguments = {_FIELDS[key]: parsed.get(key, text) for key, text in config.expressions.items()}
     return model.problem_from_expressions(**arguments, a_dagger=config.a_dagger), None, "inline"
 
 

@@ -10,13 +10,20 @@ Coefficient callables are vectorized over the age argument: they receive a
 float ndarray of node coordinates plus the scalar weighted population, and
 must return an array of the same shape.  ``g`` and exact solutions in time
 are scalar in t.
+
+No caller writes into the array a coefficient, profile or exact solution
+returns, so a callable may hand out a shared read-only array.  The built-ins
+do: a coefficient that reads neither x nor s (psi1 = psi2 = 1, and example1's
+d = 1 and B = e) returns one cached ``np.full`` array per shape, and writing
+into it raises ValueError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -61,12 +68,33 @@ class ExactSolution:
 _DECAY_SCALE = 1.0 - math.exp(-1.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _full(shape: tuple, value: float) -> np.ndarray:
+    # Read-only: every call for this shape and value shares this one array.
+    values = np.full(shape, value)
+    values.flags.writeable = False
+    return values
+
+
+def _constant(value: float) -> Callable:
+    """A coefficient or profile that reads neither x nor s: ``value`` at every node."""
+    # x.shape spares the solver's ndarray the dispatch of np.shape, which scalars need
+    return lambda x, s=None: _full(x.shape if isinstance(x, np.ndarray) else np.shape(x), value)
+
+
+def _filled(x, value: float) -> np.ndarray:
+    """``np.full_like(x, value)`` without numpy's Python-level wrapper."""
+    values = np.empty_like(x)
+    values.fill(value)
+    return values
+
+
 def _example1() -> tuple[ProblemSpec, ExactSolution]:
     problem = ProblemSpec(
-        mortality=lambda x, s: np.ones_like(x),
-        fertility=lambda x, s: np.full_like(x, math.e),
-        psi1=lambda x: np.ones_like(x),
-        psi2=lambda x: np.ones_like(x),
+        mortality=_constant(1.0),
+        fertility=_constant(math.e),
+        psi1=_constant(1.0),
+        psi2=_constant(1.0),
         initial=lambda x: math.e - np.exp(x),
         a_dagger=1.0,
         right_boundary=None,
@@ -80,10 +108,10 @@ def _example1() -> tuple[ProblemSpec, ExactSolution]:
 
 def _example2() -> tuple[ProblemSpec, None]:
     problem = ProblemSpec(
-        mortality=lambda x, s: np.full_like(x, 0.5 + s / _DECAY_SCALE),
+        mortality=lambda x, s: _filled(x, 0.5 + s / _DECAY_SCALE),
         fertility=lambda x, s: 2.0 * np.exp(x),
-        psi1=lambda x: np.ones_like(x),
-        psi2=lambda x: np.ones_like(x),
+        psi1=_constant(1.0),
+        psi2=_constant(1.0),
         initial=lambda x: math.e - np.exp(x),
         a_dagger=1.0,
         right_boundary=None,
@@ -93,10 +121,10 @@ def _example2() -> tuple[ProblemSpec, None]:
 
 def _example3() -> tuple[ProblemSpec, ExactSolution]:
     problem = ProblemSpec(
-        mortality=lambda x, s: np.full_like(x, 1.0 + s / _DECAY_SCALE),
+        mortality=lambda x, s: _filled(x, 1.0 + s / _DECAY_SCALE),
         fertility=lambda x, s: 2.0 * np.exp(x),
-        psi1=lambda x: np.ones_like(x),
-        psi2=lambda x: np.ones_like(x),
+        psi1=_constant(1.0),
+        psi2=_constant(1.0),
         initial=lambda x: np.exp(-x) / 2.0,
         a_dagger=1.0,
         right_boundary=lambda t: math.exp(-1.0) / (1.0 + math.exp(-t)),
@@ -169,29 +197,39 @@ EXPRESSION_VARIABLES = {
 }
 
 
+Expression = Union[str, exprdsl.ExprAst]
+
+
+def _parsed(expression: Expression, slot: str) -> exprdsl.ExprAst:
+    if isinstance(expression, str):
+        return exprdsl.parse_expr(expression, EXPRESSION_VARIABLES[slot])
+    return expression
+
+
 def problem_from_expressions(
-    mortality: str,
-    fertility: str,
-    initial: str,
-    psi1: str = "1",
-    psi2: str = "1",
-    right_boundary: Optional[str] = None,
+    mortality: Expression,
+    fertility: Expression,
+    initial: Expression,
+    psi1: Expression = "1",
+    psi2: Expression = "1",
+    right_boundary: Optional[Expression] = None,
     a_dagger: float = 1.0,
 ) -> ProblemSpec:
     """Build a ProblemSpec from expression strings.
 
     Each slot may read only its variables in :data:`EXPRESSION_VARIABLES`.
-    ParseError propagates with the offending position.
+    ParseError propagates with the offending position.  A slot may also be
+    given as the AST that ``exprdsl.parse_expr`` returned for its text and
+    those variables, which is then used without parsing again.
     """
-    variables = EXPRESSION_VARIABLES
-    mortality_ast = exprdsl.parse_expr(mortality, variables["mortality"])
-    fertility_ast = exprdsl.parse_expr(fertility, variables["fertility"])
-    psi1_ast = exprdsl.parse_expr(psi1, variables["psi1"])
-    psi2_ast = exprdsl.parse_expr(psi2, variables["psi2"])
-    initial_ast = exprdsl.parse_expr(initial, variables["initial"])
+    mortality_ast = _parsed(mortality, "mortality")
+    fertility_ast = _parsed(fertility, "fertility")
+    psi1_ast = _parsed(psi1, "psi1")
+    psi2_ast = _parsed(psi2, "psi2")
+    initial_ast = _parsed(initial, "initial")
     g = None
     if right_boundary is not None:
-        g_ast = exprdsl.parse_expr(right_boundary, variables["right_boundary"])
+        g_ast = _parsed(right_boundary, "right_boundary")
 
         def g(t: float) -> float:
             return exprdsl.eval_expr(g_ast, {"t": float(t)})

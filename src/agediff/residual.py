@@ -29,10 +29,21 @@ among them the scratch :class:`~agediff.quadrature.InteriorVector` that each
 weighted product is written into before ``qh``.  It may write the residual
 into the element itself (``out=v``); if it raises, the contents of ``out``
 are unspecified.
+
+Each level's fertility and mortality are guarded by scalars, as in
+:func:`agediff.solver.run`; the array check runs only when one fails, so the
+error and its order are those of checking each array at once.  Fertility:
+every quadrature weight is nonzero, so a non-finite B makes the birth
+integral non-finite.  Mortality: the dot product of d with zeros is 0 when
+every d_i is finite and NaN otherwise, and it cannot overflow.  NaN and inf
+thus reach numpy before the error, so the per-level loop runs under
+``np.errstate(invalid="ignore")``, which also silences "invalid value"
+warnings inside the coefficient callables.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,7 +57,6 @@ from .solver import (
     _boundary_values,
     _check_coefficient,
     _check_domain,
-    _coefficient_values,
     _nodal_values,
 )
 
@@ -143,20 +153,27 @@ def apply_phi(
     scratch = np.empty((3, _BLOCK_ROWS, width))
     birth = np.empty(_BLOCK_ROWS)
     weighted = InteriorVector(np.empty(width), h)
+    zeros = np.zeros(width)
     for start in range(0, n_levels, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_levels)
         size = stop - start
         block = nodes[: size + 1]
         block[1:] = v.values[start:stop]
-        for j, row in enumerate(block[1:, 1:-1]):
-            np.multiply(psi2, row, out=weighted.values)
-            s2 = qh(weighted)
-            fertility = _coefficient_values(problem.fertility, x, s2, "fertility")
-            np.multiply(fertility, row, out=weighted.values)
-            birth[j] = qh(weighted)
-            np.multiply(psi1, row, out=weighted.values)
-            s1 = qh(weighted)
-            mortality[j + 1] = _coefficient_values(problem.mortality, x, s1, "mortality")
+        with np.errstate(invalid="ignore"):
+            for j, row in enumerate(block[1:, 1:-1]):
+                np.multiply(psi2, row, out=weighted.values)
+                s2 = qh(weighted)
+                fertility = _nodal_values(problem.fertility(x, s2), x, "fertility")
+                np.multiply(fertility, row, out=weighted.values)
+                birth[j] = integral = qh(weighted)
+                if not math.isfinite(integral):
+                    _check_coefficient(fertility, "fertility", s2)
+                np.multiply(psi1, row, out=weighted.values)
+                s1 = qh(weighted)
+                d = _nodal_values(problem.mortality(x, s1), x, "mortality")
+                if not math.isfinite(d.dot(zeros)):
+                    _check_coefficient(d, "mortality", s1)
+                mortality[j + 1] = d
         out.left_trace[start:stop] = (1.0 + 1.0 / h) * block[1:, 0] - block[1:, 1] / h - birth[:size]
         out.right_trace[start:stop] = (block[1:, -1] - g[start:stop]) / h
         # The update rows, term by term in the formula's operand order: the bits of one

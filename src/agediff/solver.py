@@ -163,12 +163,6 @@ def _check_coefficient(values: np.ndarray, what: str, s: Optional[float] = None)
         raise EvalError(f"{what} evaluated to a non-finite value{at}")
 
 
-def _coefficient_values(fn, x: np.ndarray, s: float, what: str) -> np.ndarray:
-    values = _nodal_values(fn(x, s), x, what)
-    _check_coefficient(values, what, s)
-    return values
-
-
 def run(
     problem: ProblemSpec,
     grid: GridSpec,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -455,3 +456,47 @@ def test_inline_run_makes_one_outermost_eval_call_per_node(tmp_path, monkeypatch
     assert main(["run", "--config", config, "--output-dir", str(tmp_path / "out")]) == 0
     assert calls["nodes"] > 0
     assert calls["eval"] == calls["nodes"]
+
+
+def test_inline_config_parses_each_expression_once(tmp_path, monkeypatch):
+    # parse_config checks each given expression by parsing it, and the CLI
+    # builds the problem from those ASTs; only the default psi1 and psi2 are
+    # parsed by problem_from_expressions
+    from agediff import cli, exprdsl, model
+
+    parse = exprdsl.parse_expr
+    seen = []
+
+    def counted(text, allowed_vars):
+        seen.append((text, frozenset(allowed_vars)))
+        return parse(text, allowed_vars)
+
+    monkeypatch.setattr(exprdsl, "parse_expr", counted)
+    monkeypatch.setattr(cli, "parse_expr", counted)
+    config = write_config(tmp_path, INLINE)
+    assert main(["run", "--config", config, "--output-dir", str(tmp_path / "out")]) == 0
+    variables = model.EXPRESSION_VARIABLES
+    assert sorted(seen, key=repr) == sorted(
+        [
+            ("1 + s", frozenset(variables["mortality"])),
+            ("2 * exp(x)", frozenset(variables["fertility"])),
+            ("exp(-x) / 2", frozenset(variables["initial"])),
+            ("exp(-1) / (1 + exp(-t))", frozenset(variables["right_boundary"])),
+            ("1", frozenset(variables["psi1"])),
+            ("1", frozenset(variables["psi2"])),
+        ],
+        key=repr,
+    )
+
+
+def test_config_asts_build_the_same_problem_as_the_text():
+    from agediff import cli
+    from agediff.grid import build_grid
+    from agediff.solver import run
+
+    config = parse_config(INLINE)
+    assert set(config.parsed) == {"d", "B", "u0", "g"}
+    grid = build_grid(1.0, 7, 0.4, 0.1)
+    from_asts = run(cli._materialize(config)[0], grid).values
+    from_text = run(cli._materialize(replace(config, parsed=None))[0], grid).values
+    assert np.array_equal(from_asts.view(np.int64), from_text.view(np.int64))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,10 @@ from hypothesis.extra import numpy as hnp
 
 from agediff.errors import EvalError, ParseError, UnknownProblem
 from agediff.exprdsl import eval_expr, parse_expr
+from agediff.grid import build_grid
+from agediff.quadrature import InteriorVector
+from agediff.residual import apply_phi
+from agediff.solver import run
 from agediff.model import (
     ExactSolution,
     builtin_description,
@@ -252,3 +257,94 @@ def test_inline_callables_equal_per_node_evaluation(x, s):
         assert values.shape == x.shape
         assert values.dtype == np.float64
         assert values.tobytes() == expected.tobytes()
+
+
+# The built-in callables as numpy's *_like constructors write them: every call
+# returns a fresh array.  The built-ins share their constant arrays and fill
+# d(s) without the wrapper, and must give the same bits.
+def _ones(x, s=None):
+    return np.ones_like(x)
+
+
+ALLOCATING = {
+    "example1": dict(mortality=_ones, fertility=lambda x, s: np.full_like(x, E), psi1=_ones, psi2=_ones),
+    "example2": dict(mortality=lambda x, s: np.full_like(x, 0.5 + s / DECAY), psi1=_ones, psi2=_ones),
+    "example3": dict(mortality=lambda x, s: np.full_like(x, 1.0 + s / DECAY), psi1=_ones, psi2=_ones),
+}
+
+
+def allocating_problem(problem_id):
+    return dataclasses.replace(builtin_problem(problem_id)[0], **ALLOCATING[problem_id])
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape, got.dtype) == (want.shape, want.dtype) and np.array_equal(
+        got.view(np.int64), want.view(np.int64)
+    )
+
+
+NODES = {
+    "0-d": np.asarray(0.3),
+    "1-d": np.linspace(-3.0, 3.0, 13),
+    "2-d": np.linspace(0.0, 1.0, 12).reshape(3, 4),
+}
+
+
+@pytest.mark.parametrize("nodes", NODES.values(), ids=NODES.keys())
+@pytest.mark.parametrize("problem_id", sorted(ALLOCATING))
+def test_builtin_coefficients_equal_their_allocating_form_bit_for_bit(problem_id, nodes):
+    problem = builtin_problem(problem_id)[0]
+    for name, allocating in ALLOCATING[problem_id].items():
+        arguments = (nodes,) if name.startswith("psi") else (nodes, 0.7)
+        assert same_bits(getattr(problem, name)(*arguments), allocating(*arguments)), name
+
+
+def test_builtins_accept_a_python_scalar():
+    for problem_id, allocating in ALLOCATING.items():
+        problem = builtin_problem(problem_id)[0]
+        assert same_bits(problem.psi1(0.5), allocating["psi1"](0.5))
+        assert same_bits(problem.mortality(0.5, 0.2), allocating["mortality"](0.5, 0.2))
+
+
+def test_constant_coefficients_are_shared_read_only_arrays():
+    problem = builtin_problem("example1")[0]
+    x = np.linspace(0.0, 1.0, 11)
+    ones = problem.psi1(x)
+    # one array per shape and value, whatever the problem instance or slot
+    assert ones is problem.psi2(x) is problem.mortality(x, 3.0) is builtin_problem("example2")[0].psi1(x)
+    assert problem.psi1(np.linspace(0.0, 1.0, 7)).shape == (7,)
+    for values in (ones, problem.fertility(x, 3.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 2.0
+    assert np.array_equal(ones, np.ones(11))
+
+
+@pytest.mark.parametrize("problem_id", sorted(ALLOCATING))
+def test_run_on_builtins_equals_their_allocating_form_bit_for_bit(problem_id):
+    grid = build_grid(1.0, 7, 0.4, 0.2)
+    assert same_bits(run(builtin_problem(problem_id)[0], grid).values, run(allocating_problem(problem_id), grid).values)
+
+
+@pytest.mark.parametrize("problem_id", sorted(ALLOCATING))
+def test_psi_calls_are_counted_as_before(problem_id):
+    # run calls psi2 at every level and psi1 before every step; apply_phi calls
+    # each once
+    grid = build_grid(1.0, 7, 0.4, 0.05)
+    counts = []
+    for problem in (builtin_problem(problem_id)[0], allocating_problem(problem_id)):
+        calls = {"psi1": 0, "psi2": 0}
+
+        def counted(name, fn):
+            def psi(x):
+                calls[name] += 1
+                return fn(x)
+
+            return psi
+
+        counting = dataclasses.replace(problem, psi1=counted("psi1", problem.psi1), psi2=counted("psi2", problem.psi2))
+        solution = run(counting, grid)
+        initial = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
+        apply_phi(solution, counting, grid, initial)
+        counts.append(calls)
+    assert counts[0] == counts[1] == {"psi1": grid.n_steps + 1, "psi2": grid.n_steps + 2}

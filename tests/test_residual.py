@@ -228,7 +228,16 @@ def test_strided_history_is_not_an_element(measure):
 
 
 # Whole-history forms of apply_phi and the norms: one array expression over
-# every row at once.  The blocked code must reproduce them bit for bit.
+# every row at once.  The blocked code must reproduce them bit for bit.  The
+# reference checks each level's fertility and mortality arrays as soon as they
+# exist; apply_phi guards them by scalars and must fail the same way.
+
+def checked(values, what, s):
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise EvalError(f"{what} evaluated to a non-finite value (s = {s!r})")
+    return values
+
 
 def whole_history_apply_phi(v, problem, grid, initial):
     h, k = grid.h, grid.k
@@ -239,10 +248,10 @@ def whole_history_apply_phi(v, problem, grid, initial):
     mortality = np.empty_like(v.interior)
     for n, row in enumerate(v.interior):
         s2 = qh(InteriorVector(psi2 * row, h))
-        fertility = np.asarray(problem.fertility(x, s2), dtype=float)
+        fertility = checked(problem.fertility(x, s2), "fertility", s2)
         birth[n] = qh(InteriorVector(fertility * row, h))
         s1 = qh(InteriorVector(psi1 * row, h))
-        mortality[n] = problem.mortality(x, s1)
+        mortality[n] = checked(problem.mortality(x, s1), "mortality", s1)
     left = (1.0 + 1.0 / h) * v.left_trace - v.interior[:, 0] / h - birth
     g_values = np.array([problem.boundary_value(t) for t in grid.time_levels()])
     right = v.right_trace / h if problem.right_boundary is None else (v.right_trace - g_values) / h
@@ -369,6 +378,95 @@ def test_non_finite_mortality_at_the_last_level_still_raises():
                 apply_phi(broken, blows_up, grid, initial, out=broken if alias else None)
             fine = element(1.0)
             apply_phi(fine, blows_up, grid, initial, out=fine if alias else None)
+
+
+def after_calls(count, good, bad):
+    """A callable that returns ``good(*args)`` for its first ``count`` calls, then ``bad(*args)``."""
+    calls = []
+
+    def fn(*args):
+        calls.append(None)
+        return (good if len(calls) <= count else bad)(*args)
+
+    return fn
+
+
+def one_bad_node(good, value):
+    def bad(x, s):
+        values = np.array(good(x, s))
+        values[len(values) // 2] = value
+        return values
+
+    return bad
+
+
+def everywhere(good, value):
+    def bad(x, s):
+        return np.full_like(x, value)
+
+    return bad
+
+
+# apply_phi calls fertility and mortality once per level, in ascending order,
+# so after_calls(level, ...) makes exactly that level's array bad.  Levels 255
+# and 256 sit on either side of the first block edge; 300 is the last level.
+PHI_LEVELS = {"level-0": 0, "mid-block": 100, "level-255": 255, "level-256": 256, "last-level": 300}
+PHI_FAILURES = {
+    **{
+        f"{slot}-{name}-{where}": {slot: (level, one_bad_node, value)}
+        for slot in ("fertility", "mortality")
+        for name, value in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf))
+        for where, level in PHI_LEVELS.items()
+    },
+    **{
+        f"mortality-at-{level}-before-fertility-at-{level + 1}": {
+            "mortality": (level, one_bad_node, math.nan),
+            "fertility": (level + 1, one_bad_node, math.inf),
+        }
+        for level in (100, 255)
+    },
+    # finite, so neither raises; 1e308 overflows the update rows, not the guard
+    **{f"mortality-{value:g}": {"mortality": (150, everywhere, value)} for value in (1e200, 1e308)},
+}
+FINITE = ("mortality-1e+200", "mortality-1e+308")
+
+
+def phi_outcome(call):
+    try:
+        result = call()
+    except Exception as exc:  # compared below, type and all
+        return type(exc), str(exc)
+    return tuple(np.asarray(array).view(np.int64).tolist() for array in result)
+
+
+@pytest.mark.parametrize("name", PHI_FAILURES)
+def test_apply_phi_fails_as_the_reference_that_checks_every_array(name):
+    problem, exact = builtin_problem("example3")
+    grid = dataclasses.replace(build_grid(1.0, 7, 0.4, 0.05), n_steps=300)
+    element = restrict(exact.u, grid)
+    initial = initial_vector(problem, grid)
+
+    def fresh():
+        slots = {
+            slot: after_calls(level, getattr(problem, slot), make_bad(getattr(problem, slot), value))
+            for slot, (level, make_bad, value) in PHI_FAILURES[name].items()
+        }
+        return dataclasses.replace(problem, **slots)
+
+    def blocked():
+        out = apply_phi(element, fresh(), grid, initial)
+        return out.left_trace, out.interior, out.right_trace
+
+    overflows = name == "mortality-1e+308"
+    # the reference warns on the non-finite sums it forms before its checks;
+    # apply_phi forms them silently and must raise its error, not a warning,
+    # under pytest's RuntimeWarning-as-error setting
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = phi_outcome(lambda: whole_history_apply_phi(element, fresh(), grid, initial))
+    with np.errstate(over="ignore" if overflows else "warn"):
+        got = phi_outcome(blocked)
+    assert got == expected
+    assert isinstance(got[0], type) == (name not in FINITE)
 
 
 def _builtin(problem_id):
