@@ -28,13 +28,9 @@ from .harness import (
     StabilityRow,
     consistency_study,
     convergence_study,
-    read_convergence_csv,
     self_convergence_study,
     stability_probe,
-    write_consistency_csv,
-    write_convergence_csv,
-    write_slice_csv,
-    write_stability_csv,
+    write_csv,
 )
 from .model import (
     ExactSolution,
@@ -85,7 +81,6 @@ __all__ = [
     "parse_expr",
     "problem_from_expressions",
     "qh",
-    "read_convergence_csv",
     "refine",
     "restrict",
     "run",
@@ -93,10 +88,7 @@ __all__ = [
     "stability_probe",
     "star_norm",
     "weights",
-    "write_consistency_csv",
-    "write_convergence_csv",
-    "write_slice_csv",
-    "write_stability_csv",
+    "write_csv",
     "xh_norm",
     "yh_norm",
     "build_grid",

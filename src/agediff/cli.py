@@ -22,12 +22,12 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import harness, model
 from .errors import AgediffError, ConfigError, NonFiniteState, ParseError, StabilityViolation
-from .exprdsl import ExprAst, parse_expr
+from .exprdsl import parse_expr
 from .grid import GridSpec, build_grid
 from .model import ExactSolution, ProblemSpec
 from .residual import _sample_nodes
@@ -36,6 +36,8 @@ from .solver import run as run_solver
 _STUDIES = ("single", "convergence", "self_convergence", "consistency", "stability")
 
 _EXAMPLE_T_FINAL = {"example1": 0.2, "example2": 0.8, "example3": 0.8}
+
+_CONVERGENCE_HEADER = ["h", "k", "M", "N", "err_inf", "err_l2", "err_xh", "order_inf", "order_l2", "order_xh"]
 
 # Each inline coefficient key and the problem_from_expressions argument it fills.
 _FIELDS = {"d": "mortality", "B": "fertility", "psi1": "psi1", "psi2": "psi2", "u0": "initial", "g": "right_boundary"}
@@ -52,9 +54,6 @@ class RunConfig:
     study: str
     levels: int
     output_dir: str
-    # The AST of each expression the config gives, parsed once when it was
-    # checked; _materialize hands these to problem_from_expressions.
-    parsed: Optional[dict] = field(default=None, compare=False, repr=False)
 
 
 # A converter maps (key, value text) to the value, or raises ValueError with
@@ -86,11 +85,12 @@ def _study(key: str, value: str) -> str:
     return value
 
 
-def _expression(key: str, value: str) -> ExprAst:
+def _expression(key: str, value: str) -> str:
     try:
-        return parse_expr(value, model.EXPRESSION_VARIABLES[_FIELDS[key]])
+        parse_expr(value, model.EXPRESSION_VARIABLES[_FIELDS[key]])
     except ParseError as exc:
         raise ValueError(f"invalid expression for {key!r}: {exc}") from exc
+    return value
 
 
 def _text(key: str, value: str) -> str:
@@ -178,20 +178,15 @@ def parse_config(text: str) -> RunConfig:
 
     keys = [key for key in _KEYS if not (builtin and key in _FIELDS)]
     values = {key: get(key, _KEYS[key].convert, _KEYS[key].default) for key in keys}
-    expressions = parsed = None
-    if not builtin:
-        # a given expression converts to its AST; an absent one keeps its default text
-        parsed = {key: values.pop(key) for key in _FIELDS if key in entries}
-        expressions = {key: entries[key][0] if key in parsed else values.pop(key) for key in _FIELDS}
-    return RunConfig(problem_id=values.pop("problem"), expressions=expressions, parsed=parsed, **values)
+    expressions = None if builtin else {key: values.pop(key) for key in _FIELDS}
+    return RunConfig(problem_id=values.pop("problem"), expressions=expressions, **values)
 
 
 def _materialize(config: RunConfig) -> tuple[ProblemSpec, Optional[ExactSolution], str]:
     if config.problem_id is not None:
         problem, exact = model.builtin_problem(config.problem_id)
         return problem, exact, config.problem_id
-    parsed = config.parsed or {}
-    arguments = {_FIELDS[key]: parsed.get(key, text) for key, text in config.expressions.items()}
+    arguments = {_FIELDS[key]: text for key, text in config.expressions.items()}
     return model.problem_from_expressions(**arguments, a_dagger=config.a_dagger), None, "inline"
 
 
@@ -200,9 +195,13 @@ def _write_run_slice(
 ) -> str:
     solution = run_solver(problem, grid, every=grid.n_steps)  # level 0 and the final one
     path = f"{output_dir}/{tag}_slice_h{grid.h!r}.csv"
-    # Sampled as restrict samples every level, at the final time only.
-    u_exact = None if exact is None else _sample_nodes(exact.u, grid, [grid.t_final])[0]
-    harness.write_slice_csv(path, grid.nodes(), solution.values[-1], u_exact)
+    header, columns = ["x", "u_numeric"], [grid.nodes(), solution.values[-1]]
+    if exact is not None:
+        # Sampled as restrict samples every level, at the final time only.
+        u_exact = _sample_nodes(exact.u, grid, [grid.t_final])[0]
+        header += ["u_exact", "abs_err"]
+        columns += [u_exact, abs(columns[1] - u_exact)]
+    harness.write_csv(path, header, zip(*columns))
     return path
 
 
@@ -223,19 +222,20 @@ def _execute(
         written.append(_write_run_slice(problem, exact, base, out, tag))
     else:
         if config.study == "convergence":
-            rows = harness.convergence_study(problem, exact, base, config.levels)
-            write = harness.write_convergence_csv
+            header = _CONVERGENCE_HEADER
+            rows = map(astuple, harness.convergence_study(problem, exact, base, config.levels))
         elif config.study == "self_convergence":
-            rows = harness.self_convergence_study(problem, base, config.levels)
-            write = harness.write_convergence_csv
+            header = _CONVERGENCE_HEADER
+            rows = map(astuple, harness.self_convergence_study(problem, base, config.levels))
         elif config.study == "consistency":
-            rows = harness.consistency_study(problem, exact, base, config.levels)
-            write = harness.write_consistency_csv
+            header = ["h", "residual_yh", "order"]
+            rows = map(astuple, harness.consistency_study(problem, exact, base, config.levels))
         else:
-            rows = harness.stability_probe(problem, base, config.levels, perturbation_scale)
-            write = harness.write_stability_csv
+            header = ["h", "ratio"]
+            probe = harness.stability_probe(problem, base, config.levels, perturbation_scale)
+            rows = [(row.h, "DegenerateRatio" if row.degenerate else row.ratio) for row in probe]
         path = f"{out}/{tag}_{config.study}.csv"
-        write(rows, path)
+        harness.write_csv(path, header, rows)
         written.append(path)
         if config.study in ("convergence", "self_convergence"):
             for grid in harness._grid_ladder(base, config.levels):

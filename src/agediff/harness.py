@@ -9,19 +9,19 @@ run with the finest one at the shared nodes and levels.  A grid function
 holds one row of node values per level, so each difference or sum of grid
 functions below is one ufunc call on their ``values``, written in place.
 
-CSV files are written atomically (temp file, then rename) and print floats
-as shortest round-tripping decimals, so reading a table back reproduces the
-in-memory rows bit for bit and identical studies produce identical bytes.
+:func:`write_csv` is the one CSV writer: it writes a header and rows of
+cells atomically (temp file, then rename) and prints floats as shortest
+round-tripping decimals, so parsing a table back reproduces the in-memory
+values bit for bit and identical studies produce identical bytes.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -238,18 +238,21 @@ def stability_probe(
     return rows
 
 
-CONVERGENCE_HEADER = ["h", "k", "M", "N", "err_inf", "err_l2", "err_xh", "order_inf", "order_l2", "order_xh"]
-
-
-def _fmt(value: Optional[float]) -> str:
+def _cell(value) -> str:
     if value is None:
         return ""
-    return repr(float(value))
+    if isinstance(value, float):  # np.float64 too
+        return repr(float(value))
+    return str(value)
 
 
-def _write_table(path: str, header: list[str], records) -> None:
-    """Write header and records (sequences of cell strings) atomically."""
-    text = "".join(",".join(cells) + "\n" for cells in (header, *records))
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows (sequences of cells) to ``path`` atomically.
+
+    A float cell prints as ``repr(float(value))``, an int or str as itself
+    and None as an empty cell.
+    """
+    text = "".join(",".join(map(_cell, cells)) + "\n" for cells in (header, *rows))
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     handle, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
@@ -261,77 +264,3 @@ def _write_table(path: str, header: list[str], records) -> None:
         if os.path.exists(temp_path):
             os.unlink(temp_path)
         raise
-
-
-def write_convergence_csv(rows: list[ConvergenceRow], path: str) -> None:
-    _write_table(
-        path,
-        CONVERGENCE_HEADER,
-        (
-            [
-                _fmt(row.h),
-                _fmt(row.k),
-                str(row.m_total),
-                str(row.n_steps),
-                *map(_fmt, (row.err_inf, row.err_l2, row.err_xh, row.order_inf, row.order_l2, row.order_xh)),
-            ]
-            for row in rows
-        ),
-    )
-
-
-def read_convergence_csv(path: str) -> list[ConvergenceRow]:
-    with open(path, encoding="utf-8", newline="") as stream:
-        reader = csv.reader(stream)
-        header = next(reader)
-        if header != CONVERGENCE_HEADER:
-            raise InvalidParameter(f"unexpected header {header!r} in {path}")
-        rows = []
-        for record in reader:
-            rows.append(
-                ConvergenceRow(
-                    h=float(record[0]),
-                    k=float(record[1]),
-                    m_total=int(record[2]),
-                    n_steps=int(record[3]),
-                    err_inf=float(record[4]),
-                    err_l2=float(record[5]),
-                    err_xh=float(record[6]),
-                    order_inf=float(record[7]) if record[7] else None,
-                    order_l2=float(record[8]) if record[8] else None,
-                    order_xh=float(record[9]) if record[9] else None,
-                )
-            )
-    return rows
-
-
-def write_consistency_csv(rows: list[ConsistencyRow], path: str) -> None:
-    _write_table(
-        path,
-        ["h", "residual_yh", "order"],
-        ((_fmt(row.h), _fmt(row.residual_yh), _fmt(row.order)) for row in rows),
-    )
-
-
-def write_stability_csv(rows: list[StabilityRow], path: str) -> None:
-    _write_table(
-        path,
-        ["h", "ratio"],
-        ((_fmt(row.h), "DegenerateRatio" if row.degenerate else _fmt(row.ratio)) for row in rows),
-    )
-
-
-def write_slice_csv(
-    path: str,
-    x: np.ndarray,
-    u_numeric: np.ndarray,
-    u_exact: Optional[np.ndarray] = None,
-) -> None:
-    if u_exact is None:
-        _write_table(path, ["x", "u_numeric"], (map(_fmt, cells) for cells in zip(x, u_numeric)))
-    else:
-        _write_table(
-            path,
-            ["x", "u_numeric", "u_exact", "abs_err"],
-            (map(_fmt, (xi, ui, ei, abs(ui - ei))) for xi, ui, ei in zip(x, u_numeric, u_exact)),
-        )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -197,39 +197,29 @@ EXPRESSION_VARIABLES = {
 }
 
 
-Expression = Union[str, exprdsl.ExprAst]
-
-
-def _parsed(expression: Expression, slot: str) -> exprdsl.ExprAst:
-    if isinstance(expression, str):
-        return exprdsl.parse_expr(expression, EXPRESSION_VARIABLES[slot])
-    return expression
-
-
 def problem_from_expressions(
-    mortality: Expression,
-    fertility: Expression,
-    initial: Expression,
-    psi1: Expression = "1",
-    psi2: Expression = "1",
-    right_boundary: Optional[Expression] = None,
+    mortality: str,
+    fertility: str,
+    initial: str,
+    psi1: str = "1",
+    psi2: str = "1",
+    right_boundary: Optional[str] = None,
     a_dagger: float = 1.0,
 ) -> ProblemSpec:
     """Build a ProblemSpec from expression strings.
 
     Each slot may read only its variables in :data:`EXPRESSION_VARIABLES`.
-    ParseError propagates with the offending position.  A slot may also be
-    given as the AST that ``exprdsl.parse_expr`` returned for its text and
-    those variables, which is then used without parsing again.
+    ParseError propagates with the offending position.
     """
-    mortality_ast = _parsed(mortality, "mortality")
-    fertility_ast = _parsed(fertility, "fertility")
-    psi1_ast = _parsed(psi1, "psi1")
-    psi2_ast = _parsed(psi2, "psi2")
-    initial_ast = _parsed(initial, "initial")
+    variables = EXPRESSION_VARIABLES
+    mortality_ast = exprdsl.parse_expr(mortality, variables["mortality"])
+    fertility_ast = exprdsl.parse_expr(fertility, variables["fertility"])
+    psi1_ast = exprdsl.parse_expr(psi1, variables["psi1"])
+    psi2_ast = exprdsl.parse_expr(psi2, variables["psi2"])
+    initial_ast = exprdsl.parse_expr(initial, variables["initial"])
     g = None
     if right_boundary is not None:
-        g_ast = _parsed(right_boundary, "right_boundary")
+        g_ast = exprdsl.parse_expr(right_boundary, variables["right_boundary"])
 
         def g(t: float) -> float:
             return exprdsl.eval_expr(g_ast, {"t": float(t)})

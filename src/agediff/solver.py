@@ -105,11 +105,6 @@ class GridFunction:
     def right_trace(self) -> np.ndarray:
         return self.values[:, -1]
 
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        if self.grid != other.grid or self.every != other.every:
-            raise DimensionMismatch("grid functions live on different grids or level strides")
-        return GridFunction(self.values - other.values, self.grid, self.every)
-
 
 def _check_every(every, grid: GridSpec) -> None:
     if not (
@@ -172,7 +167,8 @@ def run(
     """March from the initial profile to t_final, recording every ``every``-th level.
 
     ``observe``, if given, is called as ``observe(n, row)`` at every level n;
-    see the module docstring.
+    see the module docstring.  A history larger than numpy can index raises
+    InvalidParameter before anything is allocated.
     """
     _check_domain(problem, grid)
     if grid.lam + 2.0 * grid.r > 1.0:
@@ -182,6 +178,12 @@ def run(
             f"stability bound violated: lam + 2*r = {grid.lam + 2.0 * grid.r!r} > 1"
         )
     _check_every(every, grid)
+    levels, width = grid.n_steps // every + 1, grid.m_total + 1
+    if levels * width * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        # GridSpec only checks that one float per level fits
+        raise InvalidParameter(
+            f"a history of {levels:.6g} levels x {width} nodes is more than numpy can allocate"
+        )
     if observe is not None and not callable(observe):
         raise InvalidParameter(f"observe must be callable or None, got {observe!r}")
 
@@ -189,9 +191,9 @@ def run(
     h, k, r = grid.h, grid.k, grid.r
     diagonal = 1.0 - grid.lam - 2.0 * r  # the weight of U_i apart from -k*d_i
     upwind = r + grid.lam
-    n_steps, width = grid.n_steps, grid.m_total + 1
+    n_steps = grid.n_steps
 
-    values = np.empty((n_steps // every + 1, width))
+    values = np.empty((levels, width))
     # level n lives in rows[n % 2], so a step never overwrites the row it reads;
     # each row comes with its views of x_1..x_{M-1}, x_0..x_{M-2} and x_2..x_M
     rows = np.empty((2, width))

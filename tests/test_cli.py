@@ -259,6 +259,25 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["examples", "example1", "--t-final", "1e14", "--levels", "1"], ["stability"], ["convergence"]],
+    ids=["examples", "stability", "convergence"],
+)
+def test_history_too_large_to_index_is_one_error_line(tmp_path, capsys, command):
+    # GridSpec admits 1e17 levels, but run's 1e17 x 21 history does not fit numpy's index range
+    if command[0] != "examples":
+        text = "problem = example3\nm_prime = 7\nr = 0.4\nt_final = 1e14\nlevels = 2\n"
+        command = [*command, "--config", write_config(tmp_path, text)]
+    out_dir = tmp_path / "out"
+    assert main([*command, "--output-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a history of 1e+17 levels x 21 nodes is more than numpy can allocate")
+    assert captured.err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_unwritable_output_is_one_error_line(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
@@ -351,7 +370,7 @@ def test_slice_matches_a_fully_restricted_exact_solution(tmp_path, problem_id, t
     # The slice samples the exact solution at the final level only; its bytes
     # must equal those written from a restriction over every level.
     from agediff.grid import build_grid
-    from agediff.harness import write_slice_csv
+    from agediff.harness import write_csv
     from agediff.model import builtin_problem
     from agediff.residual import restrict
     from agediff.solver import run
@@ -364,12 +383,10 @@ def test_slice_matches_a_fully_restricted_exact_solution(tmp_path, problem_id, t
     solution = run(problem, grid)
     sampled = restrict(exact.u, grid)
     reference = tmp_path / "reference.csv"
-    write_slice_csv(
-        str(reference),
-        grid.nodes(),
-        np.concatenate(([solution.left_trace[-1]], solution.interior[-1], [solution.right_trace[-1]])),
-        np.concatenate(([sampled.left_trace[-1]], sampled.interior[-1], [sampled.right_trace[-1]])),
-    )
+    numeric = np.concatenate(([solution.left_trace[-1]], solution.interior[-1], [solution.right_trace[-1]]))
+    u_exact = np.concatenate(([sampled.left_trace[-1]], sampled.interior[-1], [sampled.right_trace[-1]]))
+    cells = [(x, u, e, abs(u - e)) for x, u, e in zip(grid.nodes(), numeric, u_exact)]
+    write_csv(str(reference), ["x", "u_numeric", "u_exact", "abs_err"], cells)
     written = out_dir / f"{problem_id}_slice_h{grid.h!r}.csv"
     assert written.read_bytes() == reference.read_bytes()
 
@@ -403,7 +420,7 @@ def test_forcing_subcommands_equal_run_with_the_study_key(tmp_path, capsys, stud
 
 def test_stability_scale_reaches_the_probe(tmp_path):
     from agediff.grid import build_grid
-    from agediff.harness import stability_probe, write_stability_csv
+    from agediff.harness import stability_probe, write_csv
     from agediff.model import builtin_problem
 
     config = write_config(tmp_path, STUDY_CONFIG)
@@ -412,8 +429,18 @@ def test_stability_scale_reaches_the_probe(tmp_path):
     problem, _ = builtin_problem("example1")
     rows = stability_probe(problem, build_grid(1.0, 7, 0.4, 0.05), levels=2, perturbation_scale=0.5)
     reference = tmp_path / "reference.csv"
-    write_stability_csv(rows, str(reference))
+    cells = [(row.h, "DegenerateRatio" if row.degenerate else row.ratio) for row in rows]
+    write_csv(str(reference), ["h", "ratio"], cells)
     assert (out_dir / "example1_stability.csv").read_bytes() == reference.read_bytes()
+
+
+def test_stability_csv_marks_degenerate_rows(tmp_path):
+    # at this scale the residual gap's yh-norm overflows on both rungs
+    config = write_config(tmp_path, STUDY_CONFIG.replace("example1", "example3"))
+    out_dir = tmp_path / "out"
+    assert main(["stability", "--config", config, "--output-dir", str(out_dir), "--scale", "1e150"]) == 0
+    lines = (out_dir / "example3_stability.csv").read_text().splitlines()
+    assert lines == ["h,ratio", "0.05,DegenerateRatio", "0.025,DegenerateRatio"]
 
 
 @pytest.mark.parametrize("d,code", [("1000", 2), ("150", 0)])
@@ -456,47 +483,3 @@ def test_inline_run_makes_one_outermost_eval_call_per_node(tmp_path, monkeypatch
     assert main(["run", "--config", config, "--output-dir", str(tmp_path / "out")]) == 0
     assert calls["nodes"] > 0
     assert calls["eval"] == calls["nodes"]
-
-
-def test_inline_config_parses_each_expression_once(tmp_path, monkeypatch):
-    # parse_config checks each given expression by parsing it, and the CLI
-    # builds the problem from those ASTs; only the default psi1 and psi2 are
-    # parsed by problem_from_expressions
-    from agediff import cli, exprdsl, model
-
-    parse = exprdsl.parse_expr
-    seen = []
-
-    def counted(text, allowed_vars):
-        seen.append((text, frozenset(allowed_vars)))
-        return parse(text, allowed_vars)
-
-    monkeypatch.setattr(exprdsl, "parse_expr", counted)
-    monkeypatch.setattr(cli, "parse_expr", counted)
-    config = write_config(tmp_path, INLINE)
-    assert main(["run", "--config", config, "--output-dir", str(tmp_path / "out")]) == 0
-    variables = model.EXPRESSION_VARIABLES
-    assert sorted(seen, key=repr) == sorted(
-        [
-            ("1 + s", frozenset(variables["mortality"])),
-            ("2 * exp(x)", frozenset(variables["fertility"])),
-            ("exp(-x) / 2", frozenset(variables["initial"])),
-            ("exp(-1) / (1 + exp(-t))", frozenset(variables["right_boundary"])),
-            ("1", frozenset(variables["psi1"])),
-            ("1", frozenset(variables["psi2"])),
-        ],
-        key=repr,
-    )
-
-
-def test_config_asts_build_the_same_problem_as_the_text():
-    from agediff import cli
-    from agediff.grid import build_grid
-    from agediff.solver import run
-
-    config = parse_config(INLINE)
-    assert set(config.parsed) == {"d", "B", "u0", "g"}
-    grid = build_grid(1.0, 7, 0.4, 0.1)
-    from_asts = run(cli._materialize(config)[0], grid).values
-    from_text = run(cli._materialize(replace(config, parsed=None))[0], grid).values
-    assert np.array_equal(from_asts.view(np.int64), from_text.view(np.int64))

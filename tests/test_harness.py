@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import os
@@ -16,13 +17,9 @@ from agediff.harness import (
     StabilityRow,
     consistency_study,
     convergence_study,
-    read_convergence_csv,
     self_convergence_study,
     stability_probe,
-    write_consistency_csv,
-    write_convergence_csv,
-    write_slice_csv,
-    write_stability_csv,
+    write_csv,
 )
 from agediff.model import ExactSolution, ProblemSpec, builtin_problem, problem_from_expressions
 from agediff.quadrature import InteriorVector
@@ -162,12 +159,22 @@ def test_stability_probe_rejects_bad_scales(scale):
         stability_probe(problem, build_grid(1.0, 7, 0.4, 0.05), levels=1, perturbation_scale=scale)
 
 
+CONVERGENCE_HEADER = ["h", "k", "M", "N", "err_inf", "err_l2", "err_xh", "order_inf", "order_l2", "order_xh"]
+
+
 def test_convergence_csv_round_trip(tmp_path):
     problem, exact = builtin_problem("example1")
     rows = convergence_study(problem, exact, build_grid(1.0, 7, 0.4, 0.05), levels=2)
     path = str(tmp_path / "convergence.csv")
-    write_convergence_csv(rows, path)
-    assert read_convergence_csv(path) == rows
+    write_csv(path, CONVERGENCE_HEADER, map(dataclasses.astuple, rows))
+    with open(path, encoding="utf-8", newline="") as stream:
+        header, *records = csv.reader(stream)
+    assert header == CONVERGENCE_HEADER
+    types = [float, float, int, int, float, float, float, float, float, float]
+    parsed = [
+        ConvergenceRow(*(kind(cell) if cell else None for kind, cell in zip(types, record))) for record in records
+    ]
+    assert parsed == rows
     assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
 
 
@@ -178,8 +185,8 @@ def test_csv_writes_are_reproducible(tmp_path):
     ]
     first = str(tmp_path / "a.csv")
     second = str(tmp_path / "b.csv")
-    write_convergence_csv(rows, first)
-    write_convergence_csv(rows, second)
+    write_csv(first, CONVERGENCE_HEADER, map(dataclasses.astuple, rows))
+    write_csv(second, CONVERGENCE_HEADER, map(dataclasses.astuple, rows))
     with open(first, "rb") as fa, open(second, "rb") as fb:
         assert fa.read() == fb.read()
 
@@ -190,7 +197,7 @@ def test_convergence_csv_literal_text(tmp_path):
         ConvergenceRow(0.025, 0.00025, 40, 200, 0.05, 0.025, 0.1, 1.0, 1.0, 1.0),
     ]
     path = tmp_path / "convergence.csv"
-    write_convergence_csv(rows, str(path))
+    write_csv(str(path), CONVERGENCE_HEADER, map(dataclasses.astuple, rows))
     assert path.read_bytes() == (
         b"h,k,M,N,err_inf,err_l2,err_xh,order_inf,order_l2,order_xh\n"
         b"0.05,0.001,20,50,0.1,0.05,0.2,,,\n"
@@ -198,45 +205,47 @@ def test_convergence_csv_literal_text(tmp_path):
     )
 
 
-def test_read_rejects_unexpected_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("h,n,err\n0.05,20,0.1\n")
-    with pytest.raises(InvalidParameter, match="unexpected header"):
-        read_convergence_csv(str(path))
+def test_csv_cell_rule(tmp_path):
+    # a float (np.float64 too) prints as repr(float(v)), an int or str as
+    # itself and None as an empty cell
+    path = tmp_path / "cells.csv"
+    write_csv(str(path), ["a", "b", "c", "d", "e"], [(np.float64(0.1), 7, None, "DegenerateRatio", 1e-300)])
+    assert path.read_bytes() == b"a,b,c,d,e\n0.1,7,,DegenerateRatio,1e-300\n"
+
+
+def test_failed_csv_write_leaves_no_temp_file(tmp_path):
+    # the rename onto a directory fails; the temp file is removed and the error propagates
+    target = tmp_path / "taken.csv"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_csv(str(target), ["h"], [(0.05,)])
+    assert target.is_dir() and not list(target.iterdir())
+    assert sorted(os.listdir(tmp_path)) == ["taken.csv"]
 
 
 def test_consistency_csv_format(tmp_path):
     rows = [ConsistencyRow(0.05, 0.25, None), ConsistencyRow(0.025, 0.125, 1.0)]
     path = tmp_path / "consistency.csv"
-    write_consistency_csv(rows, str(path))
+    write_csv(str(path), ["h", "residual_yh", "order"], map(dataclasses.astuple, rows))
     lines = path.read_text().splitlines()
     assert lines[0] == "h,residual_yh,order"
     assert lines[1] == "0.05,0.25,"
     assert lines[2] == "0.025,0.125,1.0"
 
 
-def test_stability_csv_marks_degenerate_rows(tmp_path):
-    rows = [StabilityRow(0.05, 0.5, False), StabilityRow(0.025, None, True)]
-    path = tmp_path / "stability.csv"
-    write_stability_csv(rows, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "h,ratio"
-    assert lines[1] == "0.05,0.5"
-    assert lines[2] == "0.025,DegenerateRatio"
-
-
 def test_slice_csv_with_and_without_exact(tmp_path):
+    # the CLI writes a slice as its zipped node columns
     x = np.array([0.0, 0.5])
     numeric = np.array([1.0, 2.0])
     exact = np.array([1.0, 1.75])
     with_exact = tmp_path / "with.csv"
-    write_slice_csv(str(with_exact), x, numeric, exact)
+    write_csv(str(with_exact), ["x", "u_numeric", "u_exact", "abs_err"], zip(x, numeric, exact, abs(numeric - exact)))
     lines = with_exact.read_text().splitlines()
     assert lines[0] == "x,u_numeric,u_exact,abs_err"
     assert lines[2] == "0.5,2.0,1.75,0.25"
     without = tmp_path / "without.csv"
-    write_slice_csv(str(without), x, numeric)
-    assert without.read_text().splitlines()[0] == "x,u_numeric"
+    write_csv(str(without), ["x", "u_numeric"], zip(x, numeric))
+    assert without.read_text().splitlines() == ["x,u_numeric", "0.0,1.0", "0.5,2.0"]
 
 
 def restrict_to_coarse(element, coarse):
@@ -250,6 +259,11 @@ def restrict_to_coarse(element, coarse):
     return GridFunction(element.values[::time_stride, ::space_stride], coarse)
 
 
+def difference(a, b):
+    """a - b, level by level and node by node, on a's mesh."""
+    return GridFunction(a.values - b.values, a.grid)
+
+
 def whole_history_self_convergence(problem, base, levels):
     # the study as it was when every rung kept its whole history at once
     grids = [base]
@@ -257,7 +271,7 @@ def whole_history_self_convergence(problem, base, levels):
         grids.append(refine(grids[-1]))
     elements = [run(problem, grid) for grid in grids]
     triples = [
-        harness._error_triple(element - restrict_to_coarse(elements[-1], grid))
+        harness._error_triple(difference(element, restrict_to_coarse(elements[-1], grid)))
         for grid, element in zip(grids[:-1], elements[:-1])
     ]
     return harness._attach_orders(grids[:-1], triples)
@@ -268,7 +282,7 @@ def whole_history_convergence(problem, exact, base, levels):
     for _ in range(levels - 1):
         grids.append(refine(grids[-1]))
     triples = [
-        harness._error_triple(restrict(exact.u, grid) - run(problem, grid))
+        harness._error_triple(difference(restrict(exact.u, grid), run(problem, grid)))
         for grid in grids
     ]
     return harness._attach_orders(grids, triples)
@@ -328,7 +342,7 @@ def whole_array_stability_probe(problem, base, levels, scale):
             grid,
         )
         initial = InteriorVector(problem.initial(x), grid.h)
-        gap = apply_phi(solution, problem, grid, initial) - apply_phi(perturbed, problem, grid, initial)
+        gap = difference(apply_phi(solution, problem, grid, initial), apply_phi(perturbed, problem, grid, initial))
         # the numerator is the norm the perturbation was scaled to
         assert xh_norm(perturbation) == pytest.approx(scale * grid.h, rel=1e-14)
         numerator, denominator = scale * grid.h, yh_norm(gap)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from agediff.errors import (
     NonFiniteState,
     StabilityViolation,
 )
-from agediff.grid import build_grid, refine
+from agediff.grid import GridSpec, build_grid, refine
 from agediff.harness import consistency_study, convergence_study, self_convergence_study, stability_probe
 from agediff.model import ExactSolution, ProblemSpec, builtin_problem, problem_from_expressions
 from agediff.quadrature import InteriorVector, qh
@@ -418,6 +419,28 @@ def test_non_callable_observer_is_rejected_before_any_coefficient_call(observe):
     with pytest.raises(InvalidParameter, match="observe"):
         run(problem, build_grid(1.0, 7, 0.4, 0.2), observe=observe)
     assert calls == []
+
+
+def test_history_too_large_to_index_is_rejected_before_any_allocation_or_step():
+    # GridSpec lets n_steps + 1 floats fit; run's history holds (n_steps + 1) x (M + 1)
+    problem, _ = builtin_problem("example1")
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(args) or fn(*args)
+
+    names = ("mortality", "fertility", "psi1", "psi2", "initial")
+    problem = dataclasses.replace(problem, **{name: counted(getattr(problem, name)) for name in names})
+    grid = GridSpec(1.0, 7, 0.4, 10**17)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameter, match="more than numpy can allocate"):
+            run(problem, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 2**20
 
 
 def test_observer_exception_propagates_out_of_run():
