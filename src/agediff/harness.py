@@ -5,9 +5,10 @@ so spatial nodes and time levels of a coarse mesh sit exactly on all finer
 ones and no interpolation ever enters an error number.  Errors against an
 exact solution are measured at the realized final time of the ladder (the
 same float on every level); self-convergence errors compare each coarser
-run with the finest one at the shared nodes and levels.  A grid function
-holds one row of node values per level, so each difference or sum of grid
-functions below is one ufunc call on their ``values``, written in place.
+run with the finest one at the shared nodes and levels.  Both stream the
+run they subtract and take each of its levels from the reference in place.
+A grid function holds one row of node values per level, so each difference
+or sum of grid functions below is one ufunc call on their ``values``.
 
 :func:`write_csv` is the one CSV writer: it writes a header and rows of
 cells atomically (temp file, then rename) and prints floats as shortest
@@ -30,7 +31,7 @@ from .grid import GridSpec, refine
 from .model import ExactSolution, ProblemSpec
 from .quadrature import InteriorVector, l2_norm
 from .residual import _BLOCK_ROWS, apply_phi, restrict, xh_norm, yh_norm
-from .solver import GridFunction, _check_domain, _initial_row, run
+from .solver import GridFunction, _check_domain, _history_shape, _initial_row, run
 
 
 @dataclass(frozen=True)
@@ -109,17 +110,35 @@ def _attach_orders(
     ]
 
 
+def _subtract_run(problem: ProblemSpec, grid: GridSpec, histories: Sequence[GridFunction]) -> None:
+    """Stream the run on ``grid`` and subtract each level, in place, from the histories that share it.
+
+    The histories live on ``grid`` or on coarser nested meshes, finest first,
+    so a level that one of them skips is skipped by every later one.
+    """
+    strides = [(grid.n_steps // v.grid.n_steps, grid.m_total // v.grid.m_total, v.values) for v in histories]
+
+    def subtract(n: int, row: np.ndarray) -> None:
+        for level_stride, node_stride, values in strides:
+            level, offset = divmod(n, level_stride)
+            if offset:
+                return
+            np.subtract(values[level], row[::node_stride], out=values[level])
+
+    run(problem, grid, every=grid.n_steps, observe=subtract)
+
+
 def convergence_study(
     problem: ProblemSpec, exact: ExactSolution, base: GridSpec, levels: int
 ) -> list[ConvergenceRow]:
-    """Errors against an exact solution on a ladder of refined meshes."""
+    """Errors ``exact - run`` on a ladder of refined meshes; each run is streamed, not stored."""
     grids = _grid_ladder(base, levels)
     triples = []
     for grid in grids:
-        solution = run(problem, grid)
         error = restrict(exact.u, grid)
-        np.subtract(error.values, solution.values, out=error.values)
+        _subtract_run(problem, grid, [error])
         triples.append(_error_triple(error))
+        del error  # before the next, eight times larger, rung is sampled
     return _attach_orders(grids, triples)
 
 
@@ -130,28 +149,14 @@ def self_convergence_study(
 
     Needs at least three levels so that at least two error rows exist and
     one order can be formed.  The coarser rungs run first and keep their
-    whole histories.  The finest rung keeps none: an observer subtracts
-    each of its levels from every coarser rung whose time level it shares,
-    at the shared nodes, in place.  The operands and their order are those
-    of ``coarse - finest`` sampled at the coarse rung's nodes and levels.
+    whole histories; the finest rung is streamed and subtracted from them,
+    so each error is ``coarse - finest`` at the coarse rung's nodes and levels.
     """
     if not (isinstance(levels, int) and levels >= 3):
         raise InvalidParameter(f"self-convergence needs levels >= 3, got {levels!r}")
     grids = _grid_ladder(base, levels)
     errors = [run(problem, grid) for grid in grids[:-1]]
-
-    def subtract_finest(n: int, row: np.ndarray) -> None:
-        # the rung `depth` refinements below the finest shares every
-        # 4**depth-th level and every 2**depth-th node
-        for depth in range(1, levels):
-            level, offset = divmod(n, 4**depth)
-            if offset:
-                return
-            coarse = errors[-depth].values[level]
-            np.subtract(coarse, row[:: 2**depth], out=coarse)
-
-    finest = grids[-1]
-    run(problem, finest, every=finest.n_steps, observe=subtract_finest)
+    _subtract_run(problem, grids[-1], errors[::-1])
     return _attach_orders(grids[:-1], [_error_triple(error) for error in errors])
 
 
@@ -189,7 +194,7 @@ def _perturbation(grid: GridSpec, scale: float) -> GridFunction:
     t = grid.time_levels()
     spatial = [np.sin((mode + 1) * np.pi * x / grid.a_dagger) for mode in range(3)]
     temporal = [np.cos((mode + 1) * np.pi * t / grid.t_final) for mode in range(3)]
-    perturbation = GridFunction(np.zeros((grid.n_steps + 1, grid.m_total + 1)), grid)
+    perturbation = GridFunction(np.zeros(_history_shape(grid, 1)), grid)
     rows = perturbation.interior
     for start in range(0, grid.n_steps + 1, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS

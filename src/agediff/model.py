@@ -62,7 +62,6 @@ class ExactSolution:
     """A closed-form solution u(x, t), vectorized over x."""
 
     u: Callable[[np.ndarray, float], np.ndarray]
-    description: str
 
 
 _DECAY_SCALE = 1.0 - math.exp(-1.0)
@@ -99,10 +98,7 @@ def _example1() -> tuple[ProblemSpec, ExactSolution]:
         a_dagger=1.0,
         right_boundary=None,
     )
-    exact = ExactSolution(
-        u=lambda x, t: (math.e - np.exp(x)) * math.exp(-t),
-        description="separable profile (e - e^x) * e^(-t)",
-    )
+    exact = ExactSolution(u=lambda x, t: (math.e - np.exp(x)) * math.exp(-t))
     return problem, exact
 
 
@@ -129,10 +125,7 @@ def _example3() -> tuple[ProblemSpec, ExactSolution]:
         a_dagger=1.0,
         right_boundary=lambda t: math.exp(-1.0) / (1.0 + math.exp(-t)),
     )
-    exact = ExactSolution(
-        u=lambda x, t: np.exp(-x) / (1.0 + math.exp(-t)),
-        description="logistic-in-time profile e^(-x) / (1 + e^(-t))",
-    )
+    exact = ExactSolution(u=lambda x, t: np.exp(-x) / (1.0 + math.exp(-t)))
     return problem, exact
 
 

@@ -57,6 +57,7 @@ from .solver import (
     _boundary_values,
     _check_coefficient,
     _check_domain,
+    _history_shape,
     _nodal_values,
 )
 
@@ -100,7 +101,8 @@ def _sample_nodes(
 
 
 def restrict(u: Callable[[np.ndarray, float], np.ndarray], grid: GridSpec) -> GridFunction:
-    """Sample a function of (x, t) on every node of the mesh, one call per level."""
+    """Sample u(x, t) on every node and level of a mesh numpy can index, one call per level."""
+    _history_shape(grid, 1)
     return GridFunction(_sample_nodes(u, grid, grid.time_levels()), grid)
 
 
@@ -126,7 +128,7 @@ def apply_phi(
     """
     n_levels, width = grid.n_steps + 1, grid.m_total - 1
     if out is None:
-        out = GridFunction(np.empty((n_levels, grid.m_total + 1)), grid)
+        out = GridFunction(np.empty(_history_shape(grid, 1)), grid)
     for name, function in (("element", v), ("out", out)):
         _require_every_level(function)
         if function.grid != grid:

@@ -29,10 +29,10 @@ levels 0, e, 2e, ...
 ``run(problem, grid, observe=f)`` also calls ``f(n, row)`` at every level
 n = 0..n_steps, after U_0^n has been computed and checked finite and before
 the step to n + 1.  ``row`` is the work row holding the whole level x_0..x_M:
-the observer must not modify it, and it is valid only during the call.  A
-study that needs only a reduction over the levels (such as the
-self-convergence errors) can run with ``every=n_steps`` and read every level
-from the observer.  ``observe=`` is the one per-level interface to the kernel.
+the observer must not modify it, and it is valid only during the call.  Both
+convergence studies run with ``every=n_steps`` and read every level from the
+observer.  ``observe=`` is the one per-level interface to the kernel, and
+``_history_shape`` the one check of a history's shape before it is allocated.
 
 The three quadratures of a step (s2, the birth integral and s1) write their
 integrands into one scratch :class:`~agediff.quadrature.InteriorVector`.
@@ -88,8 +88,7 @@ class GridFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        _check_every(self.every, self.grid)
-        shape = (self.grid.n_steps // self.every + 1, self.grid.m_total + 1)
+        shape = _history_shape(self.grid, self.every)
         if self.values.shape != shape:
             raise DimensionMismatch(f"values must have shape {shape}, got {self.values.shape}")
 
@@ -106,7 +105,8 @@ class GridFunction:
         return self.values[:, -1]
 
 
-def _check_every(every, grid: GridSpec) -> None:
+def _history_shape(grid: GridSpec, every) -> tuple[int, int]:
+    """(levels, nodes) of a history of every ``every``-th level, checked before it is allocated."""
     if not (
         isinstance(every, int)
         and not isinstance(every, bool)
@@ -116,6 +116,13 @@ def _check_every(every, grid: GridSpec) -> None:
         raise InvalidParameter(
             f"every must be a positive integer dividing n_steps = {grid.n_steps}, got {every!r}"
         )
+    levels, width = grid.n_steps // every + 1, grid.m_total + 1
+    if levels * width * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        # GridSpec only checks that one float per level fits
+        raise InvalidParameter(
+            f"a history of {levels:.6g} levels x {width} nodes is more than numpy can allocate"
+        )
+    return levels, width
 
 
 def _check_domain(problem: ProblemSpec, grid: GridSpec) -> None:
@@ -177,13 +184,7 @@ def run(
         raise StabilityViolation(
             f"stability bound violated: lam + 2*r = {grid.lam + 2.0 * grid.r!r} > 1"
         )
-    _check_every(every, grid)
-    levels, width = grid.n_steps // every + 1, grid.m_total + 1
-    if levels * width * np.dtype(float).itemsize > np.iinfo(np.intp).max:
-        # GridSpec only checks that one float per level fits
-        raise InvalidParameter(
-            f"a history of {levels:.6g} levels x {width} nodes is more than numpy can allocate"
-        )
+    levels, width = _history_shape(grid, every)
     if observe is not None and not callable(observe):
         raise InvalidParameter(f"observe must be callable or None, got {observe!r}")
 
@@ -215,8 +216,7 @@ def run(
                 if n > 0:
                     _check_coefficient(mortality, "mortality", s1)
                     if not np.isfinite(inner).all():
-                        message = f"state became non-finite at time level {n} (t = {grid.time_levels()[n]!r})"
-                        raise NonFiniteState(message, time_level=n)
+                        raise NonFiniteState(f"state became non-finite at time level {n} (t = {n * k!r})", time_level=n)
                 _check_coefficient(psi2, "psi2")
             fertility = _nodal_values(problem.fertility(x, s2), x, "fertility")
             np.multiply(fertility, inner, out=products)
@@ -248,7 +248,7 @@ def run(
             if not margin >= 0.0:
                 _check_coefficient(mortality, "mortality", s1)
                 raise StabilityViolation(
-                    f"update coefficient 1 - lam - 2*r - k*d = {margin!r} < 0 (s1 = {s1!r}); "
+                    f"update coefficient 1 - lam - 2*r - k*d = {float(margin)!r} < 0 (s1 = {s1!r}); "
                     "refine the mesh or lower r"
                 )
             advanced *= inner

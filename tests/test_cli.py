@@ -261,11 +261,16 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command",
-    [["examples", "example1", "--t-final", "1e14", "--levels", "1"], ["stability"], ["convergence"]],
-    ids=["examples", "stability", "convergence"],
+    [
+        ["examples", "example1", "--t-final", "1e14", "--levels", "1"],
+        ["stability"],
+        ["convergence"],
+        ["consistency"],
+    ],
+    ids=["examples", "stability", "convergence", "consistency"],
 )
 def test_history_too_large_to_index_is_one_error_line(tmp_path, capsys, command):
-    # GridSpec admits 1e17 levels, but run's 1e17 x 21 history does not fit numpy's index range
+    # GridSpec admits 1e17 levels, but a 1e17 x 21 history does not fit numpy's index range
     if command[0] != "examples":
         text = "problem = example3\nm_prime = 7\nr = 0.4\nt_final = 1e14\nlevels = 2\n"
         command = [*command, "--config", write_config(tmp_path, text)]
@@ -454,6 +459,16 @@ def test_update_coefficient_margin_sets_the_exit_code(tmp_path, capsys, d, code)
     if code:
         assert "update coefficient" in capsys.readouterr().err
     assert (out_dir / "inline_slice_h0.05.csv").exists() == (code == 0)
+
+
+def test_update_coefficient_error_prints_the_margin_as_a_float(tmp_path, capsys):
+    text = "d = 1000\nB = 0\nu0 = 1\nm_prime = 7\nr = 0.4\nt_final = 0.1\n"
+    config = write_config(tmp_path, text)
+    assert main(["run", "--config", config, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "k*d = -0.82" in err
+    assert "np.float64" not in err
+    assert err.count("\n") == 1
 
 
 def test_inline_run_makes_one_outermost_eval_call_per_node(tmp_path, monkeypatch):

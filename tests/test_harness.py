@@ -35,7 +35,7 @@ def zero_problem():
         psi2=lambda x: np.ones_like(x),
         initial=lambda x: np.zeros_like(x),
     )
-    exact = ExactSolution(u=lambda x, t: np.zeros_like(x), description="identically zero")
+    exact = ExactSolution(u=lambda x, t: np.zeros_like(x))
     return problem, exact
 
 
@@ -397,6 +397,16 @@ def test_self_convergence_memory_stays_below_the_finest_history():
     base = build_grid(1.0, 7, 0.4, 0.2)
     peak = traced_peak(self_convergence_study, problem, base, 4)
     assert peak <= 0.25 * finest_history_bytes(base, 4)
+
+
+def test_convergence_memory_stays_near_one_history():
+    # each rung holds its sampled exact solution and streams the run it
+    # subtracts (1.05x); keeping the previous rung's error alive while the
+    # next is sampled measured 1.15x, and the run's history next to it 2.16x
+    problem, exact = builtin_problem("example3")
+    base = build_grid(1.0, 7, 0.4, 0.2)
+    peak = traced_peak(convergence_study, problem, exact, base, 4)
+    assert peak <= 1.1 * finest_history_bytes(base, 4)
 
 
 def test_consistency_study_drops_each_rung_before_sampling_the_next(monkeypatch):

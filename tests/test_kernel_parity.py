@@ -70,7 +70,7 @@ def reference_run(problem, grid, every=1, observe=None):
         margin = out.min()
         if margin < 0.0:
             raise StabilityViolation(
-                f"update coefficient 1 - lam - 2*r - k*d = {margin!r} < 0 (s1 = {s1!r}); "
+                f"update coefficient 1 - lam - 2*r - k*d = {float(margin)!r} < 0 (s1 = {s1!r}); "
                 "refine the mesh or lower r"
             )
         out *= u
@@ -80,7 +80,7 @@ def reference_run(problem, grid, every=1, observe=None):
         out[-1] += r * boundary[n]
         if not np.isfinite(out).all():
             raise NonFiniteState(
-                f"state became non-finite at time level {n + 1} (t = {grid.time_levels()[n + 1]!r})",
+                f"state became non-finite at time level {n + 1} (t = {(n + 1) * grid.k!r})",
                 time_level=n + 1,
             )
         u = out

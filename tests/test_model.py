@@ -107,7 +107,7 @@ def test_exact_weighted_integral_oracle_values():
 
 
 def test_exact_weighted_integral_respects_domain():
-    linear = ExactSolution(u=lambda x, t: np.asarray(x, dtype=float) + 0.0 * t, description="x")
+    linear = ExactSolution(u=lambda x, t: np.asarray(x, dtype=float) + 0.0 * t)
     ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
     assert exact_weighted_integral(linear, ones, 0.0, a_dagger=2.0) == pytest.approx(2.0, rel=1e-12)
     assert exact_weighted_integral(linear, ones, 0.0) == pytest.approx(0.5, rel=1e-12)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from agediff import residual
-from agediff.errors import DimensionMismatch, EvalError, NonFiniteState
-from agediff.grid import build_grid, refine
+from agediff.errors import DimensionMismatch, EvalError, InvalidParameter, NonFiniteState
+from agediff.grid import GridSpec, build_grid, refine
 from agediff.harness import consistency_study
 from agediff.model import builtin_problem, problem_from_expressions
 from agediff.quadrature import InteriorVector, l2_norm, qh, star_norm
@@ -57,6 +57,14 @@ def test_restrict_rejects_non_finite_samples():
     grid = build_grid(1.0, 1, 0.4, 0.01)
     with pytest.raises(EvalError, match="not finite"):
         restrict(lambda x, t: np.full_like(np.asarray(x, dtype=float), math.nan), grid)
+
+
+def test_restrict_refuses_a_history_too_large_to_index_before_sampling():
+    # GridSpec admits 1e17 levels, but the 1e17 x 21 history does not fit numpy's index range
+    calls = []
+    with pytest.raises(InvalidParameter, match="more than numpy can allocate"):
+        restrict(lambda x, t: calls.append(t) or np.zeros_like(x), GridSpec(1.0, 7, 0.4, 10**17))
+    assert calls == []
 
 
 def three_call_restrict(u, grid):

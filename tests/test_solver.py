@@ -488,7 +488,7 @@ def test_mismatched_domain_is_rejected_before_any_coefficient_call():
     grid = build_grid(1.0, 7, 0.4, 0.05)
     element = restrict(lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), grid)
     initial = InteriorVector(np.zeros(grid.m_total - 1), grid.h)
-    exact = ExactSolution(u=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), description="zero")
+    exact = ExactSolution(u=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)))
     entry_points = [
         lambda: run(problem, grid),
         lambda: apply_phi(element, problem, grid, initial),
