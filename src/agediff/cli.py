@@ -197,8 +197,8 @@ def _write_run_slice(
     path = f"{output_dir}/{tag}_slice_h{grid.h!r}.csv"
     header, columns = ["x", "u_numeric"], [grid.nodes(), solution.values[-1]]
     if exact is not None:
-        # Sampled as restrict samples every level, at the final time only.
-        u_exact = _sample_nodes(exact.u, grid, [grid.t_final])[0]
+        # The final level only, sampled as restrict samples each block of levels.
+        u_exact = _sample_nodes(exact.u, grid, grid.n_steps, grid.n_steps + 1)[0]
         header += ["u_exact", "abs_err"]
         columns += [u_exact, abs(columns[1] - u_exact)]
     harness.write_csv(path, header, zip(*columns))

@@ -8,8 +8,10 @@ enforces u = 0 (homogeneous) or a prescribed Dirichlet history g(t).
 
 Coefficient callables are vectorized over the age argument: they receive a
 float ndarray of node coordinates plus the scalar weighted population, and
-must return an array of the same shape.  ``g`` and exact solutions in time
-are scalar in t.
+must return an array of the same shape.  ``g`` is scalar in t.  An exact
+solution u(x, t) broadcasts over both arguments: it is sampled with a row of
+nodes x and a column of times t, one block of levels per call, and returns
+their (levels, nodes) table.
 
 No caller writes into the array a coefficient, profile or exact solution
 returns, so a callable may hand out a shared read-only array.  The built-ins
@@ -59,9 +61,14 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """A closed-form solution u(x, t), vectorized over x."""
+    """A closed-form solution u(x, t) that broadcasts over x and t.
 
-    u: Callable[[np.ndarray, float], np.ndarray]
+    ``restrict`` calls it once per block of levels, with the node row x of
+    shape (M + 1,) and the time column t of shape (levels, 1); the value must
+    broadcast to (levels, M + 1).  So use ``np.exp(t)``, not ``math.exp(t)``.
+    """
+
+    u: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 _DECAY_SCALE = 1.0 - math.exp(-1.0)
@@ -98,7 +105,7 @@ def _example1() -> tuple[ProblemSpec, ExactSolution]:
         a_dagger=1.0,
         right_boundary=None,
     )
-    exact = ExactSolution(u=lambda x, t: (math.e - np.exp(x)) * math.exp(-t))
+    exact = ExactSolution(u=lambda x, t: (math.e - np.exp(x)) * np.exp(-t))
     return problem, exact
 
 
@@ -125,7 +132,7 @@ def _example3() -> tuple[ProblemSpec, ExactSolution]:
         a_dagger=1.0,
         right_boundary=lambda t: math.exp(-1.0) / (1.0 + math.exp(-t)),
     )
-    exact = ExactSolution(u=lambda x, t: np.exp(-x) / (1.0 + math.exp(-t)))
+    exact = ExactSolution(u=lambda x, t: np.exp(-x) / (1.0 + np.exp(-t)))
     return problem, exact
 
 

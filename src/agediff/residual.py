@@ -44,7 +44,7 @@ warnings inside the coefficient callables.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -82,28 +82,38 @@ def element_from_solution(solution: GridFunction) -> GridFunction:
 
 
 def _sample_nodes(
-    u: Callable[[np.ndarray, float], np.ndarray], grid: GridSpec, times: Sequence[float]
+    u: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: GridSpec, start: int, stop: int
 ) -> np.ndarray:
-    """u at x_0, x_1..x_{M-1} and a_dagger on each time in ``times``, one call per time.
+    """u at x_0, x_1..x_{M-1} and a_dagger on levels start..stop-1, one call per block of levels.
 
-    Row j holds the M + 1 node values at times[j].  The last column is
-    sampled at a_dagger itself, not at the rounded node m_total * h; the two
-    can differ by an ulp.
+    Each call passes the node row and the column ``np.arange(begin, end)[:, None] * k``
+    of up to ``_BLOCK_ROWS`` times, the floats of ``grid.time_levels()``; row j of
+    the result holds level start + j.  The last column is sampled at a_dagger
+    itself, not at the rounded node m_total * h; the two can differ by an ulp.
+    A value that does not broadcast to the block raises DimensionMismatch.
     """
     x = np.concatenate(([0.0], grid.interior_nodes(), [grid.a_dagger]))
-    samples = np.empty((len(times), x.shape[0]))
-    for j, t in enumerate(times):
-        samples[j] = u(x, float(t))
-    for start in range(0, len(samples), _BLOCK_ROWS):
-        if not np.isfinite(samples[start : start + _BLOCK_ROWS]).all():
+    samples = np.empty((stop - start, x.shape[0]))
+    for begin in range(start, stop, _BLOCK_ROWS):
+        end = min(begin + _BLOCK_ROWS, stop)
+        block = samples[begin - start : end - start]
+        values = np.asarray(u(x, np.arange(begin, end)[:, None] * grid.k), dtype=float)
+        try:
+            np.copyto(block, values)
+        except ValueError:
+            raise DimensionMismatch(
+                f"sampled function returned shape {values.shape}, which does not "
+                f"broadcast to the block's shape {block.shape}"
+            ) from None
+        if not np.isfinite(block).all():
             raise EvalError("sampled function is not finite on the grid")
     return samples
 
 
-def restrict(u: Callable[[np.ndarray, float], np.ndarray], grid: GridSpec) -> GridFunction:
-    """Sample u(x, t) on every node and level of a mesh numpy can index, one call per level."""
+def restrict(u: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: GridSpec) -> GridFunction:
+    """Sample u(x, t) on every node and level of a mesh numpy can index, one call per block of levels."""
     _history_shape(grid, 1)
-    return GridFunction(_sample_nodes(u, grid, grid.time_levels()), grid)
+    return GridFunction(_sample_nodes(u, grid, 0, grid.n_steps + 1), grid)
 
 
 def apply_phi(
@@ -155,25 +165,38 @@ def apply_phi(
     scratch = np.empty((3, _BLOCK_ROWS, width))
     birth = np.empty(_BLOCK_ROWS)
     weighted = InteriorVector(np.empty(width), h)
+    products = weighted.values
     zeros = np.zeros(width)
+    # Bound when the call starts, so a patched module-level qh is the one called.
+    quadrature, fertility_of, mortality_of = qh, problem.fertility, problem.mortality
+    multiply, isfinite = np.multiply, math.isfinite
+    ndarray, float64, shape = np.ndarray, np.dtype(float), x.shape
     for start in range(0, n_levels, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_levels)
         size = stop - start
         block = nodes[: size + 1]
         block[1:] = v.values[start:stop]
+        rows = block[1:, 1:-1]
         with np.errstate(invalid="ignore"):
-            for j, row in enumerate(block[1:, 1:-1]):
-                np.multiply(psi2, row, out=weighted.values)
-                s2 = qh(weighted)
-                fertility = _nodal_values(problem.fertility(x, s2), x, "fertility")
-                np.multiply(fertility, row, out=weighted.values)
-                birth[j] = integral = qh(weighted)
-                if not math.isfinite(integral):
+            for j in range(size):
+                row = rows[j]
+                multiply(psi2, row, out=products)
+                s2 = quadrature(weighted)
+                fertility = fertility_of(x, s2)
+                # Only a value that is not already a float64 array of x's shape goes
+                # through _nodal_values, which converts it or raises DimensionMismatch.
+                if type(fertility) is not ndarray or fertility.dtype is not float64 or fertility.shape != shape:
+                    fertility = _nodal_values(fertility, x, "fertility")
+                multiply(fertility, row, out=products)
+                birth[j] = integral = quadrature(weighted)
+                if not isfinite(integral):
                     _check_coefficient(fertility, "fertility", s2)
-                np.multiply(psi1, row, out=weighted.values)
-                s1 = qh(weighted)
-                d = _nodal_values(problem.mortality(x, s1), x, "mortality")
-                if not math.isfinite(d.dot(zeros)):
+                multiply(psi1, row, out=products)
+                s1 = quadrature(weighted)
+                d = mortality_of(x, s1)
+                if type(d) is not ndarray or d.dtype is not float64 or d.shape != shape:
+                    d = _nodal_values(d, x, "mortality")
+                if not isfinite(d.dot(zeros)):
                     _check_coefficient(d, "mortality", s1)
                 mortality[j + 1] = d
         out.left_trace[start:stop] = (1.0 + 1.0 / h) * block[1:, 0] - block[1:, 1] / h - birth[:size]

@@ -205,23 +205,35 @@ def run(
     rows[0, 1:-1] = _initial_row(problem, x)
     boundary = _boundary_values(problem, grid)
 
+    # Bound when the call starts, so a patched module-level qh is the one called.
+    quadrature, psi1_of, psi2_of = qh, problem.psi1, problem.psi2
+    fertility_of, mortality_of = problem.fertility, problem.mortality
+    multiply, subtract, least, isfinite = np.multiply, np.subtract, np.minimum.reduce, math.isfinite
+    ndarray, float64, shape = np.ndarray, np.dtype(float), x.shape
+
     s1 = mortality = None  # the last step's, checked when the row it made is not finite
     with np.errstate(invalid="ignore"):
         for n in range(n_steps + 1):
             row, inner, before, after = views[n % 2]
-            psi2 = _nodal_values(problem.psi2(x), x, "psi2")
-            np.multiply(psi2, inner, out=products)
-            s2 = qh(weighted)
-            if not math.isfinite(s2):
+            # Only a value that is not already a float64 array of x's shape goes
+            # through _nodal_values, which converts it or raises DimensionMismatch.
+            psi2 = psi2_of(x)
+            if type(psi2) is not ndarray or psi2.dtype is not float64 or psi2.shape != shape:
+                psi2 = _nodal_values(psi2, x, "psi2")
+            multiply(psi2, inner, out=products)
+            s2 = quadrature(weighted)
+            if not isfinite(s2):
                 if n > 0:
                     _check_coefficient(mortality, "mortality", s1)
                     if not np.isfinite(inner).all():
                         raise NonFiniteState(f"state became non-finite at time level {n} (t = {n * k!r})", time_level=n)
                 _check_coefficient(psi2, "psi2")
-            fertility = _nodal_values(problem.fertility(x, s2), x, "fertility")
-            np.multiply(fertility, inner, out=products)
-            left = (h * qh(weighted) + inner[0]) / (h + 1.0)
-            if not math.isfinite(left):
+            fertility = fertility_of(x, s2)
+            if type(fertility) is not ndarray or fertility.dtype is not float64 or fertility.shape != shape:
+                fertility = _nodal_values(fertility, x, "fertility")
+            multiply(fertility, inner, out=products)
+            left = (h * quadrature(weighted) + inner[0]) / (h + 1.0)
+            if not isfinite(left):
                 _check_coefficient(fertility, "fertility", s2)
                 raise NonFiniteState(f"left boundary value became non-finite at time level {n}", time_level=n)
             row[0] = left
@@ -235,16 +247,20 @@ def run(
 
             # ((c_i*U_i + (r+lam)*U_{i-1}) + r*U_{i+1}) with c_i = (1 - lam - 2r) - k*d_i,
             # evaluated in that order; a negative c_i breaks the convex combination
-            psi1 = _nodal_values(problem.psi1(x), x, "psi1")
-            np.multiply(psi1, inner, out=products)
-            s1 = qh(weighted)
-            if not math.isfinite(s1):
+            psi1 = psi1_of(x)
+            if type(psi1) is not ndarray or psi1.dtype is not float64 or psi1.shape != shape:
+                psi1 = _nodal_values(psi1, x, "psi1")
+            multiply(psi1, inner, out=products)
+            s1 = quadrature(weighted)
+            if not isfinite(s1):
                 _check_coefficient(psi1, "psi1")
-            mortality = _nodal_values(problem.mortality(x, s1), x, "mortality")
+            mortality = mortality_of(x, s1)
+            if type(mortality) is not ndarray or mortality.dtype is not float64 or mortality.shape != shape:
+                mortality = _nodal_values(mortality, x, "mortality")
             advanced = views[1 - n % 2][1]
-            np.multiply(mortality, k, out=advanced)
-            np.subtract(diagonal, advanced, out=advanced)
-            margin = advanced.min()
+            multiply(mortality, k, out=advanced)
+            subtract(diagonal, advanced, out=advanced)
+            margin = least(advanced)
             if not margin >= 0.0:
                 _check_coefficient(mortality, "mortality", s1)
                 raise StabilityViolation(
@@ -252,9 +268,9 @@ def run(
                     "refine the mesh or lower r"
                 )
             advanced *= inner
-            np.multiply(before, upwind, out=tmp)
+            multiply(before, upwind, out=tmp)
             advanced += tmp
-            np.multiply(after, r, out=tmp)
+            multiply(after, r, out=tmp)
             advanced += tmp
 
     return GridFunction(values, grid, every)

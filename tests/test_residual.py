@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -89,20 +90,35 @@ SAMPLED_FUNCTIONS = {
 
 # m_total * h = 0.8999999999999999 here, so the right trace's node is not x_M
 ROUNDED_END = build_grid(0.9, 2, 0.4, 0.05)
+# 255, 256, 257 and 513 levels: one level short of, exactly at, and one past a block edge
+BLOCK_EDGES = [GridSpec(1.0, 7, 0.4, n_levels - 1) for n_levels in (255, 256, 257, 513)]
 
 
-@pytest.mark.parametrize("grid", [build_grid(1.0, 7, 0.4, 0.05), ROUNDED_END], ids=["unit", "rounded-end"])
+@pytest.mark.parametrize(
+    "grid",
+    [build_grid(1.0, 7, 0.4, 0.05), ROUNDED_END, *BLOCK_EDGES],
+    ids=["unit", "rounded-end", *(f"levels-{grid.n_steps + 1}" for grid in BLOCK_EDGES)],
+)
 @pytest.mark.parametrize("u", SAMPLED_FUNCTIONS.values(), ids=SAMPLED_FUNCTIONS.keys())
 def test_restrict_equals_three_calls_per_level_bit_for_bit(u, grid):
+    # one call per block of levels, each entry the bits of the per-level call
     if grid is ROUNDED_END:
         assert grid.m_total * grid.h != grid.a_dagger
     calls = []
     element = restrict(lambda x, t: calls.append(t) or u(x, t), grid)
-    assert len(calls) == grid.n_steps + 1
+    assert len(calls) == math.ceil((grid.n_steps + 1) / residual._BLOCK_ROWS)
+    assert np.array_equal(np.concatenate(calls)[:, 0], grid.time_levels())
     sampled = (element.left_trace, element.interior, element.right_trace)
     for got, want in zip(sampled, three_call_restrict(u, grid)):
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_restrict_names_both_shapes_when_a_sample_does_not_broadcast():
+    grid = build_grid(1.0, 7, 0.4, 0.01)
+    message = f"shape (3,), which does not broadcast to the block's shape ({grid.n_steps + 1}, {grid.m_total + 1})"
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        restrict(lambda x, t: np.zeros(3), grid)
 
 
 def test_restricted_exact_matches_the_initial_row_bitwise():
@@ -525,9 +541,8 @@ def test_restrict_rejects_one_non_finite_sample_in_any_block(level, column):
     bad_time = float(grid.time_levels()[level])
 
     def u(x, t):
-        values = np.ones_like(x)
-        if t == bad_time:
-            values[column] = math.nan
+        values = np.ones((t.shape[0], x.shape[0]))
+        values[t[:, 0] == bad_time, column] = math.nan
         return values
 
     with pytest.raises(EvalError, match="not finite"):

@@ -1,12 +1,14 @@
 import collections
 import dataclasses
 import math
+import pathlib
+import runpy
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from agediff import harness, residual, solver
+from agediff import exprdsl, harness, residual, solver
 from agediff.errors import (
     DimensionMismatch,
     EvalError,
@@ -503,10 +505,33 @@ def test_mismatched_domain_is_rejected_before_any_coefficient_call():
         assert calls == []
 
 
+# The benchmark's predicted counts, read from its source without importing the
+# benchmarks directory as a package or writing anything into it.
+BENCHMARK_WORKLOADS = runpy.run_path(str(pathlib.Path(__file__).parents[1] / "benchmarks" / "workloads.py"))
+PROBLEM_CALLABLES = ("mortality", "fertility", "psi1", "psi2", "initial", "right_boundary")
+
+
+class TracedCounts(collections.Counter):
+    def counted(self, problem):
+        """``problem`` with every callable counting its calls and nodes, as the benchmark's tracer does."""
+
+        def wrap(fn):
+            def counted_call(*args):
+                self["coeff_calls"] += 1
+                self["coeff_nodes"] += int(getattr(args[0], "size", 1))
+                return fn(*args)
+
+            return counted_call
+
+        wrapped = {name: wrap(fn) for name in PROBLEM_CALLABLES if (fn := getattr(problem, name)) is not None}
+        return dataclasses.replace(problem, **wrapped)
+
+
 @pytest.fixture
 def traced_counts(monkeypatch):
-    """Count qh calls through the names the stepper and apply_phi use, and vector builds."""
-    counts = collections.Counter()
+    """Count qh calls through the names the stepper and apply_phi use, vector builds and
+    outermost eval_expr calls; ``traced_counts.counted(problem)`` also counts its callables."""
+    counts = TracedCounts()
 
     def counted_qh(v):
         counts["qh"] += 1
@@ -518,10 +543,55 @@ def traced_counts(monkeypatch):
         counts["vectors"] += 1
         post_init(self)
 
+    evaluate = exprdsl.eval_expr
+
+    def outermost_eval(node, bindings):
+        # nested calls, if any, reach the plain function while this one runs
+        counts["eval"] += 1
+        exprdsl.eval_expr = evaluate
+        try:
+            return evaluate(node, bindings)
+        finally:
+            exprdsl.eval_expr = outermost_eval
+
     monkeypatch.setattr(solver, "qh", counted_qh)
     monkeypatch.setattr(residual, "qh", counted_qh)
     monkeypatch.setattr(InteriorVector, "__post_init__", counted_post_init)
+    monkeypatch.setattr(exprdsl, "eval_expr", outermost_eval)
     return counts
+
+
+def inline_ex3():
+    """The inline-ex3 workload's expressions, with its seed-1 mortality constant."""
+    constant = BENCHMARK_WORKLOADS["mortality_constant"](1)
+    return problem_from_expressions(
+        mortality=f"{constant!r} + s/(1 - exp(-1))",
+        fertility="2*exp(x)",
+        initial="exp(-x)/2",
+        right_boundary="exp(-1)/(1 + exp(-t))",
+    )
+
+
+@pytest.mark.parametrize("problem_id", ["example3", "inline-ex3"])
+def test_run_and_apply_phi_make_the_counts_the_benchmark_pins(traced_counts, problem_id):
+    # A trim of either per-level loop that moves a pinned count fails here,
+    # not only in the benchmark's traced run.
+    problem = builtin_problem(problem_id)[0] if problem_id == "example3" else inline_ex3()
+    counted = traced_counts.counted(problem)
+    grid = build_grid(1.0, 7, 0.4, 0.2)
+    keys = ("qh", "coeff_calls", "coeff_nodes")
+    traced_counts.clear()
+    solution = run(counted, grid)
+    expected = BENCHMARK_WORKLOADS["solver_run_counts"](grid.m_prime, grid.n_steps, has_g=True)
+    assert {key: traced_counts[key] for key in keys} == expected
+    assert traced_counts["eval"] == (expected["coeff_nodes"] if problem_id == "inline-ex3" else 0)
+    # one consistency rung: the initial profile, then apply_phi
+    traced_counts.clear()
+    initial = InteriorVector(counted.initial(grid.interior_nodes()), grid.h)
+    apply_phi(solution, counted, grid, initial)
+    expected = BENCHMARK_WORKLOADS["apply_phi_counts"](grid.m_prime, grid.n_steps)
+    assert {key: traced_counts[key] for key in keys} == expected
+    assert traced_counts["eval"] == (expected["coeff_nodes"] if problem_id == "inline-ex3" else 0)
 
 
 @pytest.mark.parametrize("problem_id", ["example2", "example3", "inline"])
