@@ -33,7 +33,6 @@ from .harness import (
     write_csv,
 )
 from .model import (
-    ExactSolution,
     ProblemSpec,
     builtin_ids,
     builtin_problem,
@@ -58,7 +57,6 @@ __all__ = [
     "ConvergenceRow",
     "DimensionMismatch",
     "EvalError",
-    "ExactSolution",
     "GridFunction",
     "GridSpec",
     "InteriorVector",

@@ -29,7 +29,7 @@ from . import harness, model
 from .errors import AgediffError, ConfigError, NonFiniteState, ParseError, StabilityViolation
 from .exprdsl import parse_expr
 from .grid import GridSpec, build_grid
-from .model import ExactSolution, ProblemSpec
+from .model import ProblemSpec, SpaceTimeFunction
 from .residual import _sample_nodes
 from .solver import run as run_solver
 
@@ -182,23 +182,23 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(problem_id=values.pop("problem"), expressions=expressions, **values)
 
 
-def _materialize(config: RunConfig) -> tuple[ProblemSpec, Optional[ExactSolution], str]:
+def _materialize(config: RunConfig) -> tuple[ProblemSpec, Optional[SpaceTimeFunction], str]:
     if config.problem_id is not None:
-        problem, exact = model.builtin_problem(config.problem_id)
-        return problem, exact, config.problem_id
+        problem, u = model.builtin_problem(config.problem_id)
+        return problem, u, config.problem_id
     arguments = {_FIELDS[key]: text for key, text in config.expressions.items()}
     return model.problem_from_expressions(**arguments, a_dagger=config.a_dagger), None, "inline"
 
 
 def _write_run_slice(
-    problem: ProblemSpec, exact: Optional[ExactSolution], grid: GridSpec, output_dir: str, tag: str
+    problem: ProblemSpec, u: Optional[SpaceTimeFunction], grid: GridSpec, output_dir: str, tag: str
 ) -> str:
     solution = run_solver(problem, grid, every=grid.n_steps)  # level 0 and the final one
     path = f"{output_dir}/{tag}_slice_h{grid.h!r}.csv"
     header, columns = ["x", "u_numeric"], [grid.nodes(), solution.values[-1]]
-    if exact is not None:
+    if u is not None:
         # The final level only, sampled as restrict samples each block of levels.
-        u_exact = _sample_nodes(exact.u, grid, grid.n_steps, grid.n_steps + 1)[0]
+        u_exact = _sample_nodes(u, grid, grid.n_steps, grid.n_steps + 1)[0]
         header += ["u_exact", "abs_err"]
         columns += [u_exact, abs(columns[1] - u_exact)]
     harness.write_csv(path, header, zip(*columns))
@@ -206,40 +206,40 @@ def _write_run_slice(
 
 
 def _execute(
-    config: RunConfig, problem: ProblemSpec, exact: Optional[ExactSolution], tag: str, perturbation_scale: float = 1.0
+    config: RunConfig, problem: ProblemSpec, u: Optional[SpaceTimeFunction], tag: str, perturbation_scale: float = 1.0
 ) -> int:
     base = build_grid(problem.a_dagger, config.m_prime, config.r, config.t_final)
     written: list[str] = []
     out = config.output_dir
 
-    if config.study in ("convergence", "consistency") and exact is None:
+    if config.study in ("convergence", "consistency") and u is None:
         raise ConfigError(
             f"a {config.study} study needs an exact solution; "
             "use a built-in problem that has one (example1, example3)"
         )
 
     if config.study == "single":
-        written.append(_write_run_slice(problem, exact, base, out, tag))
+        written.append(_write_run_slice(problem, u, base, out, tag))
     else:
         if config.study == "convergence":
             header = _CONVERGENCE_HEADER
-            rows = map(astuple, harness.convergence_study(problem, exact, base, config.levels))
+            rows = map(astuple, harness.convergence_study(problem, u, base, config.levels))
         elif config.study == "self_convergence":
             header = _CONVERGENCE_HEADER
             rows = map(astuple, harness.self_convergence_study(problem, base, config.levels))
         elif config.study == "consistency":
             header = ["h", "residual_yh", "order"]
-            rows = map(astuple, harness.consistency_study(problem, exact, base, config.levels))
+            rows = map(astuple, harness.consistency_study(problem, u, base, config.levels))
         else:
             header = ["h", "ratio"]
             probe = harness.stability_probe(problem, base, config.levels, perturbation_scale)
-            rows = [(row.h, "DegenerateRatio" if row.degenerate else row.ratio) for row in probe]
+            rows = [(row.h, "DegenerateRatio" if row.ratio is None else row.ratio) for row in probe]
         path = f"{out}/{tag}_{config.study}.csv"
         harness.write_csv(path, header, rows)
         written.append(path)
         if config.study in ("convergence", "self_convergence"):
             for grid in harness._grid_ladder(base, config.levels):
-                written.append(_write_run_slice(problem, exact, grid, out, tag))
+                written.append(_write_run_slice(problem, u, grid, out, tag))
 
     for path in written:
         print(f"wrote {path}")
@@ -313,10 +313,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.output_dir is not None:
                 overrides["output_dir"] = args.output_dir
             config = replace(_load_config(args.config), **overrides)
-        problem, exact, tag = _materialize(config)
+        problem, u, tag = _materialize(config)
         if args.command == "examples":
-            config = replace(config, study="convergence" if exact is not None else "self_convergence")
-        return _execute(config, problem, exact, tag, perturbation_scale=getattr(args, "scale", 1.0))
+            config = replace(config, study="convergence" if u is not None else "self_convergence")
+        return _execute(config, problem, u, tag, perturbation_scale=getattr(args, "scale", 1.0))
     except StabilityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

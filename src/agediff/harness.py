@@ -28,10 +28,10 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .grid import GridSpec, refine
-from .model import ExactSolution, ProblemSpec
+from .model import ProblemSpec, SpaceTimeFunction
 from .quadrature import InteriorVector, l2_norm
-from .residual import _BLOCK_ROWS, apply_phi, restrict, xh_norm, yh_norm
-from .solver import GridFunction, _check_domain, _history_shape, _initial_row, run
+from .residual import apply_phi, restrict, xh_norm, yh_norm
+from .solver import GridFunction, _check_domain, _initial_row, run
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,10 @@ class ConsistencyRow:
 
 @dataclass(frozen=True)
 class StabilityRow:
-    """One perturbation-pair ratio; ``degenerate`` marks a zero or non-finite denominator or ratio."""
+    """One perturbation-pair ratio; None when the denominator is zero or not finite, or the ratio overflows."""
 
     h: float
     ratio: Optional[float]
-    degenerate: bool
 
 
 def _grid_ladder(base: GridSpec, levels: int) -> list[GridSpec]:
@@ -129,13 +128,13 @@ def _subtract_run(problem: ProblemSpec, grid: GridSpec, histories: Sequence[Grid
 
 
 def convergence_study(
-    problem: ProblemSpec, exact: ExactSolution, base: GridSpec, levels: int
+    problem: ProblemSpec, u: SpaceTimeFunction, base: GridSpec, levels: int
 ) -> list[ConvergenceRow]:
-    """Errors ``exact - run`` on a ladder of refined meshes; each run is streamed, not stored."""
+    """Errors ``u - run`` on a ladder of refined meshes; each run is streamed, not stored."""
     grids = _grid_ladder(base, levels)
     triples = []
     for grid in grids:
-        error = restrict(exact.u, grid)
+        error = restrict(u, grid)
         _subtract_run(problem, grid, [error])
         triples.append(_error_triple(error))
         del error  # before the next, eight times larger, rung is sampled
@@ -161,15 +160,15 @@ def self_convergence_study(
 
 
 def consistency_study(
-    problem: ProblemSpec, exact: ExactSolution, base: GridSpec, levels: int
+    problem: ProblemSpec, u: SpaceTimeFunction, base: GridSpec, levels: int
 ) -> list[ConsistencyRow]:
-    """Residual norm of the restricted exact solution on each mesh."""
+    """Residual norm of the restricted exact solution u on each mesh."""
     _check_domain(problem, base)
     grids = _grid_ladder(base, levels)
     residuals = []
     for grid in grids:
         initial = InteriorVector(_initial_row(problem, grid.interior_nodes()), grid.h)
-        sampled = restrict(exact.u, grid)
+        sampled = restrict(u, grid)
         residuals.append(yh_norm(apply_phi(sampled, problem, grid, initial, out=sampled)))
         del sampled  # before the next, eight times larger, rung is sampled
     return [
@@ -179,28 +178,28 @@ def consistency_study(
 
 
 def _perturbation(grid: GridSpec, scale: float) -> GridFunction:
-    """A fixed low-frequency field, scaled to xh-norm = scale * h.
+    """A fixed low-frequency field with zero traces, scaled to xh-norm = scale * h.
 
-    The mode shape is drawn once from a fixed seed, so every call sees the
-    same smooth function; only the sampling mesh changes.  Scaling by the
-    mesh-dependent factor keeps the perturbation inside the shrinking
-    neighbourhood where the stability estimate applies.  The interior is
-    filled one block of levels at a time and scaled in place, so the only
-    whole-history array is the result; both traces stay zero.
+    The field is sum_m a_m cos(m pi t / T) sin(m pi x / a_dagger) over m = 1..3,
+    with T the realized final time.  The amplitudes a_m are drawn once from a
+    fixed seed, so every call sees the same smooth function; only the sampling
+    mesh changes.  Scaling by the mesh-dependent factor keeps the perturbation
+    inside the shrinking neighbourhood where the stability estimate applies.
+    :func:`restrict` samples the field, both trace columns are then zeroed (at
+    a_dagger, sin(m pi) is not 0 in floating point) and the interior is scaled
+    in place, so the only whole-history array is the result.
     """
-    rng = np.random.default_rng(987654321)
-    amplitudes = rng.uniform(0.5, 1.0, size=3)
-    x = grid.interior_nodes()
-    t = grid.time_levels()
-    spatial = [np.sin((mode + 1) * np.pi * x / grid.a_dagger) for mode in range(3)]
-    temporal = [np.cos((mode + 1) * np.pi * t / grid.t_final) for mode in range(3)]
-    perturbation = GridFunction(np.zeros(_history_shape(grid, 1)), grid)
+    amplitudes = np.random.default_rng(987654321).uniform(0.5, 1.0, size=3)
+    perturbation = restrict(
+        lambda x, t: sum(
+            a * np.cos(m * np.pi * t / grid.t_final) * np.sin(m * np.pi * x / grid.a_dagger)
+            for m, a in enumerate(amplitudes, start=1)
+        ),
+        grid,
+    )
+    perturbation.left_trace[:] = 0.0
+    perturbation.right_trace[:] = 0.0
     rows = perturbation.interior
-    for start in range(0, grid.n_steps + 1, _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        block = rows[start:stop]
-        for mode in range(3):
-            block += amplitudes[mode] * temporal[mode][start:stop, None] * spatial[mode][None, :]
     rows *= scale * grid.h / xh_norm(perturbation)
     return perturbation
 
@@ -216,7 +215,7 @@ def stability_probe(
     pass over the history.  W is formed in V's own arrays once phi(V) is known, and
     phi(V) - phi(W) in phi(V)'s, so each rung holds three whole-history
     arrays at most.  A denominator that is zero or not finite (or a ratio
-    that overflows) is reported as a degenerate row, never raised.
+    that overflows) is reported as a row whose ratio is None, never raised.
     """
     if not (math.isfinite(perturbation_scale) and perturbation_scale >= 0.0):
         raise InvalidParameter(
@@ -234,12 +233,10 @@ def stability_probe(
         del perturbation
         gap = residual_gap.values
         np.subtract(gap, apply_phi(solution, problem, grid, initial).values, out=gap)
-        with np.errstate(over="ignore"):  # an overflowing gap is a degenerate row
+        with np.errstate(over="ignore"):  # an overflowing gap has no ratio
             denominator = yh_norm(residual_gap)
-        if not (0.0 < denominator < math.inf and math.isfinite(numerator / denominator)):
-            rows.append(StabilityRow(h=grid.h, ratio=None, degenerate=True))
-        else:
-            rows.append(StabilityRow(h=grid.h, ratio=numerator / denominator, degenerate=False))
+        finite = 0.0 < denominator < math.inf and math.isfinite(numerator / denominator)
+        rows.append(StabilityRow(h=grid.h, ratio=numerator / denominator if finite else None))
     return rows
 
 

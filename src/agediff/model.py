@@ -9,9 +9,11 @@ enforces u = 0 (homogeneous) or a prescribed Dirichlet history g(t).
 Coefficient callables are vectorized over the age argument: they receive a
 float ndarray of node coordinates plus the scalar weighted population, and
 must return an array of the same shape.  ``g`` is scalar in t.  An exact
-solution u(x, t) broadcasts over both arguments: it is sampled with a row of
-nodes x and a column of times t, one block of levels per call, and returns
-their (levels, nodes) table.
+solution is a plain callable u(x, t) that broadcasts over both arguments:
+:func:`agediff.residual.restrict` calls it once per block of levels, with the
+node row x of shape (M + 1,) and the time column t of shape (levels, 1), and
+the value must broadcast to (levels, M + 1).  So write ``np.exp(t)``, not
+``math.exp(t)``.
 
 No caller writes into the array a coefficient, profile or exact solution
 returns, so a callable may hand out a shared read-only array.  The built-ins
@@ -34,6 +36,7 @@ from . import exprdsl
 
 Coefficient = Callable[[np.ndarray, float], np.ndarray]
 AgeProfile = Callable[[np.ndarray], np.ndarray]
+SpaceTimeFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -57,18 +60,6 @@ class ProblemSpec:
         if self.right_boundary is None:
             return 0.0
         return float(self.right_boundary(t))
-
-
-@dataclass(frozen=True)
-class ExactSolution:
-    """A closed-form solution u(x, t) that broadcasts over x and t.
-
-    ``restrict`` calls it once per block of levels, with the node row x of
-    shape (M + 1,) and the time column t of shape (levels, 1); the value must
-    broadcast to (levels, M + 1).  So use ``np.exp(t)``, not ``math.exp(t)``.
-    """
-
-    u: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 _DECAY_SCALE = 1.0 - math.exp(-1.0)
@@ -95,7 +86,7 @@ def _filled(x, value: float) -> np.ndarray:
     return values
 
 
-def _example1() -> tuple[ProblemSpec, ExactSolution]:
+def _example1() -> tuple[ProblemSpec, SpaceTimeFunction]:
     problem = ProblemSpec(
         mortality=_constant(1.0),
         fertility=_constant(math.e),
@@ -105,8 +96,7 @@ def _example1() -> tuple[ProblemSpec, ExactSolution]:
         a_dagger=1.0,
         right_boundary=None,
     )
-    exact = ExactSolution(u=lambda x, t: (math.e - np.exp(x)) * np.exp(-t))
-    return problem, exact
+    return problem, lambda x, t: (math.e - np.exp(x)) * np.exp(-t)
 
 
 def _example2() -> tuple[ProblemSpec, None]:
@@ -122,7 +112,7 @@ def _example2() -> tuple[ProblemSpec, None]:
     return problem, None
 
 
-def _example3() -> tuple[ProblemSpec, ExactSolution]:
+def _example3() -> tuple[ProblemSpec, SpaceTimeFunction]:
     problem = ProblemSpec(
         mortality=lambda x, s: _filled(x, 1.0 + s / _DECAY_SCALE),
         fertility=lambda x, s: 2.0 * np.exp(x),
@@ -132,8 +122,7 @@ def _example3() -> tuple[ProblemSpec, ExactSolution]:
         a_dagger=1.0,
         right_boundary=lambda t: math.exp(-1.0) / (1.0 + math.exp(-t)),
     )
-    exact = ExactSolution(u=lambda x, t: np.exp(-x) / (1.0 + np.exp(-t)))
-    return problem, exact
+    return problem, lambda x, t: np.exp(-x) / (1.0 + np.exp(-t))
 
 
 _BUILTINS = {
@@ -160,8 +149,8 @@ def builtin_description(problem_id: str) -> str:
     return _builtin(problem_id)[1]
 
 
-def builtin_problem(problem_id: str) -> tuple[ProblemSpec, Optional[ExactSolution]]:
-    """Return a built-in problem and its exact solution, if one is known."""
+def builtin_problem(problem_id: str) -> tuple[ProblemSpec, Optional[SpaceTimeFunction]]:
+    """Return a built-in problem and its exact solution u(x, t), or None if none is known."""
     return _builtin(problem_id)[0]()
 
 

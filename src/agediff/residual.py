@@ -44,13 +44,13 @@ warnings inside the coefficient callables.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, EvalError
 from .grid import GridSpec
-from .model import ProblemSpec
+from .model import ProblemSpec, SpaceTimeFunction
 from .quadrature import InteriorVector, l2_norm, qh, star_norm
 from .solver import (
     GridFunction,
@@ -81,23 +81,29 @@ def element_from_solution(solution: GridFunction) -> GridFunction:
     return solution
 
 
-def _sample_nodes(
-    u: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: GridSpec, start: int, stop: int
-) -> np.ndarray:
+def _sample_nodes(u: SpaceTimeFunction, grid: GridSpec, start: int, stop: int) -> np.ndarray:
     """u at x_0, x_1..x_{M-1} and a_dagger on levels start..stop-1, one call per block of levels.
 
     Each call passes the node row and the column ``np.arange(begin, end)[:, None] * k``
     of up to ``_BLOCK_ROWS`` times, the floats of ``grid.time_levels()``; row j of
     the result holds level start + j.  The last column is sampled at a_dagger
     itself, not at the rounded node m_total * h; the two can differ by an ulp.
-    A value that does not broadcast to the block raises DimensionMismatch.
+    A value that does not broadcast to the block, or a TypeError raised by the
+    call (as ``math.exp`` raises on an array), raises DimensionMismatch.
     """
     x = np.concatenate(([0.0], grid.interior_nodes(), [grid.a_dagger]))
     samples = np.empty((stop - start, x.shape[0]))
     for begin in range(start, stop, _BLOCK_ROWS):
         end = min(begin + _BLOCK_ROWS, stop)
         block = samples[begin - start : end - start]
-        values = np.asarray(u(x, np.arange(begin, end)[:, None] * grid.k), dtype=float)
+        try:
+            values = u(x, np.arange(begin, end)[:, None] * grid.k)
+        except TypeError as exc:
+            raise DimensionMismatch(
+                f"sampled function raised TypeError ({exc}); u(x, t) must broadcast "
+                "over a (levels, 1) time column t, so use np.exp(t), not math.exp(t)"
+            ) from exc
+        values = np.asarray(values, dtype=float)
         try:
             np.copyto(block, values)
         except ValueError:
@@ -110,8 +116,14 @@ def _sample_nodes(
     return samples
 
 
-def restrict(u: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: GridSpec) -> GridFunction:
-    """Sample u(x, t) on every node and level of a mesh numpy can index, one call per block of levels."""
+def restrict(u: SpaceTimeFunction, grid: GridSpec) -> GridFunction:
+    """Sample u(x, t) on every node and level of a mesh numpy can index, one call per block of levels.
+
+    u must broadcast over both arguments: each call passes the node row x of
+    shape (M + 1,) and a time column t of shape (levels, 1), and the value
+    must broadcast to (levels, M + 1).  So write ``np.exp(t)``, not
+    ``math.exp(t)``; either mistake raises DimensionMismatch.
+    """
     _history_shape(grid, 1)
     return GridFunction(_sample_nodes(u, grid, 0, grid.n_steps + 1), grid)
 

@@ -14,7 +14,6 @@ from agediff.quadrature import InteriorVector
 from agediff.residual import apply_phi
 from agediff.solver import run
 from agediff.model import (
-    ExactSolution,
     builtin_description,
     builtin_ids,
     builtin_problem,
@@ -35,7 +34,7 @@ def exact_weighted_integral(exact, psi, t, a_dagger=1.0):
     from scipy import integrate
 
     result = integrate.quad(
-        lambda x: float(psi(np.asarray(x, dtype=float))) * float(exact.u(np.asarray(x, dtype=float), t)),
+        lambda x: float(psi(np.asarray(x, dtype=float))) * float(exact(np.asarray(x, dtype=float), t)),
         0.0,
         float(a_dagger),
         epsabs=1e-12,
@@ -67,7 +66,7 @@ def test_example1_definition():
     assert np.allclose(problem.initial(x), E - np.exp(x), rtol=0, atol=0)
     assert problem.initial(np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-15)
     assert exact is not None
-    assert np.allclose(exact.u(x, 0.0), problem.initial(x), rtol=1e-15, atol=1e-15)
+    assert np.allclose(exact(x, 0.0), problem.initial(x), rtol=1e-15, atol=1e-15)
 
 
 def test_example2_has_no_exact_solution():
@@ -88,7 +87,7 @@ def test_example3_definition():
     assert np.allclose(problem.initial(x), np.exp(-x) / 2.0, rtol=0, atol=0)
     for t in (0.0, 0.4, 1.0):
         assert problem.boundary_value(t) == pytest.approx(
-            float(exact.u(np.asarray(1.0), t)), rel=1e-15
+            float(exact(np.asarray(1.0), t)), rel=1e-15
         )
 
 
@@ -107,7 +106,7 @@ def test_exact_weighted_integral_oracle_values():
 
 
 def test_exact_weighted_integral_respects_domain():
-    linear = ExactSolution(u=lambda x, t: np.asarray(x, dtype=float) + 0.0 * t)
+    linear = lambda x, t: np.asarray(x, dtype=float) + 0.0 * t
     ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
     assert exact_weighted_integral(linear, ones, 0.0, a_dagger=2.0) == pytest.approx(2.0, rel=1e-12)
     assert exact_weighted_integral(linear, ones, 0.0) == pytest.approx(0.5, rel=1e-12)
@@ -117,7 +116,7 @@ def test_example1_satisfies_the_birth_law():
     # u(0,t) - u_x(0,t) equals the fertility-weighted population integral
     problem, exact = builtin_problem("example1")
     for t in np.linspace(0.0, 1.0, 11):
-        u0 = float(exact.u(np.asarray(0.0), t))
+        u0 = float(exact(np.asarray(0.0), t))
         ux0 = -math.exp(-t)
         integral = exact_weighted_integral(exact, problem.psi2, float(t))
         birth = E * integral
@@ -129,7 +128,7 @@ def test_example3_satisfies_the_birth_law():
     fertility_profile = lambda x: 2.0 * np.exp(np.asarray(x, dtype=float))
     for t in np.linspace(0.0, 1.0, 11):
         sigma = 1.0 / (1.0 + math.exp(-t))
-        u0 = float(exact.u(np.asarray(0.0), t))
+        u0 = float(exact(np.asarray(0.0), t))
         ux0 = -sigma
         birth = exact_weighted_integral(exact, fertility_profile, float(t))
         assert u0 == pytest.approx(sigma, rel=1e-15)

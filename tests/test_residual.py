@@ -82,8 +82,8 @@ def three_call_restrict(u, grid):
 
 
 SAMPLED_FUNCTIONS = {
-    "example1": builtin_problem("example1")[1].u,
-    "example3": builtin_problem("example3")[1].u,
+    "example1": builtin_problem("example1")[1],
+    "example3": builtin_problem("example3")[1],
     "sin-sqrt-log1p": lambda x, t: np.sin(3.0 * x + t) * np.sqrt(1.0 + x) + np.log1p(x * (1.0 + t)),
 }
 
@@ -121,10 +121,27 @@ def test_restrict_names_both_shapes_when_a_sample_does_not_broadcast():
         restrict(lambda x, t: np.zeros(3), grid)
 
 
+@pytest.mark.parametrize(
+    "sample",
+    [
+        restrict,
+        # the CLI slice path: the final level alone
+        lambda u, grid: residual._sample_nodes(u, grid, grid.n_steps, grid.n_steps + 1),
+    ],
+    ids=["restrict", "final-level"],
+)
+def test_a_scalar_t_exact_solution_names_the_broadcasting_contract(sample):
+    # math.exp cannot take the (levels, 1) time column; its TypeError stays chained
+    grid = build_grid(1.0, 7, 0.4, 0.01)
+    with pytest.raises(DimensionMismatch, match=re.escape("must broadcast over a (levels, 1) time column")) as info:
+        sample(lambda x, t: np.exp(-x) * math.exp(-t), grid)
+    assert isinstance(info.value.__cause__, TypeError)
+
+
 def test_restricted_exact_matches_the_initial_row_bitwise():
     problem, exact = builtin_problem("example1")
     grid = build_grid(1.0, 7, 0.4, 0.2)
-    element = restrict(exact.u, grid)
+    element = restrict(exact, grid)
     bundle = apply_phi(element, problem, grid, initial_vector(problem, grid))
     assert np.all(bundle.interior[0] == 0.0)
 
@@ -134,7 +151,7 @@ def test_restricted_exact_tracks_the_right_boundary_data():
     # exp implementations, so the residual is rounding noise over h, not zero
     problem, exact = builtin_problem("example3")
     grid = build_grid(1.0, 7, 0.4, 0.8)
-    element = restrict(exact.u, grid)
+    element = restrict(exact, grid)
     bundle = apply_phi(element, problem, grid, initial_vector(problem, grid))
     assert np.max(np.abs(bundle.right_trace)) <= 1e-13
 
@@ -144,7 +161,7 @@ def test_truncation_residual_shrinks_under_refinement():
     grid = build_grid(1.0, 7, 0.4, 0.2)
     norms = []
     for _ in range(2):
-        element = restrict(exact.u, grid)
+        element = restrict(exact, grid)
         bundle = apply_phi(element, problem, grid, initial_vector(problem, grid))
         norms.append(yh_norm(bundle))
         grid = refine(grid)
@@ -296,7 +313,7 @@ def whole_history_yh_norm(p):
 def restricted_example3():
     problem, exact = builtin_problem("example3")
     grid = build_grid(1.0, 7, 0.4, 0.2)
-    return problem, grid, restrict(exact.u, grid)
+    return problem, grid, restrict(exact, grid)
 
 
 def random_inline():
@@ -354,7 +371,7 @@ def test_non_finite_boundary_data_raises_as_in_run():
     problem, exact = builtin_problem("example3")
     broken = dataclasses.replace(problem, right_boundary=lambda t: math.nan if t > 0.02 else 0.3)
     grid = build_grid(1.0, 7, 0.4, 0.05)
-    element = restrict(exact.u, grid)
+    element = restrict(exact, grid)
     with pytest.raises(NonFiniteState, match="right boundary"):
         apply_phi(element, broken, grid, initial_vector(problem, grid))
     with pytest.raises(NonFiniteState, match="right boundary"):
@@ -449,7 +466,7 @@ def phi_outcome(call):
 def test_apply_phi_fails_as_the_reference_that_checks_every_array(name):
     problem, exact = builtin_problem("example3")
     grid = dataclasses.replace(build_grid(1.0, 7, 0.4, 0.05), n_steps=300)
-    element = restrict(exact.u, grid)
+    element = restrict(exact, grid)
     initial = initial_vector(problem, grid)
 
     def fresh():
@@ -480,7 +497,7 @@ def _builtin(problem_id):
     # for example2, which has none, the computed history
     def case(grid):
         problem, exact = builtin_problem(problem_id)
-        return problem, run(problem, grid) if exact is None else restrict(exact.u, grid)
+        return problem, run(problem, grid) if exact is None else restrict(exact, grid)
 
     return case
 

@@ -18,7 +18,7 @@ from agediff.errors import (
 )
 from agediff.grid import GridSpec, build_grid, refine
 from agediff.harness import consistency_study, convergence_study, self_convergence_study, stability_probe
-from agediff.model import ExactSolution, ProblemSpec, builtin_problem, problem_from_expressions
+from agediff.model import ProblemSpec, builtin_problem, problem_from_expressions
 from agediff.quadrature import InteriorVector, qh
 from agediff.residual import apply_phi, element_from_solution, restrict
 from agediff.solver import GridFunction, run
@@ -147,7 +147,7 @@ def test_error_against_exact_shrinks_under_refinement():
     errors = []
     for _ in range(2):
         solution = run(problem, grid)
-        sampled = exact.u(grid.interior_nodes(), float(grid.t_final))
+        sampled = exact(grid.interior_nodes(), float(grid.t_final))
         errors.append(np.max(np.abs(solution.interior[-1] - sampled)))
         grid = refine(grid)
     assert errors[1] < errors[0] / 1.5
@@ -287,7 +287,7 @@ def test_every_producer_returns_one_c_contiguous_row_per_level():
     made = {
         "run": solution,
         "run-strided": run(problem, grid, every=grid.n_steps),
-        "restrict": restrict(exact.u, grid),
+        "restrict": restrict(exact, grid),
         "apply_phi": apply_phi(solution, problem, grid, initial),
         "perturbation": harness._perturbation(grid, 1.0),
     }
@@ -488,9 +488,9 @@ def test_mismatched_domain_is_rejected_before_any_coefficient_call():
     calls = []
     problem = dataclasses.replace(counted_problem(calls), a_dagger=2.0)
     grid = build_grid(1.0, 7, 0.4, 0.05)
-    element = restrict(lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), grid)
+    exact = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
+    element = restrict(exact, grid)
     initial = InteriorVector(np.zeros(grid.m_total - 1), grid.h)
-    exact = ExactSolution(u=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)))
     entry_points = [
         lambda: run(problem, grid),
         lambda: apply_phi(element, problem, grid, initial),
