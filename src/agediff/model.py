@@ -18,8 +18,9 @@ the value must broadcast to (levels, M + 1).  So write ``np.exp(t)``, not
 No caller writes into the array a coefficient, profile or exact solution
 returns, so a callable may hand out a shared read-only array.  The built-ins
 do: a coefficient that reads neither x nor s (psi1 = psi2 = 1, and example1's
-d = 1 and B = e) returns one cached ``np.full`` array per shape, and writing
-into it raises ValueError.
+d = 1 and B = e) returns one cached ``np.full`` array per shape, and one that
+reads s but not x (examples 2 and 3's d) a read-only stride-0 array of x's
+shape.  Writing into either raises ValueError.
 """
 
 from __future__ import annotations
@@ -80,9 +81,14 @@ def _constant(value: float) -> Callable:
 
 
 def _filled(x, value: float) -> np.ndarray:
-    """``np.full_like(x, value)`` without numpy's Python-level wrapper."""
-    values = np.empty_like(x)
-    values.fill(value)
+    """``value`` at every node of ``x``: a stride-0 array, read-only as its numpy-scalar buffer is."""
+    shape = x.shape if isinstance(x, np.ndarray) else np.shape(x)
+    return np.ndarray(shape, float, np.float64(value), 0, (0,) * len(shape))
+
+
+def _twice_exp(x, s):
+    values = np.exp(x)  # B = 2e^x with one allocation
+    values *= 2.0
     return values
 
 
@@ -102,7 +108,7 @@ def _example1() -> tuple[ProblemSpec, SpaceTimeFunction]:
 def _example2() -> tuple[ProblemSpec, None]:
     problem = ProblemSpec(
         mortality=lambda x, s: _filled(x, 0.5 + s / _DECAY_SCALE),
-        fertility=lambda x, s: 2.0 * np.exp(x),
+        fertility=_twice_exp,
         psi1=_constant(1.0),
         psi2=_constant(1.0),
         initial=lambda x: math.e - np.exp(x),
@@ -115,7 +121,7 @@ def _example2() -> tuple[ProblemSpec, None]:
 def _example3() -> tuple[ProblemSpec, SpaceTimeFunction]:
     problem = ProblemSpec(
         mortality=lambda x, s: _filled(x, 1.0 + s / _DECAY_SCALE),
-        fertility=lambda x, s: 2.0 * np.exp(x),
+        fertility=_twice_exp,
         psi1=_constant(1.0),
         psi2=_constant(1.0),
         initial=lambda x: np.exp(-x) / 2.0,

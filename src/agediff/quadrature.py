@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class InteriorVector:
 
     values: np.ndarray
     h: float
+    # the rule's read-only weights for this length and h, bound once for qh
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -47,6 +49,7 @@ class InteriorVector:
             )
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise InvalidParameter(f"h must be positive and finite, got {self.h!r}")
+        object.__setattr__(self, "_weights", _cached_weights(n, self.h))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -56,12 +59,11 @@ def qh(v: InteriorVector) -> float:
     """Integrate interior nodal values over [0, a_dagger].
 
     The integral is the dot product of the values with the rule's weight
-    vector (see :func:`weights`), cached per (length, h): the same bits as
-    ``weights(n, h) @ values``.  Equal inputs give bit-identical results on
-    every call.
+    vector (see :func:`weights`), cached per (length, h) and bound to the
+    vector when it is built: the same bits as ``weights(n, h) @ values``.
+    Equal inputs give bit-identical results on every call.
     """
-    values = v.values
-    return float(_cached_weights(values.shape[0], v.h).dot(values))
+    return float(v._weights.dot(v.values))
 
 
 def weights(n: int, h: float) -> np.ndarray:

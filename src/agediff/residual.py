@@ -208,9 +208,9 @@ def apply_phi(
                 d = mortality_of(x, s1)
                 if type(d) is not ndarray or d.dtype is not float64 or d.shape != shape:
                     d = _nodal_values(d, x, "mortality")
-                if not isfinite(d.dot(zeros)):
+                mortality[j + 1] = d  # guarded on the copy, whose dot is cheaper than a stride-0 d's
+                if not isfinite(mortality[j + 1].dot(zeros)):
                     _check_coefficient(d, "mortality", s1)
-                mortality[j + 1] = d
         out.left_trace[start:stop] = (1.0 + 1.0 / h) * block[1:, 0] - block[1:, 1] / h - birth[:size]
         out.right_trace[start:stop] = (block[1:, -1] - g[start:stop]) / h
         # The update rows, term by term in the formula's operand order: the bits of one

@@ -21,8 +21,11 @@ history as one, and :mod:`agediff.residual` measures elements and residuals
 as grid functions too.
 
 :func:`run` computes the mesh constants once and marches in two full-width
-work rows whose interior and shifted views are made once per run; row[0]
-holds U_0^n and row[-1] holds g(t^n), so the stencil needs no boundary case.
+work rows; row[0] holds U_0^n and row[-1] holds g(t^n), so the stencil needs
+no boundary case.  A step is one product of a row's read-only (3, M - 1)
+window view (U_{i-1}, U_i, U_{i+1}) with the stencil [r + lam; c; r], then
+two adds in the formula's order.  For a stride-0 d (one value at every node)
+c is one Python float; otherwise c and its least value are per node.
 ``run(problem, grid, every=e)`` copies the work row into the history at
 levels 0, e, 2e, ...
 
@@ -63,6 +66,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, EvalError, InvalidParameter, NonFiniteState, StabilityViolation
 from .grid import GridSpec
@@ -134,6 +138,8 @@ def _check_domain(problem: ProblemSpec, grid: GridSpec) -> None:
 
 def _boundary_values(problem: ProblemSpec, grid: GridSpec) -> np.ndarray:
     """g(t^n) at every time level n = 0..n_steps, checked finite (zeros when homogeneous)."""
+    if problem.right_boundary is None:
+        return np.zeros(grid.n_steps + 1)
     values = np.fromiter(
         (problem.boundary_value(t) for t in grid.time_levels()), dtype=float, count=grid.n_steps + 1
     )
@@ -196,10 +202,14 @@ def run(
 
     values = np.empty((levels, width))
     # level n lives in rows[n % 2], so a step never overwrites the row it reads;
-    # each row comes with its views of x_1..x_{M-1}, x_0..x_{M-2} and x_2..x_M
+    # each row comes with its view of x_1..x_{M-1} and its window view
     rows = np.empty((2, width))
-    views = [(row, row[1:-1], row[:-2], row[2:]) for row in rows]
-    tmp = np.empty(width - 2)
+    views = [(row, row[1:-1], sliding_window_view(row, 3).T) for row in rows]
+    # the stencil [r + lam; c; r], times the window view in one product
+    stencil, terms = np.empty((2, 3, width - 2))
+    stencil[0], stencil[2] = upwind, r
+    center = stencil[1]
+    upwind_terms, center_terms, right_terms = terms
     weighted = InteriorVector(np.empty(width - 2), h)
     products = weighted.values
     rows[0, 1:-1] = _initial_row(problem, x)
@@ -208,13 +218,13 @@ def run(
     # Bound when the call starts, so a patched module-level qh is the one called.
     quadrature, psi1_of, psi2_of = qh, problem.psi1, problem.psi2
     fertility_of, mortality_of = problem.fertility, problem.mortality
-    multiply, subtract, least, isfinite = np.multiply, np.subtract, np.minimum.reduce, math.isfinite
+    multiply, subtract, add, least, isfinite = np.multiply, np.subtract, np.add, np.minimum.reduce, math.isfinite
     ndarray, float64, shape = np.ndarray, np.dtype(float), x.shape
 
     s1 = mortality = None  # the last step's, checked when the row it made is not finite
     with np.errstate(invalid="ignore"):
         for n in range(n_steps + 1):
-            row, inner, before, after = views[n % 2]
+            row, inner, windows = views[n % 2]
             # Only a value that is not already a float64 array of x's shape goes
             # through _nodal_values, which converts it or raises DimensionMismatch.
             psi2 = psi2_of(x)
@@ -257,20 +267,22 @@ def run(
             mortality = mortality_of(x, s1)
             if type(mortality) is not ndarray or mortality.dtype is not float64 or mortality.shape != shape:
                 mortality = _nodal_values(mortality, x, "mortality")
-            advanced = views[1 - n % 2][1]
-            multiply(mortality, k, out=advanced)
-            subtract(diagonal, advanced, out=advanced)
-            margin = least(advanced)
+            if mortality.strides == (0,):  # one d at every node, so one update weight
+                margin = diagonal - mortality.item(0) * k
+                center.fill(margin)
+            else:
+                multiply(mortality, k, out=center)
+                subtract(diagonal, center, out=center)
+                margin = least(center)
             if not margin >= 0.0:
                 _check_coefficient(mortality, "mortality", s1)
                 raise StabilityViolation(
                     f"update coefficient 1 - lam - 2*r - k*d = {float(margin)!r} < 0 (s1 = {s1!r}); "
                     "refine the mesh or lower r"
                 )
-            advanced *= inner
-            multiply(before, upwind, out=tmp)
-            advanced += tmp
-            multiply(after, r, out=tmp)
-            advanced += tmp
+            multiply(windows, stencil, out=terms)
+            advanced = views[1 - n % 2][1]
+            add(center_terms, upwind_terms, out=advanced)
+            add(advanced, right_terms, out=advanced)
 
     return GridFunction(values, grid, every)

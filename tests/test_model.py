@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from agediff.errors import EvalError, ParseError, UnknownProblem
+from agediff.errors import EvalError, ParseError, StabilityViolation, UnknownProblem
 from agediff.exprdsl import eval_expr, parse_expr
 from agediff.grid import build_grid
 from agediff.quadrature import InteriorVector
@@ -321,8 +321,37 @@ def test_constant_coefficients_are_shared_read_only_arrays():
 
 @pytest.mark.parametrize("problem_id", sorted(ALLOCATING))
 def test_run_on_builtins_equals_their_allocating_form_bit_for_bit(problem_id):
+    # example2's and example3's d is stride-0, which run steps with one scalar
+    # update weight; the allocating form's d takes the per-node path
     grid = build_grid(1.0, 7, 0.4, 0.2)
-    assert same_bits(run(builtin_problem(problem_id)[0], grid).values, run(allocating_problem(problem_id), grid).values)
+    problem, allocating = builtin_problem(problem_id)[0], allocating_problem(problem_id)
+    assert same_bits(run(problem, grid).values, run(allocating, grid).values)
+    assert same_bits(run(problem, grid, every=4).values, run(allocating, grid, every=4).values)
+    solution = run(problem, grid)
+    initial = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
+    assert same_bits(
+        apply_phi(solution, problem, grid, initial).values, apply_phi(solution, allocating, grid, initial).values
+    )
+    # r = 0.487 leaves 1 - lam - 2r = 0.00165, below k*d for examples 2 and 3
+    narrow = build_grid(1.0, 7, 0.487, 0.05)
+    outcomes = []
+    for form in (problem, allocating):
+        try:
+            outcomes.append(run(form, narrow).values.view(np.int64).tolist())
+        except StabilityViolation as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0], str) == (problem_id != "example1")
+
+
+@pytest.mark.parametrize("problem_id", ["example2", "example3"])
+def test_a_mortality_that_reads_only_s_is_a_read_only_stride_zero_array(problem_id):
+    mortality = builtin_problem(problem_id)[0].mortality
+    values = mortality(np.linspace(0.0, 1.0, 9), 0.7)
+    assert values.strides == (0,) and values.shape == (9,)
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 2.0
+    assert mortality(np.linspace(0.0, 1.0, 12).reshape(3, 4), 0.7).strides == (0, 0)
 
 
 @pytest.mark.parametrize("problem_id", sorted(ALLOCATING))

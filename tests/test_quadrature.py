@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -208,6 +210,23 @@ def test_equal_lengths_with_different_spacing_get_their_own_weights():
     assert qh(InteriorVector(values, 0.05)) == pytest.approx(1.0, abs=1e-15)
     assert qh(InteriorVector(values, 0.1)) == pytest.approx(2.0, abs=1e-15)
     assert qh(InteriorVector(values, 0.05)) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_bound_weights_leave_equality_repr_and_pickling_unchanged():
+    x, h = interior_x(7)
+    values = np.sin(3.0 * x)
+    vector = InteriorVector(values, h)
+    assert [field.name for field in dataclasses.fields(vector) if field.init] == ["values", "h"]
+    assert vector == InteriorVector(values, h)
+    assert vector != InteriorVector(values, 2.0 * h)
+    assert repr(vector) == f"InteriorVector(values={values!r}, h={h!r})"
+    copy = pickle.loads(pickle.dumps(vector))
+    assert repr(copy) == repr(vector)
+    assert np.array_equal(copy.values.view(np.int64), values.view(np.int64)) and copy.h == h
+    assert np.array_equal(copy._weights, vector._weights)
+    assert np.float64(qh(copy)).view(np.int64) == np.float64(qh(vector)).view(np.int64)
+    # replace rebuilds through __init__, so the weights follow h
+    assert qh(dataclasses.replace(vector, h=2.0 * h)) == float(weights(len(x), 2.0 * h) @ values)
 
 
 def test_mutating_returned_weights_does_not_change_qh():

@@ -403,6 +403,30 @@ def test_non_finite_mortality_at_the_last_level_still_raises():
             apply_phi(fine, blows_up, grid, initial, out=fine if alias else None)
 
 
+@pytest.mark.parametrize("level", [0, 255, 256, 300], ids=["level-0", "level-255", "level-256", "last-level"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_constant_non_finite_mortality_fails_alike_as_stride_zero_and_as_contiguous(value, level):
+    # apply_phi guards d on its contiguous copy, so a read-only stride-0 d must
+    # raise the same EvalError at the same level as a contiguous one
+    problem, exact = builtin_problem("example3")
+    grid = dataclasses.replace(build_grid(1.0, 7, 0.4, 0.05), n_steps=300)
+    element = restrict(exact, grid)
+    initial = initial_vector(problem, grid)
+    outcomes = []
+    for layout in (lambda x, d: np.broadcast_to(d, x.shape), np.full_like):
+        calls = []
+
+        def mortality(x, s, layout=layout):
+            calls.append(s)
+            return layout(x, value if len(calls) == level + 1 else 1.0)
+
+        with pytest.raises(EvalError, match="mortality") as raised:
+            apply_phi(element, dataclasses.replace(problem, mortality=mortality), grid, initial)
+        outcomes.append((str(raised.value), len(calls)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == level + 1
+
+
 def after_calls(count, good, bad):
     """A callable that returns ``good(*args)`` for its first ``count`` calls, then ``bad(*args)``."""
     calls = []

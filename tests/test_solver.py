@@ -322,6 +322,26 @@ def test_negative_update_coefficient_is_a_stability_violation(d):
         run(problem, grid)
 
 
+@pytest.mark.parametrize("d", [1000.0, math.nan], ids=["stability-violation", "nan"])
+def test_a_constant_mortality_fails_alike_as_stride_zero_and_as_contiguous(d):
+    # run takes a stride-0 d's update weight as one scalar; its margin check must
+    # raise as the per-node one does, before the step and before any later call
+    grid = build_grid(1.0, 7, 0.4, 0.2)
+    outcomes = []
+    for layout in (lambda x, value: np.broadcast_to(value, x.shape), np.full_like):
+        calls = []
+        problem = make_problem(
+            mortality=lambda x, s, layout=layout: calls.append("d") or layout(x, d),
+            psi2=lambda x: calls.append("psi2") or np.ones_like(x),
+        )
+        with pytest.raises((StabilityViolation, EvalError)) as raised:
+            run(problem, grid)
+        outcomes.append((type(raised.value), str(raised.value), calls))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is (StabilityViolation if d == 1000.0 else EvalError)
+    assert outcomes[0][2] == ["psi2", "d"]
+
+
 def test_small_update_margin_keeps_the_state_nonnegative():
     # d = 150 leaves 0.18 - 0.15 = 0.03; the margin check adds no coefficient call
     calls = []
@@ -473,6 +493,21 @@ def test_non_finite_state_names_an_unrecorded_level():
         run(problem, grid, every=every)
     assert strided.value.time_level == level
     assert str(strided.value) == str(full.value)
+
+
+@pytest.mark.parametrize("problem_id", ["example1", "example2"])
+def test_a_homogeneous_right_end_builds_no_time_levels(monkeypatch, problem_id):
+    problem = builtin_problem(problem_id)[0]
+    grid = build_grid(1.0, 7, 0.4, 0.2)
+
+    def refuse(self):
+        raise AssertionError("time_levels() was built for a homogeneous right end")
+
+    monkeypatch.setattr(GridSpec, "time_levels", refuse)
+    solution = run(problem, grid)
+    assert not solution.right_trace.any()
+    initial = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
+    assert not apply_phi(solution, problem, grid, initial).right_trace.any()
 
 
 def test_element_from_solution_rejects_a_strided_history():
