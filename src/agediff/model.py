@@ -8,7 +8,8 @@ enforces u = 0 (homogeneous) or a prescribed Dirichlet history g(t).
 
 Coefficient callables are vectorized over the age argument: they receive a
 float ndarray of node coordinates plus the scalar weighted population, and
-must return an array of the same shape.  ``g`` is scalar in t.  An exact
+must return an array of the same shape.  ``g`` is scalar in t, and called
+once per time level n with the float t = n * k.  An exact
 solution is a plain callable u(x, t) that broadcasts over both arguments:
 :func:`agediff.residual.restrict` calls it once per block of levels, with the
 node row x of shape (M + 1,) and the time column t of shape (levels, 1), and
@@ -45,7 +46,7 @@ class ProblemSpec:
     """One instance of the model, ready for the solver.
 
     ``right_boundary`` is None for the homogeneous case; otherwise it is the
-    Dirichlet history g(t) imposed at x = a_dagger.
+    Dirichlet history g(t) imposed at x = a_dagger, finite at every time level.
     """
 
     mortality: Coefficient
@@ -55,12 +56,6 @@ class ProblemSpec:
     initial: AgeProfile
     a_dagger: float = 1.0
     right_boundary: Optional[Callable[[float], float]] = None
-
-    def boundary_value(self, t: float) -> float:
-        """Value imposed at the right end at time t (0 when homogeneous)."""
-        if self.right_boundary is None:
-            return 0.0
-        return float(self.right_boundary(t))
 
 
 _DECAY_SCALE = 1.0 - math.exp(-1.0)

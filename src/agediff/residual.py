@@ -26,9 +26,10 @@ over interior nodes.
 One call of :func:`apply_phi` checks psi1 and psi2 finite once, then makes
 one ascending pass over blocks of levels whose buffers are allocated once,
 among them the scratch :class:`~agediff.quadrature.InteriorVector` that each
-weighted product is written into before ``qh``.  It may write the residual
-into the element itself (``out=v``); if it raises, the contents of ``out``
-are unspecified.
+weighted product is written into before ``qh``, and the block's g(t^n), each
+read at its level as :func:`agediff.solver.run` reads it.  It may write the
+residual into the element itself (``out=v``); if it raises, the contents of
+``out`` are unspecified.
 
 Each level's fertility and mortality are guarded by scalars, as in
 :func:`agediff.solver.run`; the array check runs only when one fails, so the
@@ -54,11 +55,11 @@ from .model import ProblemSpec, SpaceTimeFunction
 from .quadrature import InteriorVector, l2_norm, qh, star_norm
 from .solver import (
     GridFunction,
-    _boundary_values,
     _check_coefficient,
     _check_domain,
     _history_shape,
     _nodal_values,
+    _right_value,
 )
 
 # Rows per block in apply_phi's update residual and in the norms: the
@@ -167,7 +168,6 @@ def apply_phi(
     psi2 = _nodal_values(problem.psi2(x), x, "psi2")
     _check_coefficient(psi1, "psi1")
     _check_coefficient(psi2, "psi2")
-    g = _boundary_values(problem, grid)
 
     # Row j of ``nodes`` holds level start - 1 + j, and row j of ``mortality``
     # its d(s1).  Row 0 is carried over from the previous block,
@@ -176,11 +176,12 @@ def apply_phi(
     mortality = np.empty((_BLOCK_ROWS + 1, width))
     scratch = np.empty((3, _BLOCK_ROWS, width))
     birth = np.empty(_BLOCK_ROWS)
+    right = np.zeros(_BLOCK_ROWS)  # g(t^n) of the block's levels; stays 0 when there is no g
     weighted = InteriorVector(np.empty(width), h)
     products = weighted.values
     zeros = np.zeros(width)
     # Bound when the call starts, so a patched module-level qh is the one called.
-    quadrature, fertility_of, mortality_of = qh, problem.fertility, problem.mortality
+    quadrature, fertility_of, mortality_of, g = qh, problem.fertility, problem.mortality, problem.right_boundary
     multiply, isfinite = np.multiply, math.isfinite
     ndarray, float64, shape = np.ndarray, np.dtype(float), x.shape
     for start in range(0, n_levels, _BLOCK_ROWS):
@@ -203,6 +204,8 @@ def apply_phi(
                 birth[j] = integral = quadrature(weighted)
                 if not isfinite(integral):
                     _check_coefficient(fertility, "fertility", s2)
+                if g is not None:
+                    right[j] = _right_value(g, start + j, k)
                 multiply(psi1, row, out=products)
                 s1 = quadrature(weighted)
                 d = mortality_of(x, s1)
@@ -212,7 +215,7 @@ def apply_phi(
                 if not isfinite(mortality[j + 1].dot(zeros)):
                     _check_coefficient(d, "mortality", s1)
         out.left_trace[start:stop] = (1.0 + 1.0 / h) * block[1:, 0] - block[1:, 1] / h - birth[:size]
-        out.right_trace[start:stop] = (block[1:, -1] - g[start:stop]) / h
+        out.right_trace[start:stop] = (block[1:, -1] - right[:size]) / h
         # The update rows, term by term in the formula's operand order: the bits of one
         # array expression without its per-block temporaries.  Level 0 is the initial row.
         first = 1 if start == 0 else 0

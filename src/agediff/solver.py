@@ -22,15 +22,17 @@ as grid functions too.
 
 :func:`run` computes the mesh constants once and marches in two full-width
 work rows; row[0] holds U_0^n and row[-1] holds g(t^n), so the stencil needs
-no boundary case.  A step is one product of a row's read-only (3, M - 1)
+no boundary case; g is read at each level (at t^n = n * k), and with no g
+row[-1] stays 0.  A step is one product of a row's read-only (3, M - 1)
 window view (U_{i-1}, U_i, U_{i+1}) with the stencil [r + lam; c; r], then
 two adds in the formula's order.  For a stride-0 d (one value at every node)
 c is one Python float; otherwise c and its least value are per node.
 ``run(problem, grid, every=e)`` copies the work row into the history at
-levels 0, e, 2e, ...
+levels 0, e, 2e, ..., but steps every level whatever e is, so it refuses a
+mesh whose every-level history numpy cannot index before stepping.
 
 ``run(problem, grid, observe=f)`` also calls ``f(n, row)`` at every level
-n = 0..n_steps, after U_0^n has been computed and checked finite and before
+n = 0..n_steps, after U_0^n and g(t^n) have been checked finite and before
 the step to n + 1.  ``row`` is the work row holding the whole level x_0..x_M:
 the observer must not modify it, and it is valid only during the call.  Both
 convergence studies run with ``every=n_steps`` and read every level from the
@@ -50,8 +52,9 @@ integral.  In stepping order:
    makes the row non-finite, so it lands here.  If all are finite (the
    integral overflowed), stepping goes on.
 2. U_0^n is not finite: B (EvalError), else NonFiniteState.
-3. s1 of level n is not finite: psi1 (EvalError); else d is called with it.
-4. The least update weight 1 - lam - 2r - k*d_i is NaN or negative: d
+3. g(t^n) is not finite: NonFiniteState.
+4. s1 of level n is not finite: psi1 (EvalError); else d is called with it.
+5. The least update weight 1 - lam - 2r - k*d_i is NaN or negative: d
    (EvalError), else StabilityViolation.  NaN and +inf d land here.
 
 inf and NaN thus reach numpy before the error, so the loop runs under
@@ -136,16 +139,12 @@ def _check_domain(problem: ProblemSpec, grid: GridSpec) -> None:
         )
 
 
-def _boundary_values(problem: ProblemSpec, grid: GridSpec) -> np.ndarray:
-    """g(t^n) at every time level n = 0..n_steps, checked finite (zeros when homogeneous)."""
-    if problem.right_boundary is None:
-        return np.zeros(grid.n_steps + 1)
-    values = np.fromiter(
-        (problem.boundary_value(t) for t in grid.time_levels()), dtype=float, count=grid.n_steps + 1
-    )
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteState("right boundary data is not finite")
-    return values
+def _right_value(g: Callable[[float], float], n: int, k: float) -> float:
+    """g(t^n), checked finite; t^n = n * k is the float of ``grid.time_levels()[n]``."""
+    value = float(g(n * k))
+    if not math.isfinite(value):
+        raise NonFiniteState(f"right boundary data is not finite at time level {n} (t = {n * k!r})", time_level=n)
+    return value
 
 
 def _nodal_values(values, x: np.ndarray, what: str) -> np.ndarray:
@@ -180,8 +179,8 @@ def run(
     """March from the initial profile to t_final, recording every ``every``-th level.
 
     ``observe``, if given, is called as ``observe(n, row)`` at every level n;
-    see the module docstring.  A history larger than numpy can index raises
-    InvalidParameter before anything is allocated.
+    see the module docstring.  A mesh whose every-level history numpy cannot
+    index raises InvalidParameter before anything is allocated, whatever ``every`` is.
     """
     _check_domain(problem, grid)
     if grid.lam + 2.0 * grid.r > 1.0:
@@ -191,6 +190,7 @@ def run(
             f"stability bound violated: lam + 2*r = {grid.lam + 2.0 * grid.r!r} > 1"
         )
     levels, width = _history_shape(grid, every)
+    _history_shape(grid, 1)  # every level is stepped, whatever is kept
     if observe is not None and not callable(observe):
         raise InvalidParameter(f"observe must be callable or None, got {observe!r}")
 
@@ -203,7 +203,7 @@ def run(
     values = np.empty((levels, width))
     # level n lives in rows[n % 2], so a step never overwrites the row it reads;
     # each row comes with its view of x_1..x_{M-1} and its window view
-    rows = np.empty((2, width))
+    rows = np.zeros((2, width))  # row[-1] stays 0 when there is no g
     views = [(row, row[1:-1], sliding_window_view(row, 3).T) for row in rows]
     # the stencil [r + lam; c; r], times the window view in one product
     stencil, terms = np.empty((2, 3, width - 2))
@@ -213,11 +213,10 @@ def run(
     weighted = InteriorVector(np.empty(width - 2), h)
     products = weighted.values
     rows[0, 1:-1] = _initial_row(problem, x)
-    boundary = _boundary_values(problem, grid)
 
     # Bound when the call starts, so a patched module-level qh is the one called.
     quadrature, psi1_of, psi2_of = qh, problem.psi1, problem.psi2
-    fertility_of, mortality_of = problem.fertility, problem.mortality
+    fertility_of, mortality_of, g = problem.fertility, problem.mortality, problem.right_boundary
     multiply, subtract, add, least, isfinite = np.multiply, np.subtract, np.add, np.minimum.reduce, math.isfinite
     ndarray, float64, shape = np.ndarray, np.dtype(float), x.shape
 
@@ -247,7 +246,8 @@ def run(
                 _check_coefficient(fertility, "fertility", s2)
                 raise NonFiniteState(f"left boundary value became non-finite at time level {n}", time_level=n)
             row[0] = left
-            row[-1] = boundary[n]
+            if g is not None:
+                row[-1] = _right_value(g, n, k)
             if n % every == 0:
                 values[n // every] = row
             if observe is not None:

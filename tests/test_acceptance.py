@@ -105,7 +105,7 @@ def test_criterion_4_convergence_with_prescribed_right_boundary():
     traces_match = True
     for _ in range(3):
         solution = run(problem, grid)
-        expected = np.array([problem.boundary_value(t) for t in grid.time_levels()])
+        expected = np.array([problem.right_boundary(t) for t in grid.time_levels()])
         traces_match = traces_match and np.array_equal(solution.right_trace, expected)
         grid = refine(grid)
     elapsed = time.perf_counter() - start

@@ -247,11 +247,10 @@ def test_unallocatable_step_count_is_a_configuration_error(tmp_path, capsys):
 
 
 def test_out_of_memory_is_one_error_line(tmp_path, capsys):
-    # about 1e15 levels: numpy refuses the first history-sized allocation at once
-    text = "problem = example1\nm_prime = 7\nr = 0.4\nt_final = 1e12\n"
-    config = write_config(tmp_path, text)
+    # about 1e15 levels: numpy refuses the sampled exact solution's history at once
+    # (a single run of as many levels needs O(M) memory, and marches)
     out_dir = tmp_path / "out"
-    assert main(["run", "--config", config, "--output-dir", str(out_dir)]) == 1
+    assert main(["examples", "example1", "--t-final", "1e12", "--levels", "1", "--output-dir", str(out_dir)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: out of memory: ")

@@ -1,11 +1,12 @@
 """``solver.run`` against a reference copy of the straightforward stepping kernel.
 
-The reference checks d, B and every new row for finiteness as soon as they
-exist; ``run`` defers those array checks to scalar guards.  Both must give
-the same bits, the same observer calls and, on every failure, the same
-exception type, message and ``time_level``.  The reference never checks psi;
-where ``run`` names a non-finite psi instead, the expected outcome is spelled
-out in ``STRICTER``.
+The reference evaluates the initial row and g(t^n) itself, g once per level
+in the kernel's order, and checks d, B and every new row for finiteness as
+soon as they exist; ``run`` defers those array checks to scalar guards.
+Both must give the same bits, the same observer calls and, on every failure,
+the same exception type, message and ``time_level``.  The reference never
+checks psi; where ``run`` names a non-finite psi instead, the expected
+outcome is spelled out in ``STRICTER``.
 """
 
 import math
@@ -17,7 +18,7 @@ from agediff.errors import DimensionMismatch, EvalError, NonFiniteState, Stabili
 from agediff.grid import build_grid
 from agediff.model import ProblemSpec, builtin_problem, problem_from_expressions
 from agediff.quadrature import weights
-from agediff.solver import _boundary_values, _initial_row, run
+from agediff.solver import run
 
 
 def reference_qh(values, h):
@@ -46,9 +47,11 @@ def reference_run(problem, grid, every=1, observe=None):
     upwind = r + grid.lam
     interior = np.empty((grid.n_steps // every + 1, grid.m_total - 1))
     work = np.empty((2, grid.m_total - 1))
-    interior[0] = _initial_row(problem, x)
-    boundary = _boundary_values(problem, grid)
+    interior[0] = nodal(problem.initial(x), x, "initial profile")
+    if not np.isfinite(interior[0]).all():
+        raise NonFiniteState("initial profile is not finite", time_level=0)
     left_trace = np.empty(grid.n_steps // every + 1)
+    right_trace = np.zeros(grid.n_steps // every + 1)
     u = interior[0]
     for n in range(grid.n_steps + 1):
         s2 = reference_qh(nodal(problem.psi2(x), x, "psi2") * u, h)
@@ -56,10 +59,17 @@ def reference_run(problem, grid, every=1, observe=None):
         left = (h * reference_qh(fertility * u, h) + u[0]) / (h + 1.0)
         if not math.isfinite(left):
             raise NonFiniteState(f"left boundary value became non-finite at time level {n}", time_level=n)
+        right = 0.0
+        if problem.right_boundary is not None:
+            t = n * k  # the float of grid.time_levels()[n]
+            right = float(problem.right_boundary(t))
+            if not math.isfinite(right):
+                raise NonFiniteState(f"right boundary data is not finite at time level {n} (t = {t!r})", time_level=n)
         if n % every == 0:
             left_trace[n // every] = left
+            right_trace[n // every] = right
         if observe is not None:
-            observe(n, left, u, boundary[n])
+            observe(n, left, u, right)
         if n == grid.n_steps:
             break
         out = interior[(n + 1) // every] if (n + 1) % every == 0 else work[n % 2]
@@ -77,14 +87,14 @@ def reference_run(problem, grid, every=1, observe=None):
         out[1:] += upwind * u[:-1]
         out[0] += upwind * left
         out[:-1] += r * u[1:]
-        out[-1] += r * boundary[n]
+        out[-1] += r * right
         if not np.isfinite(out).all():
             raise NonFiniteState(
                 f"state became non-finite at time level {n + 1} (t = {(n + 1) * grid.k!r})",
                 time_level=n + 1,
             )
         u = out
-    return left_trace, interior, boundary[::every].copy()
+    return left_trace, interior, right_trace
 
 
 def bits(value):
@@ -194,6 +204,13 @@ FAILURES = {
     "negative-update-coefficient": lambda n_steps: {"mortality": after_calls(4, ones, lambda x, s: np.full_like(x, 1e3))},
     "psi1-wrong-shape": lambda n_steps: {"psi1": after_calls(3, ones, lambda x: np.ones(3))},
     "psi2-wrong-shape": lambda n_steps: {"psi2": after_calls(3, ones, lambda x: 1.0)},
+    **{
+        f"g-{name}-from-level-{when}": lambda n_steps, value=value, when=when: {
+            "right_boundary": after_calls(4 if when == "4" else n_steps, lambda t: math.exp(-t) / 10, lambda t: value)
+        }
+        for name, value in (("nan", math.nan), ("inf", math.inf))
+        for when in ("4", "n_steps")
+    },
     "non-finite-psi-is-no-error": lambda n_steps: {
         "psi1": lambda x: np.full_like(x, math.inf),
         "psi2": lambda x: np.full_like(x, math.nan),

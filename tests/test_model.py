@@ -59,7 +59,6 @@ def test_builtin_registry():
 def test_example1_definition():
     problem, exact = builtin_problem("example1")
     assert problem.right_boundary is None
-    assert problem.boundary_value(0.3) == 0.0
     x = np.linspace(0.0, 1.0, 11)
     assert np.array_equal(problem.mortality(x, 5.0), np.ones_like(x))
     assert np.array_equal(problem.fertility(x, 5.0), np.full_like(x, E))
@@ -86,7 +85,7 @@ def test_example3_definition():
     assert np.allclose(problem.mortality(x, DECAY), 2.0, rtol=1e-15, atol=0)
     assert np.allclose(problem.initial(x), np.exp(-x) / 2.0, rtol=0, atol=0)
     for t in (0.0, 0.4, 1.0):
-        assert problem.boundary_value(t) == pytest.approx(
+        assert problem.right_boundary(t) == pytest.approx(
             float(exact(np.asarray(1.0), t)), rel=1e-15
         )
 
@@ -187,7 +186,7 @@ def test_problem_from_expressions_matches_builtin():
         assert np.allclose(inline.fertility(x, s), problem.fertility(x, s), rtol=1e-15, atol=0)
     assert np.allclose(inline.initial(x), problem.initial(x), rtol=1e-15, atol=0)
     for t in (0.0, 0.5, 1.0):
-        assert inline.boundary_value(t) == pytest.approx(problem.boundary_value(t), rel=1e-15)
+        assert inline.right_boundary(t) == pytest.approx(problem.right_boundary(t), rel=1e-15)
 
 
 def test_problem_from_expressions_defaults():

@@ -276,8 +276,8 @@ def whole_history_apply_phi(v, problem, grid, initial):
         s1 = qh(InteriorVector(psi1 * row, h))
         mortality[n] = checked(problem.mortality(x, s1), "mortality", s1)
     left = (1.0 + 1.0 / h) * v.left_trace - v.interior[:, 0] / h - birth
-    g_values = np.array([problem.boundary_value(t) for t in grid.time_levels()])
-    right = v.right_trace / h if problem.right_boundary is None else (v.right_trace - g_values) / h
+    g = problem.right_boundary
+    right = v.right_trace / h if g is None else (v.right_trace - np.array([g(t) for t in grid.time_levels()])) / h
     rows = np.empty_like(v.interior)
     rows[0] = v.interior[0] - initial.values
     current = v.interior[1:]

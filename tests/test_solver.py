@@ -138,7 +138,7 @@ def test_right_trace_is_the_prescribed_history():
     solution = run(problem, grid)
     times = grid.time_levels()
     for n in range(grid.n_steps + 1):
-        assert solution.right_trace[n] == problem.boundary_value(times[n])
+        assert solution.right_trace[n] == problem.right_boundary(times[n])
 
 
 def test_error_against_exact_shrinks_under_refinement():
@@ -444,25 +444,29 @@ def test_non_callable_observer_is_rejected_before_any_coefficient_call(observe):
 
 
 def test_history_too_large_to_index_is_rejected_before_any_allocation_or_step():
-    # GridSpec lets n_steps + 1 floats fit; run's history holds (n_steps + 1) x (M + 1)
-    problem, _ = builtin_problem("example1")
+    # GridSpec lets n_steps + 1 floats fit; run's history holds (n_steps + 1) x (M + 1).
+    # A strided run steps every level too, so it is refused alike, with g or without.
     calls = []
 
     def counted(fn):
         return lambda *args: calls.append(args) or fn(*args)
 
-    names = ("mortality", "fertility", "psi1", "psi2", "initial")
-    problem = dataclasses.replace(problem, **{name: counted(getattr(problem, name)) for name in names})
+    names = ("mortality", "fertility", "psi1", "psi2", "initial", "right_boundary")
     grid = GridSpec(1.0, 7, 0.4, 10**17)
-    tracemalloc.start()
-    try:
-        with pytest.raises(InvalidParameter, match="more than numpy can allocate"):
-            run(problem, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert calls == []
-    assert peak < 2**20
+    for problem_id in ("example1", "example3"):
+        problem, _ = builtin_problem(problem_id)
+        fields = {name: counted(fn) for name in names if (fn := getattr(problem, name)) is not None}
+        problem = dataclasses.replace(problem, **fields)
+        for every in (1, grid.n_steps):
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvalidParameter, match=r"a history of 1e\+17 levels x 21 nodes is more than numpy"):
+                    run(problem, grid, every=every)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert calls == []
+            assert peak < 2**20
 
 
 def test_observer_exception_propagates_out_of_run():
@@ -495,19 +499,61 @@ def test_non_finite_state_names_an_unrecorded_level():
     assert str(strided.value) == str(full.value)
 
 
-@pytest.mark.parametrize("problem_id", ["example1", "example2"])
+@pytest.mark.parametrize("problem_id", ["example1", "example2", "example3", "inline"])
 def test_a_homogeneous_right_end_builds_no_time_levels(monkeypatch, problem_id):
-    problem = builtin_problem(problem_id)[0]
+    # nor does a right end with g: run and apply_phi read g(t^n) at level n, with t^n = n * k
+    problem = strided_problems()["inline"] if problem_id == "inline" else builtin_problem(problem_id)[0]
     grid = build_grid(1.0, 7, 0.4, 0.2)
+    g = problem.right_boundary
+    expected = np.zeros(grid.n_steps + 1) if g is None else np.array([g(n * grid.k) for n in range(grid.n_steps + 1)])
 
     def refuse(self):
-        raise AssertionError("time_levels() was built for a homogeneous right end")
+        raise AssertionError("time_levels() was built by run or apply_phi")
 
     monkeypatch.setattr(GridSpec, "time_levels", refuse)
     solution = run(problem, grid)
-    assert not solution.right_trace.any()
+    assert np.array_equal(solution.right_trace, expected)
+    assert np.array_equal(run(problem, grid, every=grid.n_steps).right_trace, expected[:: grid.n_steps])
     initial = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
     assert not apply_phi(solution, problem, grid, initial).right_trace.any()
+
+
+@pytest.mark.parametrize("problem_id", ["example2", "example3", "inline"])
+def test_a_strided_run_allocates_nothing_that_grows_with_n_steps(problem_id):
+    problem = strided_problems()[problem_id]
+    run(problem, GridSpec(1.0, 7, 0.4, 1))  # fills the caches that M = 20 uses
+    peaks = []
+    for n_steps in (800, 3200):
+        tracemalloc.start()
+        try:
+            run(problem, GridSpec(1.0, 7, 0.4, n_steps), every=n_steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one float per level more would add 19 KB
+    assert peaks[1] <= peaks[0] + 1024, peaks
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("level", [0, 255, 256, "last"])
+def test_a_non_finite_g_is_named_at_its_level_by_run_and_apply_phi(level, value):
+    problem, _ = builtin_problem("example3")
+    grid = build_grid(1.0, 7, 0.4, 0.3)
+    assert grid.n_steps > 256  # apply_phi's second block of levels starts at 256
+    n = grid.n_steps if level == "last" else level
+    solution = run(problem, grid)
+    initial = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
+    g = problem.right_boundary
+    bad = dataclasses.replace(problem, right_boundary=lambda t: value if t >= n * grid.k else g(t))
+    calls = [
+        lambda: run(bad, grid),
+        lambda: run(bad, grid, every=grid.n_steps),
+        lambda: apply_phi(solution, bad, grid, initial),
+    ]
+    for call in calls:
+        with pytest.raises(NonFiniteState, match=f"right boundary data is not finite at time level {n} ") as caught:
+            call()
+        assert caught.value.time_level == n
 
 
 def test_element_from_solution_rejects_a_strided_history():
