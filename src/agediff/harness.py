@@ -187,7 +187,8 @@ def _perturbation(grid: GridSpec, scale: float) -> GridFunction:
     inside the shrinking neighbourhood where the stability estimate applies.
     :func:`restrict` samples the field, both trace columns are then zeroed (at
     a_dagger, sin(m pi) is not 0 in floating point) and the interior is scaled
-    in place, so the only whole-history array is the result.
+    in place, so the only whole-history array is the result: the probe forms
+    W and then phi(W) in it, the second of a rung's two arrays next to V.
     """
     amplitudes = np.random.default_rng(987654321).uniform(0.5, 1.0, size=3)
     perturbation = restrict(
@@ -212,10 +213,11 @@ def stability_probe(
     V is the computed solution, W = V + perturbation.  V - W is the negated
     perturbation, whose xh-norm ``_perturbation`` sets to scale * h, so the
     numerator is scale * h, taken without a cancelling subtraction or a
-    pass over the history.  W is formed in V's own arrays once phi(V) is known, and
-    phi(V) - phi(W) in phi(V)'s, so each rung holds three whole-history
-    arrays at most.  A denominator that is zero or not finite (or a ratio
-    that overflows) is reported as a row whose ratio is None, never raised.
+    pass over the history.  W is formed in the perturbation's own array,
+    phi(V) and phi(W) overwrite V and W, and phi(V) - phi(W) overwrites
+    phi(V), so each rung holds two whole-history arrays, and drops them
+    before the next rung runs.  A denominator that is zero or not finite (or
+    a ratio that overflows) is reported as a row whose ratio is None, never raised.
     """
     if not (math.isfinite(perturbation_scale) and perturbation_scale >= 0.0):
         raise InvalidParameter(
@@ -226,15 +228,15 @@ def stability_probe(
     for grid in grids:
         solution = run(problem, grid)
         initial = InteriorVector(_initial_row(problem, grid.interior_nodes()), grid.h)
-        residual_gap = apply_phi(solution, problem, grid, initial)
-        perturbation = _perturbation(grid, perturbation_scale)
+        perturbed = _perturbation(grid, perturbation_scale)
         numerator = perturbation_scale * grid.h
-        np.add(solution.values, perturbation.values, out=solution.values)
-        del perturbation
-        gap = residual_gap.values
-        np.subtract(gap, apply_phi(solution, problem, grid, initial).values, out=gap)
+        np.add(solution.values, perturbed.values, out=perturbed.values)
+        apply_phi(solution, problem, grid, initial, out=solution)
+        apply_phi(perturbed, problem, grid, initial, out=perturbed)
+        np.subtract(solution.values, perturbed.values, out=solution.values)
         with np.errstate(over="ignore"):  # an overflowing gap has no ratio
-            denominator = yh_norm(residual_gap)
+            denominator = yh_norm(solution)
+        del solution, perturbed  # before the next, eight times larger, rung runs
         finite = 0.0 < denominator < math.inf and math.isfinite(numerator / denominator)
         rows.append(StabilityRow(h=grid.h, ratio=numerator / denominator if finite else None))
     return rows

@@ -80,20 +80,12 @@ def weights(n: int, h: float) -> np.ndarray:
     four_thirds = 4.0 * h / 3.0
     third = h / 3.0
     w = np.zeros(n)
-    w[0] = four_thirds * 2.0
-    w[1] = four_thirds * -1.0
-    w[2] = four_thirds * 2.0
-    w[-3] = four_thirds * 2.0
-    w[-2] = four_thirds * -1.0
-    w[-1] = four_thirds * 2.0
-    if m_prime >= 2:
-        counts = np.zeros(n)
-        for i in range(2, m_prime + 1):
-            counts[2 * i - 1] += 1.0
-            counts[2 * i] += 4.0
-            counts[2 * i + 1] += 1.0
-        inner = slice(3, 2 * m_prime + 2)
-        w[inner] = third * counts[inner]
+    w[[0, 1, 2, -3, -2, -1]] = four_thirds * np.array([2.0, -1.0, 2.0, 2.0, -1.0, 2.0])
+    if m_prime >= 2:  # Simpson's 1, 4, 1 on each panel from x_4 to x_{2m'+2}
+        counts = np.full(2 * m_prime - 1, 2.0)
+        counts[1::2] = 4.0
+        counts[[0, -1]] = 1.0
+        w[3 : 2 * m_prime + 2] = third * counts
     return w
 
 

@@ -27,9 +27,10 @@ One call of :func:`apply_phi` checks psi1 and psi2 finite once, then makes
 one ascending pass over blocks of levels whose buffers are allocated once,
 among them the scratch :class:`~agediff.quadrature.InteriorVector` that each
 weighted product is written into before ``qh``, and the block's g(t^n), each
-read at its level as :func:`agediff.solver.run` reads it.  It may write the
-residual into the element itself (``out=v``); if it raises, the contents of
-``out`` are unspecified.
+read at its level as :func:`agediff.solver.run` reads it.  A block's levels
+are copied before its residual rows are formed straight in ``out``, so it may
+write the residual into the element itself (``out=v``); if it raises, the
+contents of ``out`` are unspecified.
 
 Each level's fertility and mortality are guarded by scalars, as in
 :func:`agediff.solver.run`; the array check runs only when one fails, so the
@@ -174,7 +175,7 @@ def apply_phi(
     # whose levels ``out`` may already have overwritten.
     nodes = np.empty((_BLOCK_ROWS + 1, width + 2))
     mortality = np.empty((_BLOCK_ROWS + 1, width))
-    scratch = np.empty((3, _BLOCK_ROWS, width))
+    scratch = np.empty((2, _BLOCK_ROWS, width))
     birth = np.empty(_BLOCK_ROWS)
     right = np.zeros(_BLOCK_ROWS)  # g(t^n) of the block's levels; stays 0 when there is no g
     weighted = InteriorVector(np.empty(width), h)
@@ -216,12 +217,13 @@ def apply_phi(
                     _check_coefficient(d, "mortality", s1)
         out.left_trace[start:stop] = (1.0 + 1.0 / h) * block[1:, 0] - block[1:, 1] / h - birth[:size]
         out.right_trace[start:stop] = (block[1:, -1] - right[:size]) / h
-        # The update rows, term by term in the formula's operand order: the bits of one
-        # array expression without its per-block temporaries.  Level 0 is the initial row.
+        # The update rows, term by term in the formula's operand order, straight into ``out``:
+        # the bits of one array expression without its temporaries.  Level 0 is the initial row.
         first = 1 if start == 0 else 0
         previous = block[first:-1]
         center = previous[:, 1:-1]
-        rows, term, twice = scratch[:, first:size]
+        rows = out.interior[start + first : stop]
+        term, twice = scratch[:, first:size]
         np.subtract(block[first + 1 :, 1:-1], center, out=rows)
         rows /= k
         np.subtract(center, previous[:, :-2], out=term)
@@ -233,7 +235,6 @@ def apply_phi(
         term -= np.multiply(2.0, center, out=twice)
         term /= h * h
         rows -= term
-        out.interior[start + first : stop] = rows
         if start == 0:
             out.interior[0] = block[1, 1:-1] - initial.values
         nodes[0] = block[-1]

@@ -20,13 +20,14 @@ mesh) is the package's one space-time type: :func:`run` returns its solution
 history as one, and :mod:`agediff.residual` measures elements and residuals
 as grid functions too.
 
-:func:`run` computes the mesh constants once and marches in two full-width
-work rows; row[0] holds U_0^n and row[-1] holds g(t^n), so the stencil needs
+:func:`run` computes the mesh constants once and marches in one full-width
+work row; row[0] holds U_0^n and row[-1] holds g(t^n), so the stencil needs
 no boundary case; g is read at each level (at t^n = n * k), and with no g
-row[-1] stays 0.  A step is one product of a row's read-only (3, M - 1)
-window view (U_{i-1}, U_i, U_{i+1}) with the stencil [r + lam; c; r], then
-two adds in the formula's order.  For a stride-0 d (one value at every node)
-c is one Python float; otherwise c and its least value are per node.
+row[-1] stays 0.  A step is one product of the row's read-only (3, M - 1)
+window view (U_{i-1}, U_i, U_{i+1}) with the stencil [r + lam; c; r], which
+forms every term of level n; two adds in the formula's order then write
+level n + 1 over the row's interior.  For a stride-0 d (one value at every
+node) c is one Python float; otherwise c and its least value are per node.
 ``run(problem, grid, every=e)`` copies the work row into the history at
 levels 0, e, 2e, ..., but steps every level whatever e is, so it refuses a
 mesh whose every-level history numpy cannot index before stepping.
@@ -34,10 +35,11 @@ mesh whose every-level history numpy cannot index before stepping.
 ``run(problem, grid, observe=f)`` also calls ``f(n, row)`` at every level
 n = 0..n_steps, after U_0^n and g(t^n) have been checked finite and before
 the step to n + 1.  ``row`` is the work row holding the whole level x_0..x_M:
-the observer must not modify it, and it is valid only during the call.  Both
-convergence studies run with ``every=n_steps`` and read every level from the
-observer.  ``observe=`` is the one per-level interface to the kernel, and
-``_history_shape`` the one check of a history's shape before it is allocated.
+the observer must not modify it, and it is valid only during the call, as
+the next step overwrites it.  Both convergence studies run with
+``every=n_steps`` and read every level from the observer.  ``observe=`` is
+the one per-level interface to the kernel, and ``_history_shape`` the one
+check of a history's shape before it is allocated.
 
 The three quadratures of a step (s2, the birth integral and s1) write their
 integrands into one scratch :class:`~agediff.quadrature.InteriorVector`.
@@ -201,10 +203,9 @@ def run(
     n_steps = grid.n_steps
 
     values = np.empty((levels, width))
-    # level n lives in rows[n % 2], so a step never overwrites the row it reads;
-    # each row comes with its view of x_1..x_{M-1} and its window view
-    rows = np.zeros((2, width))  # row[-1] stays 0 when there is no g
-    views = [(row, row[1:-1], sliding_window_view(row, 3).T) for row in rows]
+    # the one work row holds level n; its view of x_1..x_{M-1} and its window view
+    row = np.zeros(width)  # row[-1] stays 0 when there is no g
+    inner, windows = row[1:-1], sliding_window_view(row, 3).T
     # the stencil [r + lam; c; r], times the window view in one product
     stencil, terms = np.empty((2, 3, width - 2))
     stencil[0], stencil[2] = upwind, r
@@ -212,7 +213,7 @@ def run(
     upwind_terms, center_terms, right_terms = terms
     weighted = InteriorVector(np.empty(width - 2), h)
     products = weighted.values
-    rows[0, 1:-1] = _initial_row(problem, x)
+    inner[:] = _initial_row(problem, x)
 
     # Bound when the call starts, so a patched module-level qh is the one called.
     quadrature, psi1_of, psi2_of = qh, problem.psi1, problem.psi2
@@ -223,7 +224,6 @@ def run(
     s1 = mortality = None  # the last step's, checked when the row it made is not finite
     with np.errstate(invalid="ignore"):
         for n in range(n_steps + 1):
-            row, inner, windows = views[n % 2]
             # Only a value that is not already a float64 array of x's shape goes
             # through _nodal_values, which converts it or raises DimensionMismatch.
             psi2 = psi2_of(x)
@@ -280,9 +280,8 @@ def run(
                     f"update coefficient 1 - lam - 2*r - k*d = {float(margin)!r} < 0 (s1 = {s1!r}); "
                     "refine the mesh or lower r"
                 )
-            multiply(windows, stencil, out=terms)
-            advanced = views[1 - n % 2][1]
-            add(center_terms, upwind_terms, out=advanced)
-            add(advanced, right_terms, out=advanced)
+            multiply(windows, stencil, out=terms)  # every term of level n before the row is overwritten
+            add(center_terms, upwind_terms, out=inner)
+            add(inner, right_terms, out=inner)
 
     return GridFunction(values, grid, every)

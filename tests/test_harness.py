@@ -435,11 +435,33 @@ def test_consistency_study_drops_each_rung_before_sampling_the_next(monkeypatch)
 
 
 def test_stability_probe_memory_stays_within_a_few_histories():
-    # at most three whole-history arrays are alive at once (3.34x): V (then
-    # W) and phi(V) (then the gap) with the perturbation or phi(W); keeping
-    # the perturbation alive next to phi(W) measured 4.34x, and separate
-    # copies for W, phi(W) and the gap 6.25x
+    # at most two whole-history arrays are alive at once (2.17x): V (then
+    # phi(V), then the gap) and the perturbation (then W, then phi(W)); a
+    # separate array for phi(V) next to them measured 3.28x
     problem, _ = builtin_problem("example3")
     base = build_grid(1.0, 7, 0.4, 0.2)
     peak = traced_peak(stability_probe, problem, base, 4)
-    assert peak <= 4.0 * finest_history_bytes(base, 4)
+    assert peak <= 2.5 * finest_history_bytes(base, 4)
+
+
+def test_stability_probe_drops_each_rung_before_running_the_next(monkeypatch):
+    # each rung's arrays (V, W and the residuals apply_phi returns) must be
+    # freed before the next, eight times larger, rung runs
+    arrays = []
+
+    def tracking_run(problem, grid, *args, **kwargs):
+        assert all(ref() is None for ref in arrays)
+        solution = run(problem, grid, *args, **kwargs)
+        arrays.append(weakref.ref(solution.values))
+        return solution
+
+    def tracking_apply_phi(v, *args, **kwargs):
+        residual = apply_phi(v, *args, **kwargs)
+        arrays.extend(weakref.ref(function.values) for function in (v, residual))
+        return residual
+
+    monkeypatch.setattr(harness, "run", tracking_run)
+    monkeypatch.setattr(harness, "apply_phi", tracking_apply_phi)
+    problem, _ = builtin_problem("example3")
+    stability_probe(problem, build_grid(1.0, 7, 0.4, 0.05), 3)
+    assert len(arrays) == 15

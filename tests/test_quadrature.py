@@ -111,11 +111,11 @@ def test_weight_vector_shape():
     assert w[0] == w[2] == w[-3] == w[-1] == four_thirds * 2.0
     assert w[1] == w[-2] == four_thirds * -1.0
     assert w[1] < 0.0 and w[-2] < 0.0
-    # interior Simpson weights alternate h/3 * (2, 4, 2, 4, ..., 2) between
-    # the panels, with the shared panel endpoints carrying 2h/3
+    # the Simpson panels over x_4..x_16 weigh h/3 * (1, 4, 2, 4, ..., 2, 4, 1):
+    # the shared panel endpoints carry 2h/3, the outer ones meet the end rules
     third = h / 3.0
-    assert w[4] == 4.0 * third
-    assert w[5] == 2.0 * third
+    counts = [1.0] + [4.0, 2.0] * 5 + [4.0, 1.0]
+    assert w[3:-3].tolist() == [third * count for count in counts]
     assert math.fsum(w) == pytest.approx(1.0, abs=1e-14)
 
 
