@@ -7,8 +7,10 @@ exact solution are measured at the realized final time of the ladder (the
 same float on every level); self-convergence errors compare each coarser
 run with the finest one at the shared nodes and levels.  Both stream the
 run they subtract and take each of its levels from the reference in place.
-A grid function holds one row of node values per level, so each difference
-or sum of grid functions below is one ufunc call on their ``values``.
+A consistency rung samples u and sums its residual's Y_h norm a block of levels
+at a time in one :func:`apply_phi` call.  A grid function holds one row of node
+values per level, so each difference or sum of grid functions below is one
+ufunc call on their ``values``.
 
 :func:`write_csv` is the one CSV writer: it writes a header and rows of
 cells atomically (temp file, then rename) and prints floats as shortest
@@ -30,7 +32,7 @@ from .errors import InvalidParameter
 from .grid import GridSpec, refine
 from .model import ProblemSpec, SpaceTimeFunction
 from .quadrature import InteriorVector, l2_norm
-from .residual import apply_phi, restrict, xh_norm, yh_norm
+from .residual import _LevelSquares, apply_phi, restrict, xh_norm, yh_norm
 from .solver import GridFunction, _check_domain, _initial_row, run
 
 
@@ -162,15 +164,14 @@ def self_convergence_study(
 def consistency_study(
     problem: ProblemSpec, u: SpaceTimeFunction, base: GridSpec, levels: int
 ) -> list[ConsistencyRow]:
-    """Residual norm of the restricted exact solution u on each mesh."""
+    """Residual norm of u on each mesh; a rung holds a few blocks of levels and three per-level arrays."""
     _check_domain(problem, base)
     grids = _grid_ladder(base, levels)
     residuals = []
     for grid in grids:
+        squares = _LevelSquares(grid)  # refuses a history numpy cannot index before allocating
         initial = InteriorVector(_initial_row(problem, grid.interior_nodes()), grid.h)
-        sampled = restrict(u, grid)
-        residuals.append(yh_norm(apply_phi(sampled, problem, grid, initial, out=sampled)))
-        del sampled  # before the next, eight times larger, rung is sampled
+        residuals.append(apply_phi(u, problem, grid, initial, out=squares).yh_norm())
     return [
         ConsistencyRow(h=grid.h, residual_yh=residual, order=order)
         for grid, residual, order in zip(grids, residuals, _orders(residuals))

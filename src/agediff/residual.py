@@ -30,7 +30,11 @@ weighted product is written into before ``qh``, and the block's g(t^n), each
 read at its level as :func:`agediff.solver.run` reads it.  A block's levels
 are copied before its residual rows are formed straight in ``out``, so it may
 write the residual into the element itself (``out=v``); if it raises, the
-contents of ``out`` are unspecified.
+contents of ``out`` are unspecified.  Two forms hold no history: the element
+may be a function u(x, t), sampled into each block as :func:`restrict` samples
+it (same floats, same errors, raised after the earlier blocks' coefficient
+calls), and ``out`` a callable ``out(start, rows)`` given each block's residual
+rows, valid only during the call, such as the Y_h norm's per-level sums.
 
 Each level's fertility and mortality are guarded by scalars, as in
 :func:`agediff.solver.run`; the array check runs only when one fails, so the
@@ -46,14 +50,14 @@ warnings inside the coefficient callables.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import DimensionMismatch, EvalError
 from .grid import GridSpec
 from .model import ProblemSpec, SpaceTimeFunction
-from .quadrature import InteriorVector, l2_norm, qh, star_norm
+from .quadrature import InteriorVector, qh, star_norm
 from .solver import (
     GridFunction,
     _check_coefficient,
@@ -83,18 +87,18 @@ def element_from_solution(solution: GridFunction) -> GridFunction:
     return solution
 
 
-def _sample_nodes(u: SpaceTimeFunction, grid: GridSpec, start: int, stop: int) -> np.ndarray:
+def _sample_nodes(u: SpaceTimeFunction, grid: GridSpec, start: int, stop: int, out=None, x=None) -> np.ndarray:
     """u at x_0, x_1..x_{M-1} and a_dagger on levels start..stop-1, one call per block of levels.
 
-    Each call passes the node row and the column ``np.arange(begin, end)[:, None] * k``
-    of up to ``_BLOCK_ROWS`` times, the floats of ``grid.time_levels()``; row j of
-    the result holds level start + j.  The last column is sampled at a_dagger
+    Each call passes the node row ``x`` (built when None) and the column ``np.arange(begin, end)[:, None] * k``
+    of up to ``_BLOCK_ROWS`` times, the floats of ``grid.time_levels()``; row j of ``out``
+    (fresh when None) holds level start + j.  The last column is sampled at a_dagger
     itself, not at the rounded node m_total * h; the two can differ by an ulp.
     A value that does not broadcast to the block, or a TypeError raised by the
     call (as ``math.exp`` raises on an array), raises DimensionMismatch.
     """
-    x = np.concatenate(([0.0], grid.interior_nodes(), [grid.a_dagger]))
-    samples = np.empty((stop - start, x.shape[0]))
+    x = np.concatenate(([0.0], grid.interior_nodes(), [grid.a_dagger])) if x is None else x
+    samples = np.empty((stop - start, x.shape[0])) if out is None else out
     for begin in range(start, stop, _BLOCK_ROWS):
         end = min(begin + _BLOCK_ROWS, stop)
         block = samples[begin - start : end - start]
@@ -131,12 +135,12 @@ def restrict(u: SpaceTimeFunction, grid: GridSpec) -> GridFunction:
 
 
 def apply_phi(
-    v: GridFunction,
+    v: Union[GridFunction, SpaceTimeFunction],
     problem: ProblemSpec,
     grid: GridSpec,
     initial: InteriorVector,
-    out: Optional[GridFunction] = None,
-) -> GridFunction:
+    out: Union[None, GridFunction, Callable[[int, np.ndarray], None]] = None,
+) -> Union[GridFunction, Callable[[int, np.ndarray], None]]:
     """Evaluate the residual of every discrete equation at an element.
 
     Interior rows use the raw difference-quotient form of the update
@@ -149,14 +153,17 @@ def apply_phi(
 
     Returns ``out`` (a fresh grid function when None) holding the residual.
     ``out`` may be ``v`` itself; if apply_phi raises, its contents are unspecified.
+    ``v`` may also be a function u(x, t), and ``out`` a callable ``out(start, rows)``: see the module docstring.
     """
-    n_levels, width = grid.n_steps + 1, grid.m_total - 1
+    n_levels, width = _history_shape(grid, 1)[0], grid.m_total - 1
+    sampled, sink = callable(v), callable(out)
     if out is None:
-        out = GridFunction(np.empty(_history_shape(grid, 1)), grid)
+        out = GridFunction(np.empty((n_levels, width + 2)), grid)
     for name, function in (("element", v), ("out", out)):
-        _require_every_level(function)
-        if function.grid != grid:
-            raise DimensionMismatch(f"{name} does not live on the supplied grid")
+        if not callable(function):
+            _require_every_level(function)
+            if function.grid != grid:
+                raise DimensionMismatch(f"{name} does not live on the supplied grid")
     _check_domain(problem, grid)
     if len(initial) != width or initial.h != grid.h:
         raise DimensionMismatch(
@@ -177,6 +184,8 @@ def apply_phi(
     mortality = np.empty((_BLOCK_ROWS + 1, width))
     scratch = np.empty((2, _BLOCK_ROWS, width))
     birth = np.empty(_BLOCK_ROWS)
+    residual = np.empty((_BLOCK_ROWS, width + 2)) if sink else None
+    all_nodes = np.concatenate(([0.0], x, [grid.a_dagger])) if sampled else None
     right = np.zeros(_BLOCK_ROWS)  # g(t^n) of the block's levels; stays 0 when there is no g
     weighted = InteriorVector(np.empty(width), h)
     products = weighted.values
@@ -189,7 +198,10 @@ def apply_phi(
         stop = min(start + _BLOCK_ROWS, n_levels)
         size = stop - start
         block = nodes[: size + 1]
-        block[1:] = v.values[start:stop]
+        if sampled:
+            _sample_nodes(v, grid, start, stop, out=block[1:], x=all_nodes)
+        else:
+            block[1:] = v.values[start:stop]
         rows = block[1:, 1:-1]
         with np.errstate(invalid="ignore"):
             for j in range(size):
@@ -215,14 +227,15 @@ def apply_phi(
                 mortality[j + 1] = d  # guarded on the copy, whose dot is cheaper than a stride-0 d's
                 if not isfinite(mortality[j + 1].dot(zeros)):
                     _check_coefficient(d, "mortality", s1)
-        out.left_trace[start:stop] = (1.0 + 1.0 / h) * block[1:, 0] - block[1:, 1] / h - birth[:size]
-        out.right_trace[start:stop] = (block[1:, -1] - right[:size]) / h
-        # The update rows, term by term in the formula's operand order, straight into ``out``:
+        target = residual[:size] if sink else out.values[start:stop]
+        target[:, 0] = (1.0 + 1.0 / h) * block[1:, 0] - block[1:, 1] / h - birth[:size]
+        target[:, -1] = (block[1:, -1] - right[:size]) / h
+        # The update rows, term by term in the formula's operand order, straight into ``target``:
         # the bits of one array expression without its temporaries.  Level 0 is the initial row.
         first = 1 if start == 0 else 0
         previous = block[first:-1]
         center = previous[:, 1:-1]
-        rows = out.interior[start + first : stop]
+        rows = target[first:, 1:-1]
         term, twice = scratch[:, first:size]
         np.subtract(block[first + 1 :, 1:-1], center, out=rows)
         rows /= k
@@ -236,41 +249,51 @@ def apply_phi(
         term /= h * h
         rows -= term
         if start == 0:
-            out.interior[0] = block[1, 1:-1] - initial.values
+            target[0, 1:-1] = block[1, 1:-1] - initial.values
+        if sink:
+            out(start, target)
         nodes[0] = block[-1]
         mortality[0] = mortality[size]
     return out
 
 
-def _row_sums_of_squares(rows: np.ndarray) -> np.ndarray:
-    """sum_i rows[n, i]**2 for every row n, squaring one block of rows at a time.
+class _LevelSquares:
+    """Both traces and the interior rows' sums of squares, one float per level each, fed as ``self(start, rows)``.
 
-    The squares go into one C-contiguous buffer per call, laid out as the
-    temporary ``block * block`` would be, so the row sums keep its bits.
+    A norm sums each array once: the bits of one whole-history expression, whatever the blocks.
     """
-    sums = np.empty(rows.shape[0])
-    squares = np.empty((min(_BLOCK_ROWS, rows.shape[0]), rows.shape[1]))
-    for start in range(0, rows.shape[0], _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS]
-        square = np.multiply(block, block, out=squares[: block.shape[0]])
-        np.sum(square, axis=1, out=sums[start : start + _BLOCK_ROWS])
-    return sums
+
+    def __init__(self, grid: GridSpec):
+        levels = _history_shape(grid, 1)[0]
+        self.grid, self.left, self.right, self.sums = grid, np.empty(levels), np.empty(levels), np.empty(levels)
+        self._squares = np.empty((min(_BLOCK_ROWS, levels), grid.m_total - 1))  # laid out as ``rows * rows``
+
+    def __call__(self, start: int, rows: np.ndarray) -> None:
+        stop, interior = start + rows.shape[0], rows[:, 1:-1]
+        self.left[start:stop], self.right[start:stop] = rows[:, 0], rows[:, -1]
+        square = np.multiply(interior, interior, out=self._squares[: rows.shape[0]])
+        np.sum(square, axis=1, out=self.sums[start:stop])
+
+    @classmethod
+    def of(cls, v: GridFunction) -> "_LevelSquares":
+        _require_every_level(v)
+        squares = cls(v.grid)
+        for start in range(0, v.values.shape[0], _BLOCK_ROWS):
+            squares(start, v.values[start : start + _BLOCK_ROWS])
+        return squares
+
+    def yh_norm(self) -> float:
+        h, k = self.grid.h, self.grid.k
+        initial_sq = math.sqrt(h * float(self.sums[0])) ** 2  # the initial row's l2_norm, squared
+        later_sq = k * float(np.sum(h * self.sums[1:]))
+        left_sq, right_sq = star_norm(self.left, k) ** 2, star_norm(self.right, k) ** 2
+        return float(np.sqrt(left_sq + initial_sq + h * right_sq + later_sq))
 
 
 def xh_norm(v: GridFunction) -> float:
-    _require_every_level(v)
-    h, k = v.grid.h, v.grid.k
-    row_norms = np.sqrt(h * _row_sums_of_squares(v.interior))
-    return h * (star_norm(v.left_trace, k) + star_norm(v.right_trace, k)) + float(
-        np.max(row_norms)
-    )
+    squares, h, k = _LevelSquares.of(v), v.grid.h, v.grid.k
+    return h * (star_norm(squares.left, k) + star_norm(squares.right, k)) + float(np.max(np.sqrt(h * squares.sums)))
 
 
 def yh_norm(p: GridFunction) -> float:
-    _require_every_level(p)
-    h, k = p.grid.h, p.grid.k
-    initial_sq = l2_norm(InteriorVector(p.interior[0], h)) ** 2
-    later_sq = k * float(np.sum(h * _row_sums_of_squares(p.interior[1:])))
-    left_sq = star_norm(p.left_trace, k) ** 2
-    right_sq = star_norm(p.right_trace, k) ** 2
-    return float(np.sqrt(left_sq + initial_sq + h * right_sq + later_sq))
+    return _LevelSquares.of(p).yh_norm()

@@ -417,21 +417,23 @@ def test_convergence_memory_stays_near_one_history():
     assert peak <= 1.1 * finest_history_bytes(base, 4)
 
 
-def test_consistency_study_drops_each_rung_before_sampling_the_next(monkeypatch):
-    # each rung's residual overwrites its sampled history, which must be
-    # freed before the next, eight times larger, rung is sampled
-    sampled = []
+def test_consistency_study_makes_one_apply_phi_call_per_rung_on_u_itself(monkeypatch):
+    # apply_phi samples u a block at a time, so no rung samples a whole history
+    calls = []
 
-    def tracking_restrict(u, grid):
-        assert all(ref() is None for ref in sampled)
-        element = restrict(u, grid)
-        sampled.append(weakref.ref(element.interior.base))
-        return element
+    def tracking_apply_phi(v, problem, grid, initial, out=None):
+        calls.append((v, grid))
+        return apply_phi(v, problem, grid, initial, out=out)
 
-    monkeypatch.setattr(harness, "restrict", tracking_restrict)
+    def no_restrict(u, grid):
+        raise AssertionError("consistency_study sampled a whole history")
+
+    monkeypatch.setattr(harness, "apply_phi", tracking_apply_phi)
+    monkeypatch.setattr(harness, "restrict", no_restrict)
     problem, exact = builtin_problem("example3")
-    consistency_study(problem, exact, build_grid(1.0, 7, 0.4, 0.05), 3)
-    assert len(sampled) == 3
+    base = build_grid(1.0, 7, 0.4, 0.05)
+    consistency_study(problem, exact, base, 3)
+    assert calls == [(exact, grid) for grid in harness._grid_ladder(base, 3)]
 
 
 def test_stability_probe_memory_stays_within_a_few_histories():

@@ -355,6 +355,15 @@ def test_blocked_residual_and_norms_are_bit_identical(monkeypatch, case, block):
     assert yh_norm(bundle) == whole_history_yh_norm(bundle)
 
 
+def test_norms_of_random_elements_are_the_whole_history_expressions_bit_for_bit():
+    # the initial row enters as its l2_norm squared, which is not always h * sum of squares
+    grid = build_grid(1.0, 7, 0.4, 0.05)
+    for seed in range(20):
+        element = random_element(np.random.default_rng(seed), grid)
+        assert xh_norm(element) == whole_history_xh_norm(element)
+        assert yh_norm(element) == whole_history_yh_norm(element)
+
+
 def test_homogeneous_right_residual_is_the_scaled_trace_bit_for_bit():
     # g = 0 is sampled as 0.0 without a call, and (x - 0.0)/h == x/h, -0.0 included
     problem, _ = builtin_problem("example1")
@@ -590,11 +599,11 @@ def test_restrict_rejects_one_non_finite_sample_in_any_block(level, column):
         restrict(u, grid)
 
 
-def test_consistency_memory_stays_near_one_history():
-    # restrict's samples of the finest rung are the only whole-history array:
-    # apply_phi writes the residual into them, each coarser rung is dropped
-    # before the next is sampled, and everything else is row-block sized
-    # (1.13x; a separate residual array measured 2.14x)
+def test_consistency_memory_stays_far_below_one_history():
+    # apply_phi samples u and hands each block of residual rows to the Y_h
+    # norm's sums, so a rung holds a few blocks of rows and three floats per
+    # level (0.17x); sampling each rung's whole history with restrict and
+    # writing the residual into it measured 1.13x
     problem, exact = builtin_problem("example3")
     base = build_grid(1.0, 7, 0.4, 0.2)
     finest = refine(refine(refine(base)))
@@ -605,4 +614,78 @@ def test_consistency_memory_stays_near_one_history():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * history_bytes
+    assert peak <= 0.25 * history_bytes
+
+
+# 51 levels end inside their first block, 601 levels inside their third
+STREAM_GRIDS = {
+    "one-block": build_grid(1.0, 7, 0.4, 0.05),
+    "mid-block": dataclasses.replace(build_grid(1.0, 7, 0.4, 0.05), n_steps=600),
+}
+
+
+@pytest.mark.parametrize("grid", STREAM_GRIDS.values(), ids=STREAM_GRIDS.keys())
+@pytest.mark.parametrize("problem_id", ["example1", "example3"])
+def test_apply_phi_of_u_equals_apply_phi_of_its_restriction_bit_for_bit(problem_id, grid):
+    problem, exact = builtin_problem(problem_id)
+    initial = initial_vector(problem, grid)
+    stored = apply_phi(restrict(exact, grid), problem, grid, initial)
+    streamed = apply_phi(exact, problem, grid, initial)
+    assert np.array_equal(streamed.values.view(np.int64), stored.values.view(np.int64))
+
+
+@pytest.mark.parametrize("grid", STREAM_GRIDS.values(), ids=STREAM_GRIDS.keys())
+@pytest.mark.parametrize("sampled", [False, True], ids=["element", "u"])
+def test_a_sink_receives_the_rows_of_the_stored_residual(sampled, grid):
+    problem, exact = builtin_problem("example3")
+    initial = initial_vector(problem, grid)
+    stored = apply_phi(restrict(exact, grid), problem, grid, initial)
+    blocks = []
+
+    def sink(start, rows):
+        blocks.append((start, rows.copy()))
+
+    v = exact if sampled else restrict(exact, grid)
+    assert apply_phi(v, problem, grid, initial, out=sink) is sink
+    assert [start for start, _ in blocks] == list(range(0, grid.n_steps + 1, residual._BLOCK_ROWS))
+    received = np.concatenate([rows for _, rows in blocks])
+    assert np.array_equal(received.view(np.int64), stored.values.view(np.int64))
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES.values(), ids=BLOCK_SIZES.keys())
+@pytest.mark.parametrize("grid", STREAM_GRIDS.values(), ids=STREAM_GRIDS.keys())
+def test_the_streamed_yh_norm_equals_yh_norm_of_the_stored_residual_bit_for_bit(monkeypatch, grid, block):
+    problem, exact = builtin_problem("example3")
+    initial = initial_vector(problem, grid)
+    stored = yh_norm(apply_phi(restrict(exact, grid), problem, grid, initial))
+    monkeypatch.setattr(residual, "_BLOCK_ROWS", block(grid.n_steps + 1))
+    assert apply_phi(exact, problem, grid, initial, out=residual._LevelSquares(grid)).yh_norm() == stored
+
+
+def _late_block(t):
+    return t[0, 0] >= 512 * STREAM_GRIDS["mid-block"].k
+
+
+BAD_SAMPLES = {
+    "type-error": lambda x, t: np.exp(-x) * math.exp(-t) if _late_block(t) else np.exp(-x - t),
+    "wrong-shape": lambda x, t: np.zeros(3) if _late_block(t) else np.exp(-x - t),
+    "non-finite": lambda x, t: np.exp(-x - t) / (0.0 if _late_block(t) else 1.0),
+}
+
+
+@pytest.mark.parametrize("u", BAD_SAMPLES.values(), ids=BAD_SAMPLES.keys())
+def test_a_bad_sample_in_a_late_block_raises_as_restrict_does(u):
+    # the first two blocks' coefficients are evaluated before the third block is sampled
+    problem, _ = builtin_problem("example3")
+    grid = STREAM_GRIDS["mid-block"]
+    with pytest.raises((DimensionMismatch, EvalError)) as expected:
+        with np.errstate(divide="ignore"):
+            restrict(u, grid)
+    calls = []
+    counting = dataclasses.replace(problem, fertility=lambda x, s: calls.append(s) or problem.fertility(x, s))
+    with pytest.raises(type(expected.value)) as got:
+        with np.errstate(divide="ignore"):
+            apply_phi(u, counting, grid, initial_vector(problem, grid), out=lambda start, rows: None)
+    assert str(got.value) == str(expected.value)
+    assert type(got.value.__cause__) is type(expected.value.__cause__)
+    assert len(calls) == 512
