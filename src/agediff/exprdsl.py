@@ -13,12 +13,12 @@ negative base needs parentheses.  Names resolve, in order, to the function
 table (exp, log, sin, cos, sqrt, abs; one argument each), the constants
 ``e`` and ``pi``, and finally the caller-supplied variable set.
 
-Each AST is compiled once, on its first evaluation, into a tree of
-closures that do the same float operations and checks in the same order.
-Compiling folds each subtree that reads no variable into its value, unless
-evaluating it raises, and specialises '+' and '*' with a constant left
-operand and '/' by a nonzero constant, so they skip a call and a check.
-Each :func:`eval_expr` call still evaluates one point, and raises
+An expression may nest at most 100 levels, where each operator, function
+call and pair of parentheses is one.  Each AST is compiled once, on its
+first evaluation, into one Python function that does the same float
+operations and checks in the same order; a subtree that reads no variable
+is folded into its value, unless evaluating it raises.  Each
+:func:`eval_expr` call still evaluates one point, and raises
 :class:`EvalError` instead of letting NaN leak: ``log`` of a non-positive
 value, ``sqrt`` of a negative value, division by zero, and '^' on a negative
 base with a non-integer exponent all fail loudly, and so does a result that
@@ -70,6 +70,10 @@ class Call:
 
 
 ExprAst = Union[Num, Var, Const, Neg, BinOp, Call]
+
+# The levels an expression may nest; this keeps the parser's, the
+# compiler's and Python's own recursion far from their limits.
+_MAX_DEPTH = 100
 
 _CONSTANTS = {"e": math.e, "pi": math.pi}
 
@@ -128,72 +132,85 @@ class _Parser:
             raise ParseError(f"expected {symbol!r}, found {shown!r}", pos)
         self.advance()
 
-    def parse_sum(self) -> ExprAst:
-        node = self.parse_term()
+    # Each parse_* method parses an expression ``depth`` levels below the
+    # root and returns it with its reach, the depth of its deepest leaf.  A
+    # nested part too deep is refused at its opening token, before the
+    # recursion; an operator that deepens the tree too far, at the operator.
+    def nest(self, reach: int, pos: int) -> int:
+        if reach > _MAX_DEPTH:
+            raise ParseError(f"expression is nested more than {_MAX_DEPTH} levels deep", pos)
+        return reach
+
+    def parse_sum(self, depth: int) -> tuple[ExprAst, int]:
+        node, reach = self.parse_term(depth)
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in ("+", "-"):
                 self.advance()
-                node = BinOp(text, node, self.parse_term())
+                right, right_reach = self.parse_term(depth)
+                node, reach = BinOp(text, node, right), self.nest(max(reach, right_reach) + 1, pos)
             else:
-                return node
+                return node, reach
 
-    def parse_term(self) -> ExprAst:
-        node = self.parse_unary()
+    def parse_term(self, depth: int) -> tuple[ExprAst, int]:
+        node, reach = self.parse_unary(depth)
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in ("*", "/"):
                 self.advance()
-                node = BinOp(text, node, self.parse_unary())
+                right, right_reach = self.parse_unary(depth)
+                node, reach = BinOp(text, node, right), self.nest(max(reach, right_reach) + 1, pos)
             else:
-                return node
+                return node, reach
 
-    def parse_unary(self) -> ExprAst:
-        kind, text, _ = self.peek()
+    def parse_unary(self, depth: int) -> tuple[ExprAst, int]:
+        kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+            operand, reach = self.parse_unary(self.nest(depth + 1, pos))
+            return Neg(operand), reach
+        return self.parse_power(depth)
 
-    def parse_power(self) -> ExprAst:
-        base = self.parse_atom()
-        kind, text, _ = self.peek()
+    def parse_power(self, depth: int) -> tuple[ExprAst, int]:
+        base, reach = self.parse_atom(depth)
+        kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return BinOp("^", base, self.parse_unary())
-        return base
+            exponent, exponent_reach = self.parse_unary(self.nest(depth + 1, pos))
+            return BinOp("^", base, exponent), self.nest(max(reach + 1, exponent_reach), pos)
+        return base, reach
 
-    def parse_atom(self) -> ExprAst:
+    def parse_atom(self, depth: int) -> tuple[ExprAst, int]:
         kind, text, pos = self.advance()
         if kind == "num":
             value = float(text)
             if not math.isfinite(value):
                 raise ParseError(f"number literal {text!r} overflows a float", pos)
-            return Num(value)
+            return Num(value), depth
         if kind == "name":
             next_kind, next_text, _ = self.peek()
             if next_kind == "op" and next_text == "(":
                 if text not in _FUNCTIONS:
                     raise ParseError(f"unknown function {text!r}", pos)
                 self.advance()
-                arg = self.parse_sum()
+                arg, reach = self.parse_sum(self.nest(depth + 1, pos))
                 arg_kind, arg_text, arg_pos = self.peek()
                 if arg_kind == "op" and arg_text == ",":
                     raise ParseError(f"function {text!r} takes exactly one argument", arg_pos)
                 self.expect_op(")")
-                return Call(text, arg)
+                return Call(text, arg), reach
             if text in _CONSTANTS:
-                return Const(text)
+                return Const(text), depth
             if text in self.allowed_vars:
-                return Var(text)
+                return Var(text), depth
             if text in _FUNCTIONS:
                 raise ParseError(f"function {text!r} must be called with an argument", pos)
             allowed = ", ".join(sorted(self.allowed_vars)) or "none"
             raise ParseError(f"unknown name {text!r} (allowed variables here: {allowed})", pos)
         if kind == "op" and text == "(":
-            node = self.parse_sum()
+            node, reach = self.parse_sum(self.nest(depth + 1, pos))
             self.expect_op(")")
-            return node
+            return node, reach
         shown = text if kind != "end" else "end of input"
         raise ParseError(f"expected a value, found {shown!r}", pos)
 
@@ -202,136 +219,108 @@ def parse_expr(text: str, allowed_vars: Iterable[str]) -> ExprAst:
     """Parse ``text`` into an AST, permitting only the named variables."""
     allowed = frozenset(allowed_vars)
     parser = _Parser(_tokenize(text), allowed)
-    node = parser.parse_sum()
+    node, _ = parser.parse_sum(0)
     kind, trailing, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {trailing!r}", pos)
     return node
 
 
-_Compiled = Callable[[Mapping[str, float]], float]
-
-# id(node) -> closure.  Keyed by identity so a lookup never hashes the
-# (recursive, frozen) dataclass, and held apart from the node so an evaluated
-# AST still compares, hashes and pickles as before.  A finalizer drops the
-# entry when the node is freed, before its id can be reused.
-_COMPILED: dict[int, _Compiled] = {}
+# id(node) -> compiled function.  Keyed by identity so a lookup never hashes
+# the (recursive, frozen) dataclass, and held apart from the node so an
+# evaluated AST still compares, hashes and pickles as before.  A finalizer
+# drops the entry when the node is freed, before its id can be reused.
+_COMPILED: dict[int, Callable] = {}
 
 
-def _compile(node: ExprAst) -> Union[float, _Compiled]:
-    """Compile ``node`` to a closure that evaluates it at given bindings.
-
-    A subtree that reads no variable is folded: its closure runs once, here,
-    and its value is returned instead.  If that run raises, the subtree stays
-    a closure, so each evaluation raises the same error at the same point.
-    """
-    match node:
-        case Num(value):
-            return value
-        case Const(name):
-            return _CONSTANTS[name]
-        case Var(name):
-
-            def variable(bindings: Mapping[str, float]) -> float:
-                try:
-                    return float(bindings[name])
-                except KeyError:
-                    raise EvalError(f"no value bound for variable {name!r}") from None
-
-            return variable
-        case Neg(operand):
-            operands = [_compile(operand)]
-            negated = _closure(operands[0])
-            compiled = lambda bindings: -negated(bindings)
-        case Call(func, arg):
-            operands = [_compile(arg)]
-            compiled = _compile_call(func, _closure(operands[0]))
-        case BinOp(op, left, right):
-            operands = [_compile(left), _compile(right)]
-            compiled = _compile_binop(op, *operands)
-        case _:
-            raise EvalError(f"unknown AST node {node!r}")
-    if any(map(callable, operands)):
-        return compiled
+def _call(func: str, value: float) -> float:
+    if func == "log" and value <= 0.0:
+        raise EvalError(f"log of non-positive value {value!r}")
+    if func == "sqrt" and value < 0.0:
+        raise EvalError(f"sqrt of negative value {value!r}")
     try:
-        return compiled({})
-    except EvalError:
-        return compiled
+        return _FUNCTIONS[func](value)
+    except (OverflowError, ValueError) as exc:
+        raise EvalError(f"{func}({value!r}) failed: {exc}") from exc
 
 
-def _closure(compiled: Union[float, _Compiled]) -> _Compiled:
-    return compiled if callable(compiled) else lambda bindings: compiled
+def _power(base: float, exponent: float) -> float:
+    if base < 0.0 and not (math.isfinite(exponent) and exponent == math.floor(exponent)):
+        raise EvalError(f"negative base {base!r} with non-integer exponent {exponent!r}")
+    try:
+        return base**exponent
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise EvalError(f"{base!r} ^ {exponent!r} failed: {exc}") from exc
 
 
-def _compile_call(func: str, arg: _Compiled) -> _Compiled:
-    function = _FUNCTIONS[func]
+def _compile(node: ExprAst) -> Callable[[Mapping[str, float]], float]:
+    """Compile ``node`` to one Python function of the bindings ``b``.
 
-    def call(bindings: Mapping[str, float]) -> float:
-        value = arg(bindings)
-        if func == "log" and value <= 0.0:
-            raise EvalError(f"log of non-positive value {value!r}")
-        if func == "sqrt" and value < 0.0:
-            raise EvalError(f"sqrt of negative value {value!r}")
-        try:
-            return function(value)
-        except (OverflowError, ValueError) as exc:
-            raise EvalError(f"{func}({value!r}) failed: {exc}") from exc
+    ``+ - * /`` and unary minus are inline, ``^`` and the functions call the
+    checked helpers, a variable is ``float(b[name])`` and a number ``k[i]``.
+    A subtree that reads no variable runs once, here, and is folded into one
+    constant; if that run raises, it stays code.  Every string written into
+    the source is an operator or function name from the fixed tables, or a
+    variable name of type str, written as its repr.
+    """
+    k: list = []
+    namespace = {"__builtins__": {}, "float": float, "_call": _call, "_power": _power, "k": k}
+    folding = False
 
-    return call
-
-
-def _compile_binop(op: str, left: Union[float, _Compiled], right: Union[float, _Compiled]) -> _Compiled:
-    # An operand that is not callable is a folded constant, which cannot
-    # fail, so taking it inline keeps the same operations in the same order.
-    if not callable(left) and callable(right):
-        if op == "+":
-            return lambda bindings: left + right(bindings)
-        if op == "*":
-            return lambda bindings: left * right(bindings)
-    if callable(left) and not callable(right) and op == "/" and right != 0.0:
-        return lambda bindings: left(bindings) / right
-    left, right = _closure(left), _closure(right)
-    # Both operands are evaluated, left first, before any check, so the
-    # first error raised is the leftmost one.
-    if op == "+":
-        return lambda bindings: left(bindings) + right(bindings)
-    if op == "-":
-        return lambda bindings: left(bindings) - right(bindings)
-    if op == "*":
-        return lambda bindings: left(bindings) * right(bindings)
-    if op == "/":
-
-        def divide(bindings: Mapping[str, float]) -> float:
-            numerator = left(bindings)
-            denominator = right(bindings)
-            if denominator == 0.0:
-                raise EvalError("division by zero")
-            return numerator / denominator
-
-        return divide
-    if op == "^":
-
-        def power(bindings: Mapping[str, float]) -> float:
-            base = left(bindings)
-            exponent = right(bindings)
-            if base < 0.0 and not (math.isfinite(exponent) and exponent == math.floor(exponent)):
-                raise EvalError(
-                    f"negative base {base!r} with non-integer exponent {exponent!r}"
-                )
+    def render(node: ExprAst, minimum: int = 0, depth: int = 0) -> tuple[str, bool]:
+        # node's source, parenthesised if it binds looser than minimum, and
+        # whether that source is one folded constant k[i]
+        if depth > _MAX_DEPTH:
+            raise EvalError(f"expression is nested more than {_MAX_DEPTH} levels deep")
+        mark = len(k)
+        match node:
+            case Num(value):
+                k.append(value)
+                return f"k[{mark}]", True
+            case Const(name) if type(name) is str and name in _CONSTANTS:
+                k.append(_CONSTANTS[name])
+                return f"k[{mark}]", True
+            case Var(name) if type(name) is str:
+                return f"float(b[{name!r}])", False
+            case Neg(operand):
+                operand, folded = render(operand, _PREC_NEG, depth + 1)
+                source = "-" + operand
+            case Call(func, arg) if type(func) is str and func in _FUNCTIONS:
+                arg, folded = render(arg, 0, depth + 1)
+                source = f"_call({func!r}, {arg})"
+            case BinOp(op, left, right) if type(op) is str and op in ("+", "-", "*", "/", "^"):
+                prec = 0 if op == "^" else _prec(node)  # a call's arguments need no parentheses
+                left, left_folded = render(left, prec, depth + 1)
+                right, right_folded = render(right, prec + 1, depth + 1)
+                source = f"_power({left}, {right})" if op == "^" else f"{left} {op} {right}"
+                folded = left_folded and right_folded
+            case Var(name) | Const(name) | Call(name) | BinOp(name):
+                raise EvalError(f"cannot compile {type(node).__name__} {name!r}")
+            case _:
+                raise EvalError(f"unknown AST node of type {type(node).__name__}")
+        if folded and folding:
             try:
-                return base**exponent
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise EvalError(f"{base!r} ^ {exponent!r} failed: {exc}") from exc
+                k[mark:] = [eval(source, namespace)]
+                return f"k[{mark}]", True
+            except (EvalError, ZeroDivisionError):
+                pass
+        return (f"({source})" if _prec(node) < minimum else source), False
 
-        return power
-    raise EvalError(f"unknown operator {op!r}")
+    # A first pass folds nothing, so a node that cannot be rendered, or one
+    # nested too deep, raises before anything runs.
+    render(node)
+    folding = True
+    k.clear()
+    source, _ = render(node)
+    namespace["k"] = tuple(k)
+    return eval(f"lambda b: {source}", namespace)
 
 
 def eval_expr(node: ExprAst, bindings: Mapping[str, float]) -> float:
     """Evaluate an AST at a point given as a name -> value mapping.
 
     The AST is compiled on its first evaluation; later calls reuse the
-    closure.  A bare :class:`Num` root skips that lookup.  A NaN result
+    function.  A bare :class:`Num` root skips that lookup.  A NaN result
     raises :class:`EvalError`, checked on every call, a Num root's too.
     """
     if type(node) is Num:
@@ -339,10 +328,15 @@ def eval_expr(node: ExprAst, bindings: Mapping[str, float]) -> float:
     else:
         compiled = _COMPILED.get(id(node))
         if compiled is None:
-            compiled = _closure(_compile(node))
+            compiled = _compile(node)
             weakref.finalize(node, _COMPILED.pop, id(node), None)
             _COMPILED[id(node)] = compiled
-        result = compiled(bindings)
+        try:
+            result = compiled(bindings)
+        except ZeroDivisionError:
+            raise EvalError("division by zero") from None
+        except KeyError as exc:
+            raise EvalError(f"no value bound for variable {exc.args[0]!r}") from None
     if result != result:
         raise EvalError(f"{format_expr(node)} evaluates to NaN at {dict(bindings)!r}")
     return result

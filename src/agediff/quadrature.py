@@ -47,8 +47,7 @@ class InteriorVector:
                 f"interior vector length must be odd and >= 7 (got {n}); "
                 "lengths are M - 1 with M = 2*(m_prime + 3)"
             )
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise InvalidParameter(f"h must be positive and finite, got {self.h!r}")
+        # weights() refuses an h that is not positive and finite
         object.__setattr__(self, "_weights", _cached_weights(n, self.h))
 
     def __len__(self) -> int:
@@ -76,6 +75,8 @@ def weights(n: int, h: float) -> np.ndarray:
     if n % 2 == 0 or n < 7:
         raise DimensionMismatch(f"weight vector length must be odd and >= 7, got {n}")
     h = float(h)
+    if not (math.isfinite(h) and h > 0.0):
+        raise InvalidParameter(f"h must be positive and finite, got {h!r}")
     m_prime = (n + 1) // 2 - 3
     four_thirds = 4.0 * h / 3.0
     third = h / 3.0

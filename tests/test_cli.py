@@ -282,6 +282,30 @@ def test_history_too_large_to_index_is_one_error_line(tmp_path, capsys, command)
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "key,expression",
+    [
+        ("d", "(" * 400 + "1" + ")" * 400),
+        ("u0", "exp(-x)/2" + "+0*x" * 1500),
+        ("B", "-" * 1200 + "x"),
+        ("g", "t^" * 600 + "t"),
+        ("psi1", "abs(" * 300 + "x" + ")" * 300),
+    ],
+    ids=["parentheses", "sum", "unary-minus", "power-chain", "calls"],
+)
+def test_deep_config_expression_is_one_error_line(tmp_path, capsys, key, expression):
+    expressions = {"d": "1", "B": "1", "u0": "1", key: expression}
+    text = "".join(f"{name} = {value}\n" for name, value in expressions.items())
+    config = write_config(tmp_path, text + "m_prime = 7\nr = 0.4\nt_final = 0.2\n")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", config, "--output-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"invalid expression for '{key}': expression is nested more than 100 levels deep" in captured.err
+    assert not out_dir.exists()
+
+
 def test_unwritable_output_is_one_error_line(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")

@@ -1,6 +1,7 @@
 import gc
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -381,3 +382,136 @@ def test_nan_number_root_still_raises():
     with pytest.raises(EvalError, match="evaluates to NaN"):
         eval_expr(Num(math.nan), {})
     assert eval_expr(Num(2.5), {}) == 2.5
+
+
+# Each shape nests its 'x' n levels deep: the bound admits n = 100 and
+# refuses n = 101 at the token that opens or makes the 101st level.
+_DEEP_SHAPES = {
+    "parentheses": (lambda n: "(" * n + "x" + ")" * n, lambda n: n - 1),
+    "calls": (lambda n: "sin(" * n + "x" + ")" * n, lambda n: 4 * (n - 1)),
+    "unary minus": (lambda n: "-" * n + "x", lambda n: n - 1),
+    "power chain": (lambda n: "x^" * n + "x", lambda n: 2 * n - 1),
+    "sum": (lambda n: "x" + " + x" * n, lambda n: 4 * n - 2),
+    "product": (lambda n: "x" + "*x" * n, lambda n: 2 * n - 1),
+    "power of a group": (lambda n: "(" * (n - 1) + "x" + ")" * (n - 1) + "^2", lambda n: 2 * n - 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP_SHAPES))
+def test_parse_bounds_the_nesting_depth(shape):
+    text, position = _DEEP_SHAPES[shape]
+    bound = exprdsl._MAX_DEPTH
+    assert bound == 100
+    node = parse_expr(text(bound), {"x"})
+    assert math.isfinite(eval_expr(node, {"x": 0.5}))
+    assert parse_expr(format_expr(node), {"x"}) == node
+    with pytest.raises(ParseError, match=f"nested more than {bound} levels deep") as excinfo:
+        parse_expr(text(bound + 1), {"x"})
+    assert excinfo.value.position == position(bound + 1)
+    with pytest.raises(ParseError, match=f"nested more than {bound} levels deep"):
+        parse_expr(text(1500), {"x"})
+
+
+def _nested(n, wrap):
+    node = Var("x")
+    for _ in range(n):
+        node = wrap(node)
+    return node
+
+
+_HAND_BUILT_SHAPES = {
+    "left sum": lambda node: BinOp("+", node, Var("x")),
+    "right difference": lambda node: BinOp("-", Var("x"), node),
+    "right quotient": lambda node: BinOp("/", Num(2.0), node),
+    "power chain": lambda node: BinOp("^", Num(1.0), node),
+    "calls": lambda node: Call("abs", node),
+    "negations": Neg,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_HAND_BUILT_SHAPES))
+def test_eval_refuses_a_hand_built_ast_too_deep_to_compile(shape):
+    bound = exprdsl._MAX_DEPTH
+    assert math.isfinite(eval_expr(_nested(bound, _HAND_BUILT_SHAPES[shape]), {"x": 0.5}))
+    for n in (bound + 1, 5000):
+        node = _nested(n, _HAND_BUILT_SHAPES[shape])
+        for _ in range(2):
+            with pytest.raises(EvalError, match=f"nested more than {bound} levels deep"):
+                eval_expr(node, {"x": 0.5})
+
+
+def test_the_deepest_alternating_expression_compiles():
+    # right operands that need parentheses and calls, alternately: the
+    # generated source nests one bracket per level
+    wraps = [
+        lambda node: BinOp("-", Var("x"), node),
+        lambda node: Call("cos", node),
+        lambda node: BinOp("/", Num(3.0), node),
+        lambda node: BinOp("^", node, Num(1.0)),
+        lambda node: Neg(node),
+    ]
+    node = Var("x")
+    for i in range(exprdsl._MAX_DEPTH):
+        node = wraps[i % len(wraps)](node)
+    assert outcome(eval_expr, node, {"x": 0.25}) == outcome(reference_eval, node, {"x": 0.25})
+
+
+class _ReprInjectingStr(str):
+    def __repr__(self):
+        return "__import__('os')"
+
+
+@pytest.mark.parametrize(
+    "node,message",
+    [
+        (BinOp("or", Call("exp", Num(1.0)), Var("x")), "cannot compile BinOp 'or'"),
+        (BinOp("); x(", Call("exp", Num(1.0)), Num(2.0)), "cannot compile BinOp '); x('"),
+        (Call("__import__", Num(1.0)), "cannot compile Call '__import__'"),
+        (Const("tau"), "cannot compile Const 'tau'"),
+        (BinOp("+", Call("exp", Num(1.0)), Const("tau")), "cannot compile Const 'tau'"),
+        (BinOp("+", Call("exp", Num(1.0)), Var(_ReprInjectingStr("x"))), "cannot compile Var __import__"),
+        (Neg(Call("exp", BinOp(_ReprInjectingStr("+"), Num(1.0), Num(2.0)))), "cannot compile BinOp"),
+        (Neg("x"), "unknown AST node of type str"),
+    ],
+)
+def test_a_node_the_compiler_cannot_render_runs_nothing(monkeypatch, node, message):
+    calls = []
+    for name in ("_call", "_power"):
+        helper = getattr(exprdsl, name)
+        monkeypatch.setattr(exprdsl, name, lambda *args, helper=helper: calls.append(args) or helper(*args))
+    monkeypatch.setattr(exprdsl, "eval", lambda *args: calls.append(args), raising=False)
+    for _ in range(2):
+        with pytest.raises(EvalError, match=re.escape(message)):
+            eval_expr(node, {"x": 1.0})
+    assert calls == []
+
+
+def test_folded_constants_call_no_helper_per_point(monkeypatch):
+    calls = {"_call": 0, "_power": 0}
+    for name in calls:
+        helper = getattr(exprdsl, name)
+
+        def counted(*args, name=name, helper=helper):
+            calls[name] += 1
+            return helper(*args)
+
+        monkeypatch.setattr(exprdsl, name, counted)
+    mortality = parse_expr("1.05 + s/(1 - exp(-1))", {"x", "s"})
+    fertility = parse_expr("2*exp(x)", {"x", "s"})
+    eval_expr(mortality, {"x": 0.0, "s": 0.0})
+    eval_expr(fertility, {"x": 0.0, "s": 0.0})
+    calls.update(_call=0, _power=0)
+    for i in range(50):
+        point = {"x": i / 50, "s": i / 7}
+        assert eval_expr(mortality, point) == 1.05 + point["s"] / (1 - math.exp(-1))
+        assert eval_expr(fertility, point) == 2 * math.exp(point["x"])
+    assert calls == {"_call": 50, "_power": 0}
+
+
+def test_compiled_function_is_one_python_function():
+    node = parse_expr("1.05 + s/(1 - exp(-1)) - x^2", {"x", "s"})
+    eval_expr(node, {"x": 0.0, "s": 0.0})
+    compiled = exprdsl._COMPILED[id(node)]
+    # 1 - exp(-1) is folded: k holds 1.05, its value and 2, and only '^' calls a helper
+    assert compiled.__code__.co_names == ("k", "float", "_power")
+    assert len(compiled.__globals__["k"]) == 3

@@ -165,6 +165,15 @@ def test_weights_validation():
         weights(5, 0.05)
 
 
+@pytest.mark.parametrize("h", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_weights_refuse_an_h_that_interior_vector_refuses(h):
+    with pytest.raises(InvalidParameter) as from_weights:
+        weights(7, h)
+    with pytest.raises(InvalidParameter) as from_vector:
+        InteriorVector(np.ones(7), h)
+    assert str(from_weights.value) == str(from_vector.value) == f"h must be positive and finite, got {h!r}"
+
+
 def test_l2_norm_values():
     x, h = interior_x(7)
     assert l2_norm(InteriorVector(np.zeros_like(x), h)) == 0.0
