@@ -9,15 +9,18 @@ Grammar (whitespace-insensitive)::
     atom   := NUMBER | NAME | NAME '(' sum ')' | '(' sum ')'
 
 '^' binds tighter than unary minus, so ``-2^2`` is ``-(2^2) = -4``; a
-negative base needs parentheses.  Names resolve, in order, to the function
-table (exp, log, sin, cos, sqrt, abs; one argument each), the constants
-``e`` and ``pi``, and finally the caller-supplied variable set.
+negative base needs parentheses.  How tightly each operator binds is
+written once, in ``_BINDS``, which the parser, the formatter and the
+compiler all read.  Names resolve, in order, to the function table (exp,
+log, sin, cos, sqrt, abs; one argument each), the constants ``e`` and
+``pi``, and finally the caller-supplied variable set.
 
 An expression may nest at most 100 levels, where each operator, function
-call and pair of parentheses is one.  Each AST is compiled once, on its
-first evaluation, into one Python function that does the same float
-operations and checks in the same order; a subtree that reads no variable
-is folded into its value, unless evaluating it raises.  Each
+call and pair of parentheses is one; :func:`format_expr` and
+:func:`eval_expr` refuse a deeper hand-built AST.  Each AST is compiled
+once, on its first evaluation, into one Python function that does the same
+float operations and checks in the same order; a subtree that reads no
+variable is folded into its value, unless evaluating it raises.  Each
 :func:`eval_expr` call still evaluates one point, and raises
 :class:`EvalError` instead of letting NaN leak: ``log`` of a non-positive
 value, ``sqrt`` of a negative value, division by zero, and '^' on a negative
@@ -74,6 +77,12 @@ ExprAst = Union[Num, Var, Const, Neg, BinOp, Call]
 # The levels an expression may nest; this keeps the parser's, the
 # compiler's and Python's own recursion far from their limits.
 _MAX_DEPTH = 100
+
+# How tightly each binary operator binds.  Unary minus binds at 3 and a
+# number, name, call or group at 5.
+_BINDS = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG_BINDS = 3
+_ATOM_BINDS = 5
 
 _CONSTANTS = {"e": math.e, "pi": math.pi}
 
@@ -132,53 +141,35 @@ class _Parser:
             raise ParseError(f"expected {symbol!r}, found {shown!r}", pos)
         self.advance()
 
-    # Each parse_* method parses an expression ``depth`` levels below the
-    # root and returns it with its reach, the depth of its deepest leaf.  A
-    # nested part too deep is refused at its opening token, before the
-    # recursion; an operator that deepens the tree too far, at the operator.
+    # parse_sum parses an expression ``depth`` levels below the root, made
+    # of operators that bind at least ``binds`` tightly, and returns it with
+    # its reach, the depth of its deepest leaf.  A nested part too deep is
+    # refused at its opening token, before the recursion; an operator that
+    # deepens the tree too far, at the operator.
     def nest(self, reach: int, pos: int) -> int:
         if reach > _MAX_DEPTH:
             raise ParseError(f"expression is nested more than {_MAX_DEPTH} levels deep", pos)
         return reach
 
-    def parse_sum(self, depth: int) -> tuple[ExprAst, int]:
-        node, reach = self.parse_term(depth)
+    def parse_sum(self, depth: int, binds: int = 1) -> tuple[ExprAst, int]:
+        kind, text, pos = self.peek()
+        if kind == "op" and text == "-":  # its operand takes in any '^'
+            self.advance()
+            operand, reach = self.parse_sum(self.nest(depth + 1, pos), _NEG_BINDS)
+            node = Neg(operand)
+        else:
+            node, reach = self.parse_atom(depth)
         while True:
             kind, text, pos = self.peek()
-            if kind == "op" and text in ("+", "-"):
-                self.advance()
-                right, right_reach = self.parse_term(depth)
-                node, reach = BinOp(text, node, right), self.nest(max(reach, right_reach) + 1, pos)
-            else:
+            if kind != "op" or _BINDS.get(text, 0) < binds:
                 return node, reach
-
-    def parse_term(self, depth: int) -> tuple[ExprAst, int]:
-        node, reach = self.parse_unary(depth)
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in ("*", "/"):
-                self.advance()
-                right, right_reach = self.parse_unary(depth)
-                node, reach = BinOp(text, node, right), self.nest(max(reach, right_reach) + 1, pos)
+            self.advance()
+            if text == "^":  # right-associative, and the exponent may be negated
+                exponent, exponent_reach = self.parse_sum(self.nest(depth + 1, pos), _NEG_BINDS)
+                node, reach = BinOp(text, node, exponent), self.nest(max(reach + 1, exponent_reach), pos)
             else:
-                return node, reach
-
-    def parse_unary(self, depth: int) -> tuple[ExprAst, int]:
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            operand, reach = self.parse_unary(self.nest(depth + 1, pos))
-            return Neg(operand), reach
-        return self.parse_power(depth)
-
-    def parse_power(self, depth: int) -> tuple[ExprAst, int]:
-        base, reach = self.parse_atom(depth)
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            exponent, exponent_reach = self.parse_unary(self.nest(depth + 1, pos))
-            return BinOp("^", base, exponent), self.nest(max(reach + 1, exponent_reach), pos)
-        return base, reach
+                right, right_reach = self.parse_sum(depth, _BINDS[text] + 1)
+                node, reach = BinOp(text, node, right), self.nest(max(reach, right_reach) + 1, pos)
 
     def parse_atom(self, depth: int) -> tuple[ExprAst, int]:
         kind, text, pos = self.advance()
@@ -283,15 +274,15 @@ def _compile(node: ExprAst) -> Callable[[Mapping[str, float]], float]:
             case Var(name) if type(name) is str:
                 return f"float(b[{name!r}])", False
             case Neg(operand):
-                operand, folded = render(operand, _PREC_NEG, depth + 1)
+                operand, folded = render(operand, _NEG_BINDS, depth + 1)
                 source = "-" + operand
             case Call(func, arg) if type(func) is str and func in _FUNCTIONS:
                 arg, folded = render(arg, 0, depth + 1)
                 source = f"_call({func!r}, {arg})"
-            case BinOp(op, left, right) if type(op) is str and op in ("+", "-", "*", "/", "^"):
-                prec = 0 if op == "^" else _prec(node)  # a call's arguments need no parentheses
-                left, left_folded = render(left, prec, depth + 1)
-                right, right_folded = render(right, prec + 1, depth + 1)
+            case BinOp(op, left, right) if type(op) is str and op in _BINDS:
+                binds = 0 if op == "^" else _BINDS[op]  # a call's arguments need no parentheses
+                left, left_folded = render(left, binds, depth + 1)
+                right, right_folded = render(right, binds + 1, depth + 1)
                 source = f"_power({left}, {right})" if op == "^" else f"{left} {op} {right}"
                 folded = left_folded and right_folded
             case Var(name) | Const(name) | Call(name) | BinOp(name):
@@ -342,46 +333,42 @@ def eval_expr(node: ExprAst, bindings: Mapping[str, float]) -> float:
     return result
 
 
-_PREC_SUM = 1
-_PREC_TERM = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
-
 def _prec(node: ExprAst) -> int:
     if isinstance(node, BinOp):
-        if node.op in ("+", "-"):
-            return _PREC_SUM
-        if node.op in ("*", "/"):
-            return _PREC_TERM
-        return _PREC_POW
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    return _PREC_ATOM
+        return _BINDS[node.op]
+    return _NEG_BINDS if isinstance(node, Neg) else _ATOM_BINDS
 
 
 def format_expr(node: ExprAst) -> str:
-    """Render an AST back to text; parsing the result rebuilds the same AST."""
+    """Render an AST back to text.
 
-    def wrap(child: ExprAst, minimum: int) -> str:
-        text = format_expr(child)
-        if _prec(child) < minimum:
-            return f"({text})"
-        return text
+    Parsing the text of an AST that :func:`parse_expr` returned rebuilds the
+    same AST; a hand-built one may read back differently (``Num(-1.0)``
+    reads back as ``Neg(Num(1.0))``).  An AST nested more than 100 levels
+    raises :class:`EvalError`, as in :func:`eval_expr`.
+    """
 
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, (Var, Const)):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.func}({format_expr(node.arg)})"
-    if isinstance(node, Neg):
-        return "-" + wrap(node.operand, _PREC_NEG)
-    if isinstance(node, BinOp):
-        if node.op in ("+", "-"):
-            return f"{wrap(node.left, _PREC_SUM)} {node.op} {wrap(node.right, _PREC_SUM + 1)}"
-        if node.op in ("*", "/"):
-            return f"{wrap(node.left, _PREC_TERM)}{node.op}{wrap(node.right, _PREC_TERM + 1)}"
-        return f"{wrap(node.left, _PREC_ATOM)}^{wrap(node.right, _PREC_NEG)}"
-    raise TypeError(f"not an expression node: {node!r}")  # pragma: no cover
+    def show(node: ExprAst, minimum: int, depth: int) -> str:
+        # node's text, parenthesised if it binds looser than minimum
+        if depth > _MAX_DEPTH:
+            raise EvalError(f"expression is nested more than {_MAX_DEPTH} levels deep")
+        match node:
+            case Num(value):
+                return repr(value)
+            case Var(name) | Const(name):
+                return name
+            case Call(func, arg):
+                return f"{func}({show(arg, 0, depth + 1)})"
+            case Neg(operand):
+                text = "-" + show(operand, _NEG_BINDS, depth + 1)
+            case BinOp(op, left, right) if op in _BINDS:
+                binds = _BINDS[op]
+                # '^' is right-associative and its base an atom
+                low, high = (_ATOM_BINDS, _NEG_BINDS) if op == "^" else (binds, binds + 1)
+                spaced = f" {op} " if binds == 1 else op
+                text = show(left, low, depth + 1) + spaced + show(right, high, depth + 1)
+            case _:
+                raise TypeError(f"not an expression node: {node!r}")
+        return f"({text})" if _prec(node) < minimum else text
+
+    return show(node, 0, 0)

@@ -41,14 +41,9 @@ class InteriorVector:
         object.__setattr__(self, "h", float(self.h))
         if values.ndim != 1:
             raise DimensionMismatch(f"interior vector must be one-dimensional, got shape {values.shape}")
-        n = values.shape[0]
-        if n % 2 == 0 or n < 7:
-            raise DimensionMismatch(
-                f"interior vector length must be odd and >= 7 (got {n}); "
-                "lengths are M - 1 with M = 2*(m_prime + 3)"
-            )
-        # weights() refuses an h that is not positive and finite
-        object.__setattr__(self, "_weights", _cached_weights(n, self.h))
+        # weights() refuses a length that is even or below 7, and an h that
+        # is not positive and finite
+        object.__setattr__(self, "_weights", _cached_weights(values.shape[0], self.h))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -73,7 +68,9 @@ def weights(n: int, h: float) -> np.ndarray:
     Note w[1] and w[-2] are negative: the rule is not monotone.
     """
     if n % 2 == 0 or n < 7:
-        raise DimensionMismatch(f"weight vector length must be odd and >= 7, got {n}")
+        raise DimensionMismatch(
+            f"vector length must be odd and >= 7, got {n}; lengths are M - 1 with M = 2*(m_prime + 3)"
+        )
     h = float(h)
     if not (math.isfinite(h) and h > 0.0):
         raise InvalidParameter(f"h must be positive and finite, got {h!r}")

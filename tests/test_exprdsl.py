@@ -33,6 +33,10 @@ def evaluate(text, allowed=(), **bindings):
         ("2^-1", 0.5),
         ("0.5e1", 5.0),
         (".25*4", 1.0),
+        ("2^-3^2", 0.001953125),
+        ("-2^-2", -0.25),
+        ("2*-3^2", -18.0),
+        ("1 - -2*3", 7.0),
     ],
 )
 def test_precedence_and_literals(text, expected):
@@ -73,6 +77,11 @@ def test_variables_are_slot_restricted():
         ("(1 + 2", 6),
         ("1 + 2)", 5),
         ("exp(1, 2)", 5),
+        ("2^", 2),
+        ("x^-", 3),
+        ("2 * / 3", 4),
+        ("-", 1),
+        ("2^*3", 2),
     ],
 )
 def test_parse_error_positions(text, position):
@@ -432,12 +441,16 @@ _HAND_BUILT_SHAPES = {
 @pytest.mark.parametrize("shape", sorted(_HAND_BUILT_SHAPES))
 def test_eval_refuses_a_hand_built_ast_too_deep_to_compile(shape):
     bound = exprdsl._MAX_DEPTH
-    assert math.isfinite(eval_expr(_nested(bound, _HAND_BUILT_SHAPES[shape]), {"x": 0.5}))
+    node = _nested(bound, _HAND_BUILT_SHAPES[shape])
+    assert math.isfinite(eval_expr(node, {"x": 0.5}))
+    assert format_expr(_nested(bound - 1, _HAND_BUILT_SHAPES[shape])) in format_expr(node)
     for n in (bound + 1, 5000):
         node = _nested(n, _HAND_BUILT_SHAPES[shape])
         for _ in range(2):
             with pytest.raises(EvalError, match=f"nested more than {bound} levels deep"):
                 eval_expr(node, {"x": 0.5})
+            with pytest.raises(EvalError, match=f"nested more than {bound} levels deep"):
+                format_expr(node)
 
 
 def test_the_deepest_alternating_expression_compiles():

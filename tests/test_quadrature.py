@@ -163,6 +163,15 @@ def test_weights_validation():
         weights(8, 0.05)
     with pytest.raises(DimensionMismatch):
         weights(5, 0.05)
+    # InteriorVector leaves its length check to weights: one rule, one message
+    for n in (0, 5, 6, 8):
+        with pytest.raises(DimensionMismatch) as from_weights:
+            weights(n, 0.05)
+        with pytest.raises(DimensionMismatch) as from_vector:
+            InteriorVector(np.ones(n), 0.05)
+        assert str(from_weights.value) == str(from_vector.value) == (
+            f"vector length must be odd and >= 7, got {n}; lengths are M - 1 with M = 2*(m_prime + 3)"
+        )
 
 
 @pytest.mark.parametrize("h", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
