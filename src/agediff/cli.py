@@ -14,7 +14,8 @@ when present, keys are checked against their section.  A problem is either
 ``problem = <builtin id>`` or an inline coefficient block (``d``, ``B``,
 ``u0``, optional ``psi1``/``psi2``/``g``/``a_dagger``) written in the
 expression language of :mod:`agediff.exprdsl`.  Config files are read as
-UTF-8; one that does not decode is a configuration error.
+UTF-8, and a leading byte-order mark is ignored; one that does not decode is
+a configuration error.
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ def _execute(
 
 def _load_config(path: str) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as stream:
+        with open(path, encoding="utf-8-sig") as stream:
             text = stream.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -66,7 +65,7 @@ class StabilityRow:
 
 
 def _grid_ladder(base: GridSpec, levels: int) -> list[GridSpec]:
-    if not (isinstance(levels, int) and levels >= 1):
+    if not (isinstance(levels, int) and not isinstance(levels, bool) and levels >= 1):
         raise InvalidParameter(f"levels must be an integer >= 1, got {levels!r}")
     grids = [base]
     for _ in range(levels - 1):
@@ -255,12 +254,16 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     """Write a header and rows (sequences of cells) to ``path`` atomically.
 
     A float cell prints as ``repr(float(value))``, an int or str as itself
-    and None as an empty cell.
+    and None as an empty cell.  The file mode follows the umask, as for
+    ``open()``, also when the write replaces an existing file.
     """
     text = "".join(",".join(map(_cell, cells)) + "\n" for cells in (header, *rows))
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    handle, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
+    temp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.csv")
+    # 0o666 less the umask, as open() gives; O_BINARY keeps Windows from writing \r\n
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
+    handle = os.open(temp_path, flags, 0o666)
     try:
         with os.fdopen(handle, "w", encoding="utf-8", newline="") as stream:
             stream.write(text)

@@ -22,6 +22,12 @@ do: a coefficient that reads neither x nor s (psi1 = psi2 = 1, and example1's
 d = 1 and B = e) returns one cached ``np.full`` array per shape, and one that
 reads s but not x (examples 2 and 3's d) a read-only stride-0 array of x's
 shape.  Writing into either raises ValueError.
+
+A problem is data.  Each built-in is one entry of a table built at import,
+so every call hands out the same objects.  An inline problem is one
+expression per slot of :data:`EXPRESSION_VARIABLES`, and a slot's variables
+decide how it is called: g(t) for t, a coefficient (x, s) for s, and a
+profile (x) otherwise.
 """
 
 from __future__ import annotations
@@ -87,49 +93,42 @@ def _twice_exp(x, s):
     return values
 
 
-def _example1() -> tuple[ProblemSpec, SpaceTimeFunction]:
-    problem = ProblemSpec(
-        mortality=_constant(1.0),
-        fertility=_constant(math.e),
-        psi1=_constant(1.0),
-        psi2=_constant(1.0),
-        initial=lambda x: math.e - np.exp(x),
-        a_dagger=1.0,
-        right_boundary=None,
-    )
-    return problem, lambda x, t: (math.e - np.exp(x)) * np.exp(-t)
-
-
-def _example2() -> tuple[ProblemSpec, None]:
-    problem = ProblemSpec(
-        mortality=lambda x, s: _filled(x, 0.5 + s / _DECAY_SCALE),
-        fertility=_twice_exp,
-        psi1=_constant(1.0),
-        psi2=_constant(1.0),
-        initial=lambda x: math.e - np.exp(x),
-        a_dagger=1.0,
-        right_boundary=None,
-    )
-    return problem, None
-
-
-def _example3() -> tuple[ProblemSpec, SpaceTimeFunction]:
-    problem = ProblemSpec(
-        mortality=lambda x, s: _filled(x, 1.0 + s / _DECAY_SCALE),
-        fertility=_twice_exp,
-        psi1=_constant(1.0),
-        psi2=_constant(1.0),
-        initial=lambda x: np.exp(-x) / 2.0,
-        a_dagger=1.0,
-        right_boundary=lambda t: math.exp(-1.0) / (1.0 + math.exp(-t)),
-    )
-    return problem, lambda x, t: np.exp(-x) / (1.0 + np.exp(-t))
-
-
+# Each built-in: its description, the problem and its exact solution u(x, t), or None if none is known.
 _BUILTINS = {
-    "example1": (_example1, "constant rates, exact solution, homogeneous right boundary"),
-    "example2": (_example2, "population-dependent mortality, no closed form"),
-    "example3": (_example3, "population-dependent mortality, Dirichlet right boundary, exact solution"),
+    "example1": (
+        "constant rates, exact solution, homogeneous right boundary",
+        ProblemSpec(
+            mortality=_constant(1.0),
+            fertility=_constant(math.e),
+            psi1=_constant(1.0),
+            psi2=_constant(1.0),
+            initial=lambda x: math.e - np.exp(x),
+        ),
+        lambda x, t: (math.e - np.exp(x)) * np.exp(-t),
+    ),
+    "example2": (
+        "population-dependent mortality, no closed form",
+        ProblemSpec(
+            mortality=lambda x, s: _filled(x, 0.5 + s / _DECAY_SCALE),
+            fertility=_twice_exp,
+            psi1=_constant(1.0),
+            psi2=_constant(1.0),
+            initial=lambda x: math.e - np.exp(x),
+        ),
+        None,
+    ),
+    "example3": (
+        "population-dependent mortality, Dirichlet right boundary, exact solution",
+        ProblemSpec(
+            mortality=lambda x, s: _filled(x, 1.0 + s / _DECAY_SCALE),
+            fertility=_twice_exp,
+            psi1=_constant(1.0),
+            psi2=_constant(1.0),
+            initial=lambda x: np.exp(-x) / 2.0,
+            right_boundary=lambda t: math.exp(-1.0) / (1.0 + math.exp(-t)),
+        ),
+        lambda x, t: np.exp(-x) / (1.0 + np.exp(-t)),
+    ),
 }
 
 
@@ -147,12 +146,15 @@ def _builtin(problem_id: str) -> tuple:
 
 
 def builtin_description(problem_id: str) -> str:
-    return _builtin(problem_id)[1]
+    return _builtin(problem_id)[0]
 
 
 def builtin_problem(problem_id: str) -> tuple[ProblemSpec, Optional[SpaceTimeFunction]]:
-    """Return a built-in problem and its exact solution u(x, t), or None if none is known."""
-    return _builtin(problem_id)[0]()
+    """Return a built-in problem and its exact solution u(x, t), or None if none is known.
+
+    Every call returns the same two objects; ProblemSpec is frozen.
+    """
+    return _builtin(problem_id)[1:]
 
 
 def _nodewise(ast: exprdsl.ExprAst, x: np.ndarray, bindings: dict) -> np.ndarray:
@@ -168,14 +170,6 @@ def _nodewise(ast: exprdsl.ExprAst, x: np.ndarray, bindings: dict) -> np.ndarray
     return np.array(values, dtype=float).reshape(x.shape)
 
 
-def _profile_from_ast(ast: exprdsl.ExprAst) -> AgeProfile:
-    return lambda x: _nodewise(ast, x, {})
-
-
-def _coefficient_from_ast(ast: exprdsl.ExprAst) -> Coefficient:
-    return lambda x, s: _nodewise(ast, x, {"s": float(s)})
-
-
 # The variables each expression of problem_from_expressions may read.
 EXPRESSION_VARIABLES = {
     "mortality": {"x", "s"},
@@ -185,6 +179,15 @@ EXPRESSION_VARIABLES = {
     "initial": {"x"},
     "right_boundary": {"t"},
 }
+
+
+def _callable_from_ast(ast: exprdsl.ExprAst, variables: set) -> Callable:
+    """The callable a slot reading ``variables`` calls for: g(t), a coefficient (x, s) or a profile (x)."""
+    if "t" in variables:
+        return lambda t: exprdsl.eval_expr(ast, {"t": float(t)})
+    if "s" in variables:
+        return lambda x, s: _nodewise(ast, x, {"s": float(s)})
+    return lambda x: _nodewise(ast, x, {})
 
 
 def problem_from_expressions(
@@ -198,28 +201,16 @@ def problem_from_expressions(
 ) -> ProblemSpec:
     """Build a ProblemSpec from expression strings.
 
-    Each slot may read only its variables in :data:`EXPRESSION_VARIABLES`.
-    ParseError propagates with the offending position.
+    Slots are parsed in :data:`EXPRESSION_VARIABLES` order, and each may read
+    only its variables there.  ParseError propagates with the offending
+    position, from the first slot that fails.
     """
-    variables = EXPRESSION_VARIABLES
-    mortality_ast = exprdsl.parse_expr(mortality, variables["mortality"])
-    fertility_ast = exprdsl.parse_expr(fertility, variables["fertility"])
-    psi1_ast = exprdsl.parse_expr(psi1, variables["psi1"])
-    psi2_ast = exprdsl.parse_expr(psi2, variables["psi2"])
-    initial_ast = exprdsl.parse_expr(initial, variables["initial"])
-    g = None
-    if right_boundary is not None:
-        g_ast = exprdsl.parse_expr(right_boundary, variables["right_boundary"])
-
-        def g(t: float) -> float:
-            return exprdsl.eval_expr(g_ast, {"t": float(t)})
-
-    return ProblemSpec(
-        mortality=_coefficient_from_ast(mortality_ast),
-        fertility=_coefficient_from_ast(fertility_ast),
-        psi1=_profile_from_ast(psi1_ast),
-        psi2=_profile_from_ast(psi2_ast),
-        initial=_profile_from_ast(initial_ast),
-        a_dagger=float(a_dagger),
-        right_boundary=g,
+    texts = dict(
+        mortality=mortality, fertility=fertility, psi1=psi1, psi2=psi2, initial=initial, right_boundary=right_boundary
     )
+    slots = {
+        slot: _callable_from_ast(exprdsl.parse_expr(texts[slot], variables), variables)
+        for slot, variables in EXPRESSION_VARIABLES.items()
+        if texts[slot] is not None
+    }
+    return ProblemSpec(**slots, a_dagger=float(a_dagger))

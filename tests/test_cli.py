@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import agediff
-from agediff.cli import RunConfig, main, parse_config
+from agediff.cli import RunConfig, _load_config, main, parse_config
 from agediff.errors import ConfigError
 
 MINIMAL = """
@@ -371,6 +371,15 @@ def test_config_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read config file {str(path)!r}: 'utf-8' codec")
     assert captured.err.count("\n") == 1
+
+
+def test_config_with_a_byte_order_mark_parses_as_without(tmp_path):
+    plain = tmp_path / "plain.cfg"
+    marked = tmp_path / "marked.cfg"
+    text = MINIMAL.lstrip()  # the mark sits right before the first key
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert _load_config(str(marked)) == _load_config(str(plain)) == parse_config(MINIMAL)
 
 
 def test_examples_command_is_reproducible(tmp_path):

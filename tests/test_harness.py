@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import os
+import stat
 import tracemalloc
 import weakref
 
@@ -69,7 +70,7 @@ def test_zero_solution_yields_zero_errors_and_no_orders():
         assert row.order_inf is None and row.order_l2 is None and row.order_xh is None
 
 
-@pytest.mark.parametrize("levels", [0, -1, 2.0])
+@pytest.mark.parametrize("levels", [0, -1, 2.0, True, False])
 def test_ladder_rejects_bad_level_counts(levels):
     problem, exact = builtin_problem("example1")
     with pytest.raises(InvalidParameter):
@@ -219,6 +220,23 @@ def test_failed_csv_write_leaves_no_temp_file(tmp_path):
         write_csv(str(target), ["h"], [(0.05,)])
     assert target.is_dir() and not list(target.iterdir())
     assert sorted(os.listdir(tmp_path)) == ["taken.csv"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_csv_mode_follows_the_umask(tmp_path, umask, mode):
+    path = tmp_path / "out.csv"
+    previous = os.umask(umask)
+    try:
+        write_csv(str(path), ["h"], [(0.05,)])
+        created = stat.S_IMODE(os.stat(path).st_mode)
+        path.chmod(0o640)
+        write_csv(str(path), ["h"], [(0.025,)])  # a replaced file takes the umask's mode too
+        replaced = stat.S_IMODE(os.stat(path).st_mode)
+    finally:
+        os.umask(previous)
+    assert (created, replaced) == (mode, mode)
+    assert sorted(os.listdir(tmp_path)) == ["out.csv"]
 
 
 def test_consistency_csv_format(tmp_path):

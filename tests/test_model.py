@@ -215,6 +215,9 @@ def test_problem_from_expressions_slot_restrictions():
         problem_from_expressions(mortality="1", fertility="1", initial="1", right_boundary="x")
     with pytest.raises(ParseError, match="allowed variables"):
         problem_from_expressions(mortality="1", fertility="1", initial="1", psi2="s")
+    # two slots fail: the error is psi2's, which EXPRESSION_VARIABLES parses before initial
+    with pytest.raises(ParseError, match="unknown name 's'"):
+        problem_from_expressions(mortality="1", fertility="1", initial="(", psi2="s")
 
 
 def test_expression_domain_errors_surface_at_evaluation():
