@@ -15,7 +15,8 @@ when present, keys are checked against their section.  A problem is either
 ``u0``, optional ``psi1``/``psi2``/``g``/``a_dagger``) written in the
 expression language of :mod:`agediff.exprdsl`.  Config files are read as
 UTF-8, and a leading byte-order mark is ignored; one that does not decode is
-a configuration error.
+a configuration error.  Each line is checked and converted once, in file
+order, so of several bad lines the first in the file is the one reported.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from . import harness, model
 from .errors import AgediffError, ConfigError, NonFiniteState, ParseError, StabilityViolation
-from .exprdsl import parse_expr
+from .exprdsl import ExprAst, parse_expr
 from .grid import GridSpec, build_grid
 from .model import ProblemSpec, SpaceTimeFunction
 from .residual import _sample_nodes
@@ -47,7 +48,7 @@ _FIELDS = {"d": "mortality", "B": "fertility", "psi1": "psi1", "psi2": "psi2", "
 @dataclass(frozen=True)
 class RunConfig:
     problem_id: Optional[str]
-    expressions: Optional[dict]
+    expressions: Optional[dict]  # inline key -> its parsed AST, or problem_from_expressions' default
     a_dagger: float
     m_prime: int
     r: float
@@ -86,12 +87,11 @@ def _study(key: str, value: str) -> str:
     return value
 
 
-def _expression(key: str, value: str) -> str:
+def _expression(key: str, value: str) -> ExprAst:
     try:
-        parse_expr(value, model.EXPRESSION_VARIABLES[_FIELDS[key]])
+        return parse_expr(value, model.EXPRESSION_VARIABLES[_FIELDS[key]])
     except ParseError as exc:
         raise ValueError(f"invalid expression for {key!r}: {exc}") from exc
-    return value
 
 
 def _text(key: str, value: str) -> str:
@@ -109,7 +109,6 @@ class _Key(NamedTuple):
 _REQUIRED = inspect.Parameter.empty
 _PARAMETERS = inspect.signature(model.problem_from_expressions).parameters
 
-# Keys are converted in this order, which decides the error among several bad values.
 _KEYS = {
     "problem": _Key("problem", _text, None),
     "a_dagger": _Key("problem", _positive, _PARAMETERS["a_dagger"].default),
@@ -124,8 +123,9 @@ _KEYS = {
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse config text; unknown keys, bad values and misplaced keys all fail."""
-    entries: dict[str, tuple[str, int]] = {}
+    """Parse config text line by line, converting each value as it is read; the first bad line fails."""
+    values: dict[str, Any] = {}
+    linenos: dict[str, int] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -146,49 +146,44 @@ def parse_config(text: str) -> RunConfig:
         home = _KEYS[key].section
         if section not in (None, home):
             raise ConfigError(f"key {key!r} belongs in the [{home}] section", lineno)
-        if key in entries:
+        if key in values:
             raise ConfigError(f"duplicate key {key!r}", lineno)
         if not value:
             raise ConfigError(f"empty value for key {key!r}", lineno)
-        entries[key] = (value, lineno)
+        try:
+            values[key] = _KEYS[key].convert(key, value)
+        except ValueError as exc:
+            raise ConfigError(str(exc), lineno) from exc
+        linenos[key] = lineno
 
-    builtin = "problem" in entries
+    builtin = "problem" in values
     if builtin:
-        inline = sorted(key for key in _FIELDS if key in entries)
+        inline = sorted(key for key in _FIELDS if key in values)
         if inline:
             raise ConfigError(
                 f"config names a built-in problem but also defines {inline}; use one or the other"
             )
-        if "a_dagger" in entries:
-            raise ConfigError("built-in problems fix a_dagger; remove the key", entries["a_dagger"][1])
+        if "a_dagger" in values:
+            raise ConfigError("built-in problems fix a_dagger; remove the key", linenos["a_dagger"])
     else:
-        missing = sorted(key for key in _FIELDS if _KEYS[key].default is _REQUIRED and key not in entries)
+        missing = sorted(key for key in _FIELDS if _KEYS[key].default is _REQUIRED and key not in values)
         if missing:
             raise ConfigError(f"inline problem needs keys {missing} (or set 'problem = <builtin>')")
 
-    def get(key: str, convert: Callable[[str, str], Any], default: Any) -> Any:
-        if key not in entries:
-            if default is _REQUIRED:
+    for key, spec in _KEYS.items():
+        if key not in values and not (builtin and key in _FIELDS):
+            if spec.default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r}")
-            return default
-        value, lineno = entries[key]
-        try:
-            return convert(key, value)
-        except ValueError as exc:
-            raise ConfigError(str(exc), lineno) from exc
-
-    keys = [key for key in _KEYS if not (builtin and key in _FIELDS)]
-    values = {key: get(key, _KEYS[key].convert, _KEYS[key].default) for key in keys}
+            values[key] = spec.default
     expressions = None if builtin else {key: values.pop(key) for key in _FIELDS}
     return RunConfig(problem_id=values.pop("problem"), expressions=expressions, **values)
 
 
-def _materialize(config: RunConfig) -> tuple[ProblemSpec, Optional[SpaceTimeFunction], str]:
+def _materialize(config: RunConfig) -> tuple[ProblemSpec, Optional[SpaceTimeFunction]]:
     if config.problem_id is not None:
-        problem, u = model.builtin_problem(config.problem_id)
-        return problem, u, config.problem_id
-    arguments = {_FIELDS[key]: text for key, text in config.expressions.items()}
-    return model.problem_from_expressions(**arguments, a_dagger=config.a_dagger), None, "inline"
+        return model.builtin_problem(config.problem_id)
+    arguments = {_FIELDS[key]: expression for key, expression in config.expressions.items()}
+    return model.problem_from_expressions(**arguments, a_dagger=config.a_dagger), None
 
 
 def _write_run_slice(
@@ -207,8 +202,9 @@ def _write_run_slice(
 
 
 def _execute(
-    config: RunConfig, problem: ProblemSpec, u: Optional[SpaceTimeFunction], tag: str, perturbation_scale: float = 1.0
+    config: RunConfig, problem: ProblemSpec, u: Optional[SpaceTimeFunction], perturbation_scale: float = 1.0
 ) -> int:
+    tag = config.problem_id or "inline"
     base = build_grid(problem.a_dagger, config.m_prime, config.r, config.t_final)
     written: list[str] = []
     out = config.output_dir
@@ -298,6 +294,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 print(f"{problem_id}  {model.builtin_description(problem_id)}")
             return 0
         if args.command == "examples":
+            problem, u = model.builtin_problem(args.id)
             config = RunConfig(
                 problem_id=args.id,
                 expressions=None,
@@ -305,7 +302,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 m_prime=args.m_prime,
                 r=args.r,
                 t_final=_EXAMPLE_T_FINAL.get(args.id) if args.t_final is None else args.t_final,
-                study="",  # follows from the problem once it is resolved
+                study="convergence" if u is not None else "self_convergence",
                 levels=args.levels,
                 output_dir=args.output_dir,
             )
@@ -314,10 +311,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.output_dir is not None:
                 overrides["output_dir"] = args.output_dir
             config = replace(_load_config(args.config), **overrides)
-        problem, u, tag = _materialize(config)
-        if args.command == "examples":
-            config = replace(config, study="convergence" if u is not None else "self_convergence")
-        return _execute(config, problem, u, tag, perturbation_scale=getattr(args, "scale", 1.0))
+            problem, u = _materialize(config)
+        return _execute(config, problem, u, perturbation_scale=getattr(args, "scale", 1.0))
     except StabilityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -181,8 +181,9 @@ EXPRESSION_VARIABLES = {
 }
 
 
-def _callable_from_ast(ast: exprdsl.ExprAst, variables: set) -> Callable:
+def _callable(expression: Union[str, exprdsl.ExprAst], variables: set) -> Callable:
     """The callable a slot reading ``variables`` calls for: g(t), a coefficient (x, s) or a profile (x)."""
+    ast = exprdsl.parse_expr(expression, variables) if isinstance(expression, str) else expression
     if "t" in variables:
         return lambda t: exprdsl.eval_expr(ast, {"t": float(t)})
     if "s" in variables:
@@ -191,26 +192,26 @@ def _callable_from_ast(ast: exprdsl.ExprAst, variables: set) -> Callable:
 
 
 def problem_from_expressions(
-    mortality: str,
-    fertility: str,
-    initial: str,
-    psi1: str = "1",
-    psi2: str = "1",
-    right_boundary: Optional[str] = None,
+    mortality: Union[str, exprdsl.ExprAst],
+    fertility: Union[str, exprdsl.ExprAst],
+    initial: Union[str, exprdsl.ExprAst],
+    psi1: Union[str, exprdsl.ExprAst] = "1",
+    psi2: Union[str, exprdsl.ExprAst] = "1",
+    right_boundary: Union[str, exprdsl.ExprAst, None] = None,
     a_dagger: float = 1.0,
 ) -> ProblemSpec:
-    """Build a ProblemSpec from expression strings.
+    """Build a ProblemSpec from each slot's expression text, or the AST parse_expr returned for it.
 
-    Slots are parsed in :data:`EXPRESSION_VARIABLES` order, and each may read
-    only its variables there.  ParseError propagates with the offending
-    position, from the first slot that fails.
+    Text is parsed in :data:`EXPRESSION_VARIABLES` order, and each slot may
+    read only its variables there; an AST's variables are not checked again.
+    ParseError propagates with the offending position, from the first slot that fails.
     """
-    texts = dict(
+    expressions = dict(
         mortality=mortality, fertility=fertility, psi1=psi1, psi2=psi2, initial=initial, right_boundary=right_boundary
     )
     slots = {
-        slot: _callable_from_ast(exprdsl.parse_expr(texts[slot], variables), variables)
+        slot: _callable(expressions[slot], variables)
         for slot, variables in EXPRESSION_VARIABLES.items()
-        if texts[slot] is not None
+        if expressions[slot] is not None
     }
     return ProblemSpec(**slots, a_dagger=float(a_dagger))

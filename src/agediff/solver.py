@@ -30,7 +30,8 @@ level n + 1 over the row's interior.  For a stride-0 d (one value at every
 node) c is one Python float; otherwise c and its least value are per node.
 ``run(problem, grid, every=e)`` copies the work row into the history at
 levels 0, e, 2e, ..., but steps every level whatever e is, so it refuses a
-mesh whose every-level history numpy cannot index before stepping.
+mesh whose every-level history numpy cannot index before stepping, and one
+of more than 2^36 node values (n_steps + 1) * (M + 1).
 
 ``run(problem, grid, observe=f)`` also calls ``f(n, row)`` at every level
 n = 0..n_steps, after U_0^n and g(t^n) have been checked finite and before
@@ -77,6 +78,8 @@ from .errors import DimensionMismatch, EvalError, InvalidParameter, NonFiniteSta
 from .grid import GridSpec
 from .model import ProblemSpec
 from .quadrature import InteriorVector, qh
+
+_MAX_NODE_VALUES = 2**36  # per run; the paper's 8-rung ladder ends at about 3.4e10 (M = 2560, t = 0.8)
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,8 @@ def run(
 
     ``observe``, if given, is called as ``observe(n, row)`` at every level n;
     see the module docstring.  A mesh whose every-level history numpy cannot
-    index raises InvalidParameter before anything is allocated, whatever ``every`` is.
+    index raises InvalidParameter before anything is allocated, whatever ``every`` is,
+    and so does one that would step more than 2^36 node values, (n_steps + 1) * (M + 1).
     """
     _check_domain(problem, grid)
     if grid.lam + 2.0 * grid.r > 1.0:
@@ -193,6 +197,12 @@ def run(
         )
     levels, width = _history_shape(grid, every)
     _history_shape(grid, 1)  # every level is stepped, whatever is kept
+    node_values = (grid.n_steps + 1) * width
+    if node_values > _MAX_NODE_VALUES:
+        raise InvalidParameter(
+            f"a run of {grid.n_steps + 1:.6g} levels x {width} nodes would step {node_values:.3g} node values;"
+            f" one run may step at most 2^36 ({_MAX_NODE_VALUES:.3g})"
+        )
     if observe is not None and not callable(observe):
         raise InvalidParameter(f"observe must be callable or None, got {observe!r}")
 

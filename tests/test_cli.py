@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import agediff
+from agediff import cli, exprdsl
 from agediff.cli import RunConfig, _load_config, main, parse_config
 from agediff.errors import ConfigError
+from agediff.exprdsl import parse_expr
+from agediff.model import EXPRESSION_VARIABLES
 
 MINIMAL = """
 problem = example1
@@ -76,14 +79,48 @@ def test_parse_sectioned_config():
 
 
 def test_parse_inline_config():
+    # each given key holds the AST its check parsed; psi1 and psi2 keep the default text
     config = parse_config(INLINE)
     assert config.problem_id is None
-    assert config.expressions["d"] == "1 + s"
-    assert config.expressions["B"] == "2 * exp(x)"
-    assert config.expressions["u0"] == "exp(-x) / 2"
-    assert config.expressions["g"] == "exp(-1) / (1 + exp(-t))"
+    given = {
+        "d": ("mortality", "1 + s"),
+        "B": ("fertility", "2 * exp(x)"),
+        "u0": ("initial", "exp(-x) / 2"),
+        "g": ("right_boundary", "exp(-1) / (1 + exp(-t))"),
+    }
+    for key, (slot, text) in given.items():
+        assert config.expressions[key] == parse_expr(text, EXPRESSION_VARIABLES[slot])
     assert config.expressions["psi1"] == "1"
     assert config.expressions["psi2"] == "1"
+
+
+def test_first_bad_line_in_the_file_is_reported(tmp_path, capsys):
+    # u0 on line 3 and psi2 on line 4 are both malformed; psi2 comes first in the key table
+    text = "d = 1\nB = 1\nu0 = (\npsi2 = s\nm_prime = 7\nr = 0.4\nt_final = 0.1\n"
+    with pytest.raises(ConfigError, match=r"^line 3: invalid expression for 'u0'"):
+        parse_config(text)
+    assert main(["run", "--config", write_config(tmp_path, text), "--output-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 3: invalid expression for 'u0'")
+    assert captured.err.count("\n") == 1
+
+
+def test_bad_value_is_reported_before_a_missing_required_key():
+    with pytest.raises(ConfigError, match=r"^line 2: key 'r' needs a number, got 'fast'$"):
+        parse_config("problem = example1\nr = fast\nt_final = 0.2\n")
+
+
+def test_each_expression_is_parsed_once(tmp_path, monkeypatch, capsys):
+    parsed = []
+
+    def counted(parse):
+        return lambda text, allowed: parsed.append(text) or parse(text, allowed)
+
+    monkeypatch.setattr(exprdsl, "parse_expr", counted(exprdsl.parse_expr))
+    monkeypatch.setattr(cli, "parse_expr", counted(cli.parse_expr))
+    assert main(["run", "--config", write_config(tmp_path, INLINE), "--output-dir", str(tmp_path / "out")]) == 0
+    # d, B, u0 and g as the config is read, psi1 and psi2's default text as the problem is built
+    assert sorted(parsed) == sorted(["1 + s", "2 * exp(x)", "exp(-x) / 2", "exp(-1) / (1 + exp(-t))", "1", "1"])
 
 
 def test_parse_inline_defaults():
@@ -356,6 +393,29 @@ def test_infinite_psi_is_named_and_exits_1(tmp_path, capsys, slot, d, B):
 def test_unknown_builtin_id(tmp_path, capsys):
     assert main(["examples", "example9", "--output-dir", str(tmp_path)]) == 1
     assert "unknown problem" in capsys.readouterr().err
+
+
+def test_unknown_builtin_id_is_one_error_line(tmp_path, capsys):
+    # examples resolves its built-in before it builds the config
+    out_dir = tmp_path / "out"
+    assert main(["examples", "example9", "--output-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown problem 'example9'")
+    assert captured.err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_run_too_long_to_step_is_one_error_line(tmp_path, capsys):
+    # about 1e15 levels fit numpy's index range and a single run's memory, but not a lifetime
+    text = "problem = example1\nm_prime = 7\nr = 0.4\nt_final = 1e12\n"
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, text), "--output-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a run of 1e+15 levels x 21 nodes would step 2.1e+16 node values")
+    assert captured.err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

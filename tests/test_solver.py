@@ -18,7 +18,7 @@ from agediff.errors import (
 )
 from agediff.grid import GridSpec, build_grid, refine
 from agediff.harness import consistency_study, convergence_study, self_convergence_study, stability_probe
-from agediff.model import ProblemSpec, builtin_problem, problem_from_expressions
+from agediff.model import EXPRESSION_VARIABLES, ProblemSpec, builtin_problem, problem_from_expressions
 from agediff.quadrature import InteriorVector, qh
 from agediff.residual import apply_phi, element_from_solution, restrict
 from agediff.solver import GridFunction, run
@@ -469,6 +469,32 @@ def test_history_too_large_to_index_is_rejected_before_any_allocation_or_step():
             assert peak < 2**20
 
 
+def test_run_admits_the_paper_ladder_and_refuses_the_rung_after_it():
+    # (n_steps + 1) * (M + 1) node values: about 3.4e10 at M = 2560, t = 0.8, and 2.7e11 at M = 5120
+    class Admitted(Exception):
+        pass
+
+    levels = []
+
+    def observe(n, row):
+        levels.append(n)
+        raise Admitted(n)
+
+    problem, _ = builtin_problem("example2")
+    grid = build_grid(1.0, 7, 0.4, 0.8)
+    for _ in range(7):
+        grid = refine(grid)
+    assert grid.m_total == 2560
+    with pytest.raises(Admitted):
+        run(problem, grid, every=grid.n_steps, observe=observe)
+    assert levels == [0]
+    levels.clear()
+    grid = refine(grid)
+    with pytest.raises(InvalidParameter, match=r"5121 nodes would step 2\.68e\+11 node values; .* at most 2\^36"):
+        run(problem, grid, every=grid.n_steps, observe=observe)
+    assert levels == []
+
+
 def test_observer_exception_propagates_out_of_run():
     class Stop(Exception):
         pass
@@ -642,15 +668,29 @@ def traced_counts(monkeypatch):
     return counts
 
 
-def inline_ex3():
+def inline_ex3_texts():
     """The inline-ex3 workload's expressions, with its seed-1 mortality constant."""
     constant = BENCHMARK_WORKLOADS["mortality_constant"](1)
-    return problem_from_expressions(
+    return dict(
         mortality=f"{constant!r} + s/(1 - exp(-1))",
         fertility="2*exp(x)",
         initial="exp(-x)/2",
         right_boundary="exp(-1)/(1 + exp(-t))",
     )
+
+
+def inline_ex3():
+    return problem_from_expressions(**inline_ex3_texts())
+
+
+def test_expressions_given_as_asts_run_as_their_texts():
+    # the command line hands problem_from_expressions the ASTs its config check parsed
+    texts = inline_ex3_texts()
+    asts = {slot: exprdsl.parse_expr(text, EXPRESSION_VARIABLES[slot]) for slot, text in texts.items()}
+    grid = build_grid(1.0, 7, 0.4, 0.2)
+    from_texts = run(problem_from_expressions(**texts), grid).values
+    from_asts = run(problem_from_expressions(**asts), grid).values
+    assert from_texts.tobytes() == from_asts.tobytes()
 
 
 @pytest.mark.parametrize("problem_id", ["example3", "inline-ex3"])
