@@ -179,13 +179,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(problem_id=values.pop("problem"), expressions=expressions, **values)
 
 
-def _materialize(config: RunConfig) -> tuple[ProblemSpec, Optional[SpaceTimeFunction]]:
-    if config.problem_id is not None:
-        return model.builtin_problem(config.problem_id)
-    arguments = {_FIELDS[key]: expression for key, expression in config.expressions.items()}
-    return model.problem_from_expressions(**arguments, a_dagger=config.a_dagger), None
-
-
 def _write_run_slice(
     problem: ProblemSpec, u: Optional[SpaceTimeFunction], grid: GridSpec, output_dir: str, tag: str
 ) -> str:
@@ -311,7 +304,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.output_dir is not None:
                 overrides["output_dir"] = args.output_dir
             config = replace(_load_config(args.config), **overrides)
-            problem, u = _materialize(config)
+            if config.problem_id is not None:
+                problem, u = model.builtin_problem(config.problem_id)
+            else:
+                arguments = {_FIELDS[key]: expression for key, expression in config.expressions.items()}
+                problem, u = model.problem_from_expressions(**arguments, a_dagger=config.a_dagger), None
         return _execute(config, problem, u, perturbation_scale=getattr(args, "scale", 1.0))
     except StabilityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)

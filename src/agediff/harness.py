@@ -168,7 +168,7 @@ def consistency_study(
     grids = _grid_ladder(base, levels)
     residuals = []
     for grid in grids:
-        squares = _LevelSquares(grid)  # refuses a history numpy cannot index before allocating
+        squares = _LevelSquares(grid)  # refuses what apply_phi would, before allocating
         initial = InteriorVector(_initial_row(problem, grid.interior_nodes()), grid.h)
         residuals.append(apply_phi(u, problem, grid, initial, out=squares).yh_norm())
     return [

@@ -39,7 +39,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import UnknownProblem
+from .errors import InvalidParameter, UnknownProblem
 from . import exprdsl
 
 Coefficient = Callable[[np.ndarray, float], np.ndarray]
@@ -181,9 +181,26 @@ EXPRESSION_VARIABLES = {
 }
 
 
+def _read_variables(ast: exprdsl.ExprAst) -> set:
+    """The variables an AST reads, in one walk; InvalidParameter for a value that is not an AST."""
+    names, nodes = set(), [ast]
+    while nodes:
+        node = nodes.pop()
+        if not isinstance(node, exprdsl.ExprAst):
+            raise InvalidParameter(f"an expression must be text or an AST, got {node!r}")
+        if isinstance(node, exprdsl.Var):
+            names.add(node.name)
+        nodes += [getattr(node, child) for child in ("operand", "arg", "left", "right") if hasattr(node, child)]
+    return names
+
+
 def _callable(expression: Union[str, exprdsl.ExprAst], variables: set) -> Callable:
     """The callable a slot reading ``variables`` calls for: g(t), a coefficient (x, s) or a profile (x)."""
     ast = exprdsl.parse_expr(expression, variables) if isinstance(expression, str) else expression
+    extra = _read_variables(ast) - variables  # empty for parsed text
+    if extra:
+        read, allowed = ", ".join(sorted(map(str, extra))), ", ".join(sorted(variables))
+        raise InvalidParameter(f"expression reads {read}; its slot may read only {allowed}")
     if "t" in variables:
         return lambda t: exprdsl.eval_expr(ast, {"t": float(t)})
     if "s" in variables:
@@ -202,9 +219,10 @@ def problem_from_expressions(
 ) -> ProblemSpec:
     """Build a ProblemSpec from each slot's expression text, or the AST parse_expr returned for it.
 
-    Text is parsed in :data:`EXPRESSION_VARIABLES` order, and each slot may
-    read only its variables there; an AST's variables are not checked again.
-    ParseError propagates with the offending position, from the first slot that fails.
+    Slots are read in :data:`EXPRESSION_VARIABLES` order, and each may read
+    only its variables there: text is parsed, an AST is walked, not reparsed.
+    From the first slot that fails, ParseError propagates with the offending
+    position; an AST that reads another variable, or a value that is no AST, raises InvalidParameter.
     """
     expressions = dict(
         mortality=mortality, fertility=fertility, psi1=psi1, psi2=psi2, initial=initial, right_boundary=right_boundary

@@ -35,6 +35,8 @@ may be a function u(x, t), sampled into each block as :func:`restrict` samples
 it (same floats, same errors, raised after the earlier blocks' coefficient
 calls), and ``out`` a callable ``out(start, rows)`` given each block's residual
 rows, valid only during the call, such as the Y_h norm's per-level sums.
+Like :func:`agediff.solver.run`, it refuses a mesh of more than 2^36 node
+values before it evaluates anything.
 
 Each level's fertility and mortality are guarded by scalars, as in
 :func:`agediff.solver.run`; the array check runs only when one fails, so the
@@ -63,6 +65,7 @@ from .solver import (
     _check_coefficient,
     _check_domain,
     _history_shape,
+    _march_shape,
     _nodal_values,
     _right_value,
 )
@@ -155,7 +158,7 @@ def apply_phi(
     ``out`` may be ``v`` itself; if apply_phi raises, its contents are unspecified.
     ``v`` may also be a function u(x, t), and ``out`` a callable ``out(start, rows)``: see the module docstring.
     """
-    n_levels, width = _history_shape(grid, 1)[0], grid.m_total - 1
+    n_levels, width = _march_shape(grid)[0], grid.m_total - 1
     sampled, sink = callable(v), callable(out)
     if out is None:
         out = GridFunction(np.empty((n_levels, width + 2)), grid)
@@ -264,7 +267,7 @@ class _LevelSquares:
     """
 
     def __init__(self, grid: GridSpec):
-        levels = _history_shape(grid, 1)[0]
+        levels = _march_shape(grid)[0]
         self.grid, self.left, self.right, self.sums = grid, np.empty(levels), np.empty(levels), np.empty(levels)
         self._squares = np.empty((min(_BLOCK_ROWS, levels), grid.m_total - 1))  # laid out as ``rows * rows``
 

@@ -391,11 +391,6 @@ def test_infinite_psi_is_named_and_exits_1(tmp_path, capsys, slot, d, B):
 
 
 def test_unknown_builtin_id(tmp_path, capsys):
-    assert main(["examples", "example9", "--output-dir", str(tmp_path)]) == 1
-    assert "unknown problem" in capsys.readouterr().err
-
-
-def test_unknown_builtin_id_is_one_error_line(tmp_path, capsys):
     # examples resolves its built-in before it builds the config
     out_dir = tmp_path / "out"
     assert main(["examples", "example9", "--output-dir", str(out_dir)]) == 1
@@ -406,14 +401,15 @@ def test_unknown_builtin_id_is_one_error_line(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_run_too_long_to_step_is_one_error_line(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "stability", "consistency"])
+def test_run_too_long_to_step_is_one_error_line(tmp_path, capsys, command):
     # about 1e15 levels fit numpy's index range and a single run's memory, but not a lifetime
-    text = "problem = example1\nm_prime = 7\nr = 0.4\nt_final = 1e12\n"
+    text = "problem = example1\nm_prime = 7\nr = 0.4\nt_final = 1e12\nlevels = 1\n"
     out_dir = tmp_path / "out"
-    assert main(["run", "--config", write_config(tmp_path, text), "--output-dir", str(out_dir)]) == 1
+    assert main([command, "--config", write_config(tmp_path, text), "--output-dir", str(out_dir)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: a run of 1e+15 levels x 21 nodes would step 2.1e+16 node values")
+    assert captured.err.startswith("error: 1e+15 levels x 21 nodes would step 2.1e+16 node values")
     assert captured.err.count("\n") == 1
     assert not out_dir.exists()
 

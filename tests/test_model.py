@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from agediff.errors import EvalError, ParseError, StabilityViolation, UnknownProblem
+from agediff.errors import EvalError, InvalidParameter, ParseError, StabilityViolation, UnknownProblem
 from agediff.exprdsl import eval_expr, parse_expr
 from agediff.grid import build_grid
 from agediff.quadrature import InteriorVector
@@ -218,6 +218,19 @@ def test_problem_from_expressions_slot_restrictions():
     # two slots fail: the error is psi2's, which EXPRESSION_VARIABLES parses before initial
     with pytest.raises(ParseError, match="unknown name 's'"):
         problem_from_expressions(mortality="1", fertility="1", initial="(", psi2="s")
+
+
+def test_problem_from_expressions_checks_an_ast_against_its_slot():
+    # an AST is walked, not reparsed; a wrong one is refused before any run starts
+    s_ast = parse_expr("1 + s", {"x", "s"})
+    with pytest.raises(InvalidParameter, match="reads s; its slot may read only x"):
+        problem_from_expressions(mortality=s_ast, fertility="1", initial=s_ast)
+    with pytest.raises(InvalidParameter, match="reads s; its slot may read only t"):
+        problem_from_expressions(mortality="1", fertility="1", initial="1", right_boundary=s_ast)
+    with pytest.raises(InvalidParameter, match="must be text or an AST, got 0.5"):
+        problem_from_expressions(mortality="1", fertility=0.5, initial="1")
+    inline = problem_from_expressions(mortality=s_ast, fertility="1", initial=parse_expr("exp(-x)/2", {"x"}))
+    assert inline.mortality(np.array([0.5]), 2.0).tolist() == [3.0]
 
 
 def test_expression_domain_errors_surface_at_evaluation():

@@ -68,6 +68,17 @@ def test_restrict_refuses_a_history_too_large_to_index_before_sampling():
     assert calls == []
 
 
+def test_apply_phi_refuses_more_than_2_to_the_36_node_values_before_sampling():
+    # a function u holds no history, so only the bound that run keeps stops a march of 1e15 levels
+    calls = []
+    problem, u = builtin_problem("example1")
+    grid = GridSpec(1.0, 7, 0.4, 10**15)
+    initial = InteriorVector(np.zeros(grid.m_total - 1), grid.h)
+    with pytest.raises(InvalidParameter, match=r"1e\+15 levels x 21 nodes would step 2\.1e\+16 node values"):
+        apply_phi(lambda x, t: calls.append(t) or u(x, t), problem, grid, initial, out=lambda start, rows: None)
+    assert calls == []
+
+
 def three_call_restrict(u, grid):
     """Reference sampler: the interior row and each trace in a call of its own."""
     x = grid.interior_nodes()

@@ -469,8 +469,9 @@ def test_history_too_large_to_index_is_rejected_before_any_allocation_or_step():
             assert peak < 2**20
 
 
-def test_run_admits_the_paper_ladder_and_refuses_the_rung_after_it():
-    # (n_steps + 1) * (M + 1) node values: about 3.4e10 at M = 2560, t = 0.8, and 2.7e11 at M = 5120
+def test_run_admits_2_to_the_36_node_values_and_refuses_one_more_level():
+    # (n_steps + 1) * (M + 1) at M = 2560: 26833063 levels are 2^36 - 2393 node values, one more
+    # is over; the 8th rung from M' = 7 at t = 0.8 (13107201 levels) lies below
     class Admitted(Exception):
         pass
 
@@ -481,16 +482,15 @@ def test_run_admits_the_paper_ladder_and_refuses_the_rung_after_it():
         raise Admitted(n)
 
     problem, _ = builtin_problem("example2")
-    grid = build_grid(1.0, 7, 0.4, 0.8)
-    for _ in range(7):
-        grid = refine(grid)
+    grid = GridSpec(1.0, 1277, 0.4, 26833062)
     assert grid.m_total == 2560
     with pytest.raises(Admitted):
         run(problem, grid, every=grid.n_steps, observe=observe)
     assert levels == [0]
     levels.clear()
-    grid = refine(grid)
-    with pytest.raises(InvalidParameter, match=r"5121 nodes would step 2\.68e\+11 node values; .* at most 2\^36"):
+    grid = dataclasses.replace(grid, n_steps=grid.n_steps + 1)
+    refused = r"2\.68331e\+07 levels x 2561 nodes would step 6\.87e\+10 node values; .* at most 2\^36"
+    with pytest.raises(InvalidParameter, match=refused):
         run(problem, grid, every=grid.n_steps, observe=observe)
     assert levels == []
 
