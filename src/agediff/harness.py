@@ -5,12 +5,14 @@ so spatial nodes and time levels of a coarse mesh sit exactly on all finer
 ones and no interpolation ever enters an error number.  Errors against an
 exact solution are measured at the realized final time of the ladder (the
 same float on every level); self-convergence errors compare each coarser
-run with the finest one at the shared nodes and levels.  Both stream the
-run they subtract and take each of its levels from the reference in place.
-A consistency rung samples u and sums its residual's Y_h norm a block of levels
-at a time in one :func:`apply_phi` call.  A grid function holds one row of node
-values per level, so each difference or sum of grid functions below is one
-ufunc call on their ``values``.
+run with the finest one at the shared nodes and levels.
+
+No study holds a whole history.  The X_h and Y_h norms are sums of
+per-level terms, so each study streams its runs through ``run``'s
+``observe=``, samples any function of (x, t) a block of levels at a time,
+and feeds each block to the per-level sums of ``residual._LevelSquares``.
+Self-convergence alone keeps one array the size of a history: the finest
+run at the second-finest rung's nodes and levels.
 
 :func:`write_csv` is the one CSV writer: it writes a header and rows of
 cells atomically (temp file, then rename) and prints floats as shortest
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,8 +33,8 @@ from .errors import InvalidParameter
 from .grid import GridSpec, refine
 from .model import ProblemSpec, SpaceTimeFunction
 from .quadrature import InteriorVector, l2_norm
-from .residual import _LevelSquares, apply_phi, restrict, xh_norm, yh_norm
-from .solver import GridFunction, _check_domain, _initial_row, run
+from .residual import _BLOCK_ROWS, _LevelSquares, _phi_blocks, _sample_nodes, apply_phi
+from .solver import _check_domain, _history_shape, _initial_row, _march_shape, run
 
 
 @dataclass(frozen=True)
@@ -84,11 +86,6 @@ def _orders(values: Sequence[float]) -> list[Optional[float]]:
     return [None, *(_order(previous, current) for previous, current in zip(values, values[1:]))]
 
 
-def _error_triple(error: GridFunction) -> tuple[float, float, float]:
-    err_inf = float(np.max(np.abs(error.values[-1])))
-    return err_inf, l2_norm(InteriorVector(error.interior[-1], error.grid.h)), xh_norm(error)
-
-
 def _attach_orders(
     grids: list[GridSpec], triples: list[tuple[float, float, float]]
 ) -> list[ConvergenceRow]:
@@ -110,36 +107,45 @@ def _attach_orders(
     ]
 
 
-def _subtract_run(problem: ProblemSpec, grid: GridSpec, histories: Sequence[GridFunction]) -> None:
-    """Stream the run on ``grid`` and subtract each level, in place, from the histories that share it.
+def _streamed_error(
+    problem: ProblemSpec, grid: GridSpec, reference: Union[SpaceTimeFunction, np.ndarray]
+) -> tuple[float, float, float]:
+    """err_inf and err_l2 at the final level and err_xh of ``reference - run`` on ``grid``.
 
-    The histories live on ``grid`` or on coarser nested meshes, finest first,
-    so a level that one of them skips is skipped by every later one.
+    The run is streamed.  The reference is u(x, t), sampled one block of
+    levels at a time as :func:`restrict` samples it, or an array of the
+    grid's levels and nodes, copied one block at a time.  Each level of the
+    run is subtracted from its block in place, and each full block feeds the
+    X_h norm's per-level sums, so the study holds one block and three floats
+    per level.  The sign of the difference changes no norm's bits.
     """
-    strides = [(grid.n_steps // v.grid.n_steps, grid.m_total // v.grid.m_total, v.values) for v in histories]
+    squares = _LevelSquares(grid)  # refuses what run would, before allocating
+    last = grid.n_steps
+    block = np.empty((min(_BLOCK_ROWS, last + 1), grid.m_total + 1))
 
     def subtract(n: int, row: np.ndarray) -> None:
-        for level_stride, node_stride, values in strides:
-            level, offset = divmod(n, level_stride)
-            if offset:
-                return
-            np.subtract(values[level], row[::node_stride], out=values[level])
+        j = n % _BLOCK_ROWS
+        if j == 0:
+            stop = min(n + _BLOCK_ROWS, last + 1)
+            if callable(reference):
+                _sample_nodes(reference, grid, n, stop, block[: stop - n])
+            else:
+                block[: stop - n] = reference[n:stop]
+        np.subtract(block[j], row, out=block[j])
+        if j == _BLOCK_ROWS - 1 or n == last:
+            squares(n - j, block[: j + 1])
 
-    run(problem, grid, every=grid.n_steps, observe=subtract)
+    run(problem, grid, every=last, observe=subtract)
+    final = block[last % _BLOCK_ROWS]
+    return float(np.max(np.abs(final))), l2_norm(InteriorVector(final[1:-1], grid.h)), squares.xh_norm()
 
 
 def convergence_study(
     problem: ProblemSpec, u: SpaceTimeFunction, base: GridSpec, levels: int
 ) -> list[ConvergenceRow]:
-    """Errors ``u - run`` on a ladder of refined meshes; each run is streamed, not stored."""
+    """Errors ``u - run`` on a ladder of refined meshes; u is sampled and each run streamed a block of levels at a time."""
     grids = _grid_ladder(base, levels)
-    triples = []
-    for grid in grids:
-        error = restrict(u, grid)
-        _subtract_run(problem, grid, [error])
-        triples.append(_error_triple(error))
-        del error  # before the next, eight times larger, rung is sampled
-    return _attach_orders(grids, triples)
+    return _attach_orders(grids, [_streamed_error(problem, grid, u) for grid in grids])
 
 
 def self_convergence_study(
@@ -148,16 +154,32 @@ def self_convergence_study(
     """Errors of each coarser run against the finest run of the ladder.
 
     Needs at least three levels so that at least two error rows exist and
-    one order can be formed.  The coarser rungs run first and keep their
-    whole histories; the finest rung is streamed and subtracted from them,
-    so each error is ``coarse - finest`` at the coarse rung's nodes and levels.
+    one order can be formed.  The finest rung runs first and keeps its
+    values at the second-finest rung's nodes and levels, which hold every
+    coarser rung's too; a ladder whose finest rung is too long to step is
+    refused before that array is allocated.  Each coarser rung, coarsest
+    first, is then streamed against it, so the study holds one array the
+    size of the second-finest rung's history.
     """
     if not (isinstance(levels, int) and levels >= 3):
         raise InvalidParameter(f"self-convergence needs levels >= 3, got {levels!r}")
     grids = _grid_ladder(base, levels)
-    errors = [run(problem, grid) for grid in grids[:-1]]
-    _subtract_run(problem, grids[-1], errors[::-1])
-    return _attach_orders(grids[:-1], [_error_triple(error) for error in errors])
+    finest, second = grids[-1], grids[-2]
+    _march_shape(finest)  # before ``kept`` is allocated
+    kept = np.empty(_history_shape(second, 1))
+    level_stride, node_stride = finest.n_steps // second.n_steps, finest.m_total // second.m_total
+
+    def keep(n: int, row: np.ndarray) -> None:
+        level, offset = divmod(n, level_stride)
+        if not offset:
+            kept[level] = row[::node_stride]
+
+    run(problem, finest, every=finest.n_steps, observe=keep)
+    triples = [
+        _streamed_error(problem, grid, kept[:: second.n_steps // grid.n_steps, :: second.m_total // grid.m_total])
+        for grid in grids[:-1]
+    ]
+    return _attach_orders(grids[:-1], triples)
 
 
 def consistency_study(
@@ -177,66 +199,82 @@ def consistency_study(
     ]
 
 
-def _perturbation(grid: GridSpec, scale: float) -> GridFunction:
-    """A fixed low-frequency field with zero traces, scaled to xh-norm = scale * h.
+# The perturbation's amplitudes: np.random.default_rng(987654321).uniform(0.5, 1.0, size=3),
+# written out so that no study imports numpy.random, about 7 MB of resident memory.
+_AMPLITUDES = (0.6422996893307162, 0.5859334619922247, 0.5994397712546985)
+
+
+def _perturbation(grid: GridSpec) -> SpaceTimeFunction:
+    """A fixed low-frequency field u(x, t), sampled by the stability probe.
 
     The field is sum_m a_m cos(m pi t / T) sin(m pi x / a_dagger) over m = 1..3,
-    with T the realized final time.  The amplitudes a_m are drawn once from a
-    fixed seed, so every call sees the same smooth function; only the sampling
-    mesh changes.  Scaling by the mesh-dependent factor keeps the perturbation
-    inside the shrinking neighbourhood where the stability estimate applies.
-    :func:`restrict` samples the field, both trace columns are then zeroed (at
-    a_dagger, sin(m pi) is not 0 in floating point) and the interior is scaled
-    in place, so the only whole-history array is the result: the probe forms
-    W and then phi(W) in it, the second of a rung's two arrays next to V.
+    with T the realized final time.  The amplitudes a_m are fixed, so every
+    call sees the same smooth function; only the sampling mesh changes.
     """
-    amplitudes = np.random.default_rng(987654321).uniform(0.5, 1.0, size=3)
-    perturbation = restrict(
-        lambda x, t: sum(
-            a * np.cos(m * np.pi * t / grid.t_final) * np.sin(m * np.pi * x / grid.a_dagger)
-            for m, a in enumerate(amplitudes, start=1)
-        ),
-        grid,
+    return lambda x, t: sum(
+        a * np.cos(m * np.pi * t / grid.t_final) * np.sin(m * np.pi * x / grid.a_dagger)
+        for m, a in enumerate(_AMPLITUDES, start=1)
     )
-    perturbation.left_trace[:] = 0.0
-    perturbation.right_trace[:] = 0.0
-    rows = perturbation.interior
-    rows *= scale * grid.h / xh_norm(perturbation)
-    return perturbation
 
 
 def stability_probe(
     problem: ProblemSpec, base: GridSpec, levels: int, perturbation_scale: float = 1.0
 ) -> list[StabilityRow]:
-    """Ratio |V - W|_X / |phi(V) - phi(W)|_Y for a fixed smooth perturbation.
+    """Ratio |V - W|_X / |phi(V) - phi(W)|_Y for a fixed smooth perturbation P.
 
-    V is the computed solution, W = V + perturbation.  V - W is the negated
-    perturbation, whose xh-norm ``_perturbation`` sets to scale * h, so the
-    numerator is scale * h, taken without a cancelling subtraction or a
-    pass over the history.  W is formed in the perturbation's own array,
-    phi(V) and phi(W) overwrite V and W, and phi(V) - phi(W) overwrites
-    phi(V), so each rung holds two whole-history arrays, and drops them
-    before the next rung runs.  A denominator that is zero or not finite (or
-    a ratio that overflows) is reported as a row whose ratio is None, never raised.
+    V is the computed solution and W = V + P.  P is ``_perturbation``'s field
+    with both trace columns zeroed (at a_dagger, sin(m pi) is not 0 in
+    floating point) and its interior scaled to xh-norm scale * h, inside the
+    shrinking neighbourhood where the stability estimate applies; so the
+    numerator is scale * h, taken without a cancelling subtraction.  A rung
+    passes over P's blocks of levels twice: the first pass sums its X_h norm,
+    and the second forms W from the streamed run of V and feeds both to
+    residual consumers.  A denominator that is zero or not finite (or a
+    ratio that overflows) is reported as a row whose ratio is None, never raised.
     """
     if not (math.isfinite(perturbation_scale) and perturbation_scale >= 0.0):
         raise InvalidParameter(
             f"perturbation_scale must be finite and >= 0, got {perturbation_scale!r}"
         )
     grids = _grid_ladder(base, levels)
+    _check_domain(problem, base)
     rows = []
     for grid in grids:
-        solution = run(problem, grid)
+        squares = _LevelSquares(grid)  # refuses what run would, before allocating
+        last, field = grid.n_steps, _perturbation(grid)
+        perturbation = np.empty((min(_BLOCK_ROWS, last + 1), grid.m_total + 1))
+
+        def sample(start: int, stop: int) -> np.ndarray:
+            block = _sample_nodes(field, grid, start, stop, perturbation[: stop - start])
+            block[:, 0] = block[:, -1] = 0.0
+            return block
+
+        for start in range(0, last + 1, _BLOCK_ROWS):
+            squares(start, sample(start, min(start + _BLOCK_ROWS, last + 1)))
+        factor = perturbation_scale * grid.h / squares.xh_norm()
         initial = InteriorVector(_initial_row(problem, grid.interior_nodes()), grid.h)
-        perturbed = _perturbation(grid, perturbation_scale)
+        solution, phi_of_solution = _phi_blocks(problem, grid, initial)
+        perturbed, phi_of_perturbed = _phi_blocks(problem, grid, initial)
+        gap, residual = np.empty((2, *solution.shape))
+
+        def feed(n: int, row: np.ndarray) -> None:
+            j = n % _BLOCK_ROWS
+            solution[j] = row
+            if j == _BLOCK_ROWS - 1 or n == last:
+                start, size = n - j, j + 1
+                block = sample(start, n + 1)
+                block[:, 1:-1] *= factor
+                np.add(solution[:size], block, out=perturbed[:size])
+                phi_of_solution(start, gap[:size])
+                phi_of_perturbed(start, residual[:size])
+                np.subtract(gap[:size], residual[:size], out=gap[:size])
+                with np.errstate(over="ignore"):  # an overflowing gap has no ratio
+                    squares(start, gap[:size])  # P's sums are no longer needed
+
+        run(problem, grid, every=last, observe=feed)
         numerator = perturbation_scale * grid.h
-        np.add(solution.values, perturbed.values, out=perturbed.values)
-        apply_phi(solution, problem, grid, initial, out=solution)
-        apply_phi(perturbed, problem, grid, initial, out=perturbed)
-        np.subtract(solution.values, perturbed.values, out=solution.values)
-        with np.errstate(over="ignore"):  # an overflowing gap has no ratio
-            denominator = yh_norm(solution)
-        del solution, perturbed  # before the next, eight times larger, rung runs
+        with np.errstate(over="ignore"):
+            denominator = squares.yh_norm()
         finite = 0.0 < denominator < math.inf and math.isfinite(numerator / denominator)
         rows.append(StabilityRow(h=grid.h, ratio=numerator / denominator if finite else None))
     return rows

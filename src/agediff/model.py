@@ -11,9 +11,9 @@ float ndarray of node coordinates plus the scalar weighted population, and
 must return an array of the same shape.  ``g`` is scalar in t, and called
 once per time level n with the float t = n * k.  An exact
 solution is a plain callable u(x, t) that broadcasts over both arguments:
-:func:`agediff.residual.restrict` calls it once per block of levels, with the
-node row x of shape (M + 1,) and the time column t of shape (levels, 1), and
-the value must broadcast to (levels, M + 1).  So write ``np.exp(t)``, not
+:func:`agediff.residual.restrict` and the studies call it once per block of
+levels, with the node row x of shape (M + 1,) and the time column t of shape
+(levels, 1), and the value must broadcast to (levels, M + 1).  So write ``np.exp(t)``, not
 ``math.exp(t)``.
 
 No caller writes into the array a coefficient, profile or exact solution

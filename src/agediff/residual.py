@@ -23,20 +23,25 @@ and for residuals
 with |.|_* the k-weighted time-trace norm and |.| the h-weighted l2 norm
 over interior nodes.
 
-One call of :func:`apply_phi` checks psi1 and psi2 finite once, then makes
-one ascending pass over blocks of levels whose buffers are allocated once,
-among them the scratch :class:`~agediff.quadrature.InteriorVector` that each
-weighted product is written into before ``qh``, and the block's g(t^n), each
-read at its level as :func:`agediff.solver.run` reads it.  A block's levels
-are copied before its residual rows are formed straight in ``out``, so it may
-write the residual into the element itself (``out=v``); if it raises, the
-contents of ``out`` are unspecified.  Two forms hold no history: the element
-may be a function u(x, t), sampled into each block as :func:`restrict` samples
-it (same floats, same errors, raised after the earlier blocks' coefficient
-calls), and ``out`` a callable ``out(start, rows)`` given each block's residual
-rows, valid only during the call, such as the Y_h norm's per-level sums.
-Like :func:`agediff.solver.run`, it refuses a mesh of more than 2^36 node
-values before it evaluates anything.
+The residual is formed by a consumer, ``_phi_blocks``, fed one block of
+levels at a time in ascending order.  It checks psi1 and psi2 finite once and
+allocates its buffers once, among them the scratch
+:class:`~agediff.quadrature.InteriorVector` that each weighted product is
+written into before ``qh``, and the block's g(t^n), each read at its level as
+:func:`agediff.solver.run` reads it.  It carries the last level of a block
+and its d(s1) over to the next.  :func:`apply_phi` feeds one consumer from an
+element; the stability probe feeds two from a streamed run.
+
+:func:`apply_phi` copies a block's levels before its residual rows are formed
+straight in ``out``, so it may write the residual into the element itself
+(``out=v``); if it raises, the contents of ``out`` are unspecified.  Two
+forms hold no history: the element may be a function u(x, t), sampled into
+each block as :func:`restrict` samples it (same floats, same errors, raised
+after the earlier blocks' coefficient calls), and ``out`` a callable
+``out(start, rows)`` given each block's residual rows, valid only during the
+call, such as the Y_h norm's per-level sums.  Like :func:`agediff.solver.run`,
+it refuses a march that costs more than 2^36 node values before it evaluates
+anything.
 
 Each level's fertility and mortality are guarded by scalars, as in
 :func:`agediff.solver.run`; the array check runs only when one fails, so the
@@ -90,17 +95,17 @@ def element_from_solution(solution: GridFunction) -> GridFunction:
     return solution
 
 
-def _sample_nodes(u: SpaceTimeFunction, grid: GridSpec, start: int, stop: int, out=None, x=None) -> np.ndarray:
+def _sample_nodes(u: SpaceTimeFunction, grid: GridSpec, start: int, stop: int, out=None) -> np.ndarray:
     """u at x_0, x_1..x_{M-1} and a_dagger on levels start..stop-1, one call per block of levels.
 
-    Each call passes the node row ``x`` (built when None) and the column ``np.arange(begin, end)[:, None] * k``
+    Each call passes the node row x and the column ``np.arange(begin, end)[:, None] * k``
     of up to ``_BLOCK_ROWS`` times, the floats of ``grid.time_levels()``; row j of ``out``
     (fresh when None) holds level start + j.  The last column is sampled at a_dagger
     itself, not at the rounded node m_total * h; the two can differ by an ulp.
     A value that does not broadcast to the block, or a TypeError raised by the
     call (as ``math.exp`` raises on an array), raises DimensionMismatch.
     """
-    x = np.concatenate(([0.0], grid.interior_nodes(), [grid.a_dagger])) if x is None else x
+    x = np.concatenate(([0.0], grid.interior_nodes(), [grid.a_dagger]))
     samples = np.empty((stop - start, x.shape[0])) if out is None else out
     for begin in range(start, stop, _BLOCK_ROWS):
         end = min(begin + _BLOCK_ROWS, stop)
@@ -137,36 +142,18 @@ def restrict(u: SpaceTimeFunction, grid: GridSpec) -> GridFunction:
     return GridFunction(_sample_nodes(u, grid, 0, grid.n_steps + 1), grid)
 
 
-def apply_phi(
-    v: Union[GridFunction, SpaceTimeFunction],
-    problem: ProblemSpec,
-    grid: GridSpec,
-    initial: InteriorVector,
-    out: Union[None, GridFunction, Callable[[int, np.ndarray], None]] = None,
-) -> Union[GridFunction, Callable[[int, np.ndarray], None]]:
-    """Evaluate the residual of every discrete equation at an element.
+def _phi_blocks(
+    problem: ProblemSpec, grid: GridSpec, initial: InteriorVector
+) -> tuple[np.ndarray, Callable[[int, np.ndarray], None]]:
+    """apply_phi's block body, as a consumer fed an element one block of levels at a time, in ascending order.
 
-    Interior rows use the raw difference-quotient form of the update
-    identity (not the rearranged convex-combination form the stepper uses),
-    so this is an independent check of what a computed solution satisfies:
-
-        P_i^n = (V_i^n - V_i^{n-1})/k + (V_i^{n-1} - V_{i-1}^{n-1})/h
-                + d_i(s1^{n-1}) V_i^{n-1}
-                - (V_{i+1}^{n-1} + V_{i-1}^{n-1} - 2 V_i^{n-1})/h^2
-
-    Returns ``out`` (a fresh grid function when None) holding the residual.
-    ``out`` may be ``v`` itself; if apply_phi raises, its contents are unspecified.
-    ``v`` may also be a function u(x, t), and ``out`` a callable ``out(start, rows)``: see the module docstring.
+    Returns ``(levels, consume)``.  Write the next block's levels into ``levels[:size]``, at most
+    ``_BLOCK_ROWS`` of them; ``consume(start, target)`` then forms the residual rows of levels
+    start..start + size - 1 in the ``size`` rows of ``target``.  It carries the block's last level and
+    its d(s1) over to the next block, so ``levels`` may be refilled as soon as it returns.  The mesh,
+    the initial data and psi1 and psi2 are checked here, before any level is fed, and qh is bound here.
     """
-    n_levels, width = _march_shape(grid)[0], grid.m_total - 1
-    sampled, sink = callable(v), callable(out)
-    if out is None:
-        out = GridFunction(np.empty((n_levels, width + 2)), grid)
-    for name, function in (("element", v), ("out", out)):
-        if not callable(function):
-            _require_every_level(function)
-            if function.grid != grid:
-                raise DimensionMismatch(f"{name} does not live on the supplied grid")
+    width = grid.m_total - 1
     _check_domain(problem, grid)
     if len(initial) != width or initial.h != grid.h:
         raise DimensionMismatch(
@@ -181,30 +168,23 @@ def apply_phi(
     _check_coefficient(psi2, "psi2")
 
     # Row j of ``nodes`` holds level start - 1 + j, and row j of ``mortality``
-    # its d(s1).  Row 0 is carried over from the previous block,
-    # whose levels ``out`` may already have overwritten.
+    # its d(s1).  Row 0 is carried over from the previous block.
     nodes = np.empty((_BLOCK_ROWS + 1, width + 2))
     mortality = np.empty((_BLOCK_ROWS + 1, width))
     scratch = np.empty((2, _BLOCK_ROWS, width))
     birth = np.empty(_BLOCK_ROWS)
-    residual = np.empty((_BLOCK_ROWS, width + 2)) if sink else None
-    all_nodes = np.concatenate(([0.0], x, [grid.a_dagger])) if sampled else None
     right = np.zeros(_BLOCK_ROWS)  # g(t^n) of the block's levels; stays 0 when there is no g
     weighted = InteriorVector(np.empty(width), h)
     products = weighted.values
     zeros = np.zeros(width)
-    # Bound when the call starts, so a patched module-level qh is the one called.
+    # Bound when apply_phi starts, so a patched module-level qh is the one called.
     quadrature, fertility_of, mortality_of, g = qh, problem.fertility, problem.mortality, problem.right_boundary
     multiply, isfinite = np.multiply, math.isfinite
     ndarray, float64, shape = np.ndarray, np.dtype(float), x.shape
-    for start in range(0, n_levels, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n_levels)
-        size = stop - start
+
+    def consume(start: int, target: np.ndarray) -> None:
+        size = target.shape[0]
         block = nodes[: size + 1]
-        if sampled:
-            _sample_nodes(v, grid, start, stop, out=block[1:], x=all_nodes)
-        else:
-            block[1:] = v.values[start:stop]
         rows = block[1:, 1:-1]
         with np.errstate(invalid="ignore"):
             for j in range(size):
@@ -230,7 +210,6 @@ def apply_phi(
                 mortality[j + 1] = d  # guarded on the copy, whose dot is cheaper than a stride-0 d's
                 if not isfinite(mortality[j + 1].dot(zeros)):
                     _check_coefficient(d, "mortality", s1)
-        target = residual[:size] if sink else out.values[start:stop]
         target[:, 0] = (1.0 + 1.0 / h) * block[1:, 0] - block[1:, 1] / h - birth[:size]
         target[:, -1] = (block[1:, -1] - right[:size]) / h
         # The update rows, term by term in the formula's operand order, straight into ``target``:
@@ -253,10 +232,55 @@ def apply_phi(
         rows -= term
         if start == 0:
             target[0, 1:-1] = block[1, 1:-1] - initial.values
-        if sink:
-            out(start, target)
         nodes[0] = block[-1]
         mortality[0] = mortality[size]
+
+    return nodes[1:], consume
+
+
+def apply_phi(
+    v: Union[GridFunction, SpaceTimeFunction],
+    problem: ProblemSpec,
+    grid: GridSpec,
+    initial: InteriorVector,
+    out: Union[None, GridFunction, Callable[[int, np.ndarray], None]] = None,
+) -> Union[GridFunction, Callable[[int, np.ndarray], None]]:
+    """Evaluate the residual of every discrete equation at an element.
+
+    Interior rows use the raw difference-quotient form of the update
+    identity (not the rearranged convex-combination form the stepper uses),
+    so this is an independent check of what a computed solution satisfies:
+
+        P_i^n = (V_i^n - V_i^{n-1})/k + (V_i^{n-1} - V_{i-1}^{n-1})/h
+                + d_i(s1^{n-1}) V_i^{n-1}
+                - (V_{i+1}^{n-1} + V_{i-1}^{n-1} - 2 V_i^{n-1})/h^2
+
+    Returns ``out`` (a fresh grid function when None) holding the residual.
+    ``out`` may be ``v`` itself; if apply_phi raises, its contents are unspecified.
+    ``v`` may also be a function u(x, t), and ``out`` a callable ``out(start, rows)``: see the module docstring.
+    """
+    n_levels = _march_shape(grid)[0]
+    sampled, sink = callable(v), callable(out)
+    if out is None:
+        out = GridFunction(np.empty((n_levels, grid.m_total + 1)), grid)
+    for name, function in (("element", v), ("out", out)):
+        if not callable(function):
+            _require_every_level(function)
+            if function.grid != grid:
+                raise DimensionMismatch(f"{name} does not live on the supplied grid")
+    levels, consume = _phi_blocks(problem, grid, initial)
+    residual = np.empty_like(levels) if sink else None
+    for start in range(0, n_levels, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n_levels)
+        block = levels[: stop - start]
+        if sampled:
+            _sample_nodes(v, grid, start, stop, block)
+        else:
+            block[:] = v.values[start:stop]
+        target = residual[: stop - start] if sink else out.values[start:stop]
+        consume(start, target)
+        if sink:
+            out(start, target)
     return out
 
 
@@ -285,6 +309,11 @@ class _LevelSquares:
             squares(start, v.values[start : start + _BLOCK_ROWS])
         return squares
 
+    def xh_norm(self) -> float:
+        # sqrt and the product with h round monotonically, so the largest sum gives max_n sqrt(h * sums[n])
+        h, k = self.grid.h, self.grid.k
+        return h * (star_norm(self.left, k) + star_norm(self.right, k)) + math.sqrt(h * float(np.max(self.sums)))
+
     def yh_norm(self) -> float:
         h, k = self.grid.h, self.grid.k
         initial_sq = math.sqrt(h * float(self.sums[0])) ** 2  # the initial row's l2_norm, squared
@@ -294,8 +323,7 @@ class _LevelSquares:
 
 
 def xh_norm(v: GridFunction) -> float:
-    squares, h, k = _LevelSquares.of(v), v.grid.h, v.grid.k
-    return h * (star_norm(squares.left, k) + star_norm(squares.right, k)) + float(np.max(np.sqrt(h * squares.sums)))
+    return _LevelSquares.of(v).xh_norm()
 
 
 def yh_norm(p: GridFunction) -> float:

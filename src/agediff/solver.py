@@ -31,21 +31,23 @@ node) c is one Python float; otherwise c and its least value are per node.
 ``run(problem, grid, every=e)`` copies the work row into the history at
 levels 0, e, 2e, ..., but steps every level whatever e is, so it refuses a
 mesh whose every-level history numpy cannot index before stepping.
-``_march_shape`` also refuses a march of more than 2^36 node values,
-(n_steps + 1) * (M + 1), here and in :func:`agediff.residual.apply_phi`.
-The bound is a policy, not a limit of the machine, and the time it stands
-for depends on M.  Measured with a streamed ``run`` on a 2-vCPU Xeon VM: at
-M = 2560 a built-in problem steps a node value in about 10 ns (12 minutes
-for 2^36) and inline example3 in 0.9 us (17 hours); at M = 20 each level's
-fixed cost of about 10 us dominates (9 hours).  A longer march needs a
-larger ``_MAX_NODE_VALUES``.
+``_march_shape`` also refuses a march that costs more than 2^36 node
+values, here and in :func:`agediff.residual.apply_phi`: each of the
+n_steps + 1 levels costs its M + 1 node values plus ``_LEVEL_COST`` for
+its fixed cost.  The bound is a policy, not a limit of the machine.
+Measured with a streamed ``run`` of a built-in problem on a 2-vCPU Xeon VM,
+a level costs about 9.4 us plus 6.5 ns per node, so the bound stands for 8
+to 11 minutes of stepping at any M (10.5 at M = 20, 8.3 at M = 2560); inline
+example3 steps a node in about 0.9 us, so 12 hours at M = 2560.  A longer
+march needs a larger ``_MAX_NODE_VALUES``.
 
 ``run(problem, grid, observe=f)`` also calls ``f(n, row)`` at every level
 n = 0..n_steps, after U_0^n and g(t^n) have been checked finite and before
 the step to n + 1.  ``row`` is the work row holding the whole level x_0..x_M:
 the observer must not modify it, and it is valid only during the call, as
-the next step overwrites it.  Both convergence studies run with
-``every=n_steps`` and read every level from the observer.  ``observe=`` is
+the next step overwrites it.  Every study in :mod:`agediff.harness` that
+runs the scheme runs with ``every=n_steps`` and reads every level from the
+observer.  ``observe=`` is
 the one per-level interface to the kernel, and ``_history_shape`` the one
 check of a history's shape before it is allocated.
 
@@ -87,6 +89,7 @@ from .model import ProblemSpec
 from .quadrature import InteriorVector, qh
 
 _MAX_NODE_VALUES = 2**36  # per march; a policy, see the module docstring
+_LEVEL_COST = 1024  # a level's fixed cost in node values: about 9.4 us / 6.5 ns, rounded down to a power of 2
 
 
 @dataclass(frozen=True)
@@ -145,12 +148,14 @@ def _history_shape(grid: GridSpec, every) -> tuple[int, int]:
 
 
 def _march_shape(grid: GridSpec) -> tuple[int, int]:
-    """``_history_shape(grid, 1)`` of a march over every level, refused above 2^36 node values."""
+    """``_history_shape(grid, 1)`` of a march over every level, refused above a cost of 2^36 node values."""
     levels, width = _history_shape(grid, 1)
-    if levels * width > _MAX_NODE_VALUES:
+    cost = levels * (width + _LEVEL_COST)
+    if cost > _MAX_NODE_VALUES:
         raise InvalidParameter(
-            f"{levels:.6g} levels x {width} nodes would step {levels * width:.3g} node values;"
-            f" a run or a residual may step at most 2^36 ({_MAX_NODE_VALUES:.3g})"
+            f"{levels:.6g} levels x {width} nodes would step {levels * width:.3g} node values, a cost of"
+            f" {cost:.3g} with {_LEVEL_COST} more for each level; a run or a residual may cost at most"
+            f" 2^36 ({_MAX_NODE_VALUES:.3g})"
         )
     return levels, width
 
@@ -204,8 +209,8 @@ def run(
     ``observe``, if given, is called as ``observe(n, row)`` at every level n;
     see the module docstring.  A mesh whose every-level history numpy cannot
     index raises InvalidParameter before anything is allocated, whatever ``every`` is,
-    and so does one that would step more than 2^36 node values, (n_steps + 1) * (M + 1):
-    from 12 minutes to hours of stepping, see the module docstring.
+    and so does one that would cost more than 2^36 node values, (n_steps + 1) * (M + 1 + 1024):
+    about ten minutes of stepping a built-in problem, see the module docstring.
     """
     _check_domain(problem, grid)
     if grid.lam + 2.0 * grid.r > 1.0:

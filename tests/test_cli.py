@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import agediff
-from agediff import cli, exprdsl
+from agediff import cli, exprdsl, harness
 from agediff.cli import RunConfig, _load_config, main, parse_config
 from agediff.errors import ConfigError
 from agediff.exprdsl import parse_expr
@@ -283,11 +283,12 @@ def test_unallocatable_step_count_is_a_configuration_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_out_of_memory_is_one_error_line(tmp_path, capsys):
-    # about 1e15 levels: numpy refuses the sampled exact solution's history at once
-    # (a single run of as many levels needs O(M) memory, and marches)
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # every study is bounded before it allocates, so numpy refusing an allocation is forced
+    # here: self-convergence's kept array is made to ask for 8 PiB
+    monkeypatch.setattr(harness, "_history_shape", lambda grid, every: (2**30, 2**20))
     out_dir = tmp_path / "out"
-    assert main(["examples", "example1", "--t-final", "1e12", "--levels", "1", "--output-dir", str(out_dir)]) == 1
+    assert main(["examples", "example2", "--levels", "3", "--output-dir", str(out_dir)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: out of memory: ")
@@ -401,15 +402,22 @@ def test_unknown_builtin_id(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "stability", "consistency"])
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["stability"], ["consistency"], ["examples", "example1", "--t-final", "1e12", "--levels", "1"]],
+    ids=["run", "stability", "consistency", "convergence"],
+)
 def test_run_too_long_to_step_is_one_error_line(tmp_path, capsys, command):
-    # about 1e15 levels fit numpy's index range and a single run's memory, but not a lifetime
-    text = "problem = example1\nm_prime = 7\nr = 0.4\nt_final = 1e12\nlevels = 1\n"
+    # about 1e15 levels fit numpy's index range and a single run's memory, but not a lifetime;
+    # the convergence study samples u a block of levels at a time, so it meets the bound too
+    if command[0] != "examples":
+        text = "problem = example1\nm_prime = 7\nr = 0.4\nt_final = 1e12\nlevels = 1\n"
+        command = [*command, "--config", write_config(tmp_path, text)]
     out_dir = tmp_path / "out"
-    assert main([command, "--config", write_config(tmp_path, text), "--output-dir", str(out_dir)]) == 1
+    assert main([*command, "--output-dir", str(out_dir)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: 1e+15 levels x 21 nodes would step 2.1e+16 node values")
+    assert captured.err.startswith("error: 1e+15 levels x 21 nodes would step 2.1e+16 node values, a cost of 1.05e+18")
     assert captured.err.count("\n") == 1
     assert not out_dir.exists()
 

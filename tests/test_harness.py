@@ -2,15 +2,17 @@ import csv
 import dataclasses
 import math
 import os
+import re
 import stat
+import subprocess
+import sys
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 
-from agediff import harness
-from agediff.errors import InvalidParameter, NonFiniteState
+from agediff import harness, residual
+from agediff.errors import InvalidParameter, NonFiniteState, StabilityViolation
 from agediff.grid import GridSpec, build_grid, refine
 from agediff.harness import (
     ConsistencyRow,
@@ -23,7 +25,7 @@ from agediff.harness import (
     write_csv,
 )
 from agediff.model import ProblemSpec, builtin_problem, problem_from_expressions
-from agediff.quadrature import InteriorVector
+from agediff.quadrature import InteriorVector, l2_norm
 from agediff.residual import apply_phi, restrict, xh_norm, yh_norm
 from agediff.solver import GridFunction, run
 
@@ -280,6 +282,12 @@ def difference(a, b):
     return GridFunction(a.values - b.values, a.grid)
 
 
+def error_triple(error):
+    """err_inf and err_l2 at the final level and err_xh of a whole error history."""
+    err_inf = float(np.max(np.abs(error.values[-1])))
+    return err_inf, l2_norm(InteriorVector(error.interior[-1], error.grid.h)), xh_norm(error)
+
+
 def whole_history_self_convergence(problem, base, levels):
     # the study as it was when every rung kept its whole history at once
     grids = [base]
@@ -287,7 +295,7 @@ def whole_history_self_convergence(problem, base, levels):
         grids.append(refine(grids[-1]))
     elements = [run(problem, grid) for grid in grids]
     triples = [
-        harness._error_triple(difference(element, restrict_to_coarse(elements[-1], grid)))
+        error_triple(difference(element, restrict_to_coarse(elements[-1], grid)))
         for grid, element in zip(grids[:-1], elements[:-1])
     ]
     return harness._attach_orders(grids[:-1], triples)
@@ -298,7 +306,7 @@ def whole_history_convergence(problem, exact, base, levels):
     for _ in range(levels - 1):
         grids.append(refine(grids[-1]))
     triples = [
-        harness._error_triple(difference(restrict(exact, grid), run(problem, grid)))
+        error_triple(difference(restrict(exact, grid), run(problem, grid)))
         for grid in grids
     ]
     return harness._attach_orders(grids, triples)
@@ -408,31 +416,29 @@ def traced_peak(study, *args):
     return peak
 
 
-def finest_history_bytes(base, levels):
-    finest = base
-    for _ in range(levels - 1):
-        finest = refine(finest)
-    return (finest.n_steps + 1) * (finest.m_total - 1) * 8
+def history_bytes(base, levels, rung=-1):
+    """Bytes of the whole history, x_0..x_M at every level, of one rung of the ladder."""
+    grid = harness._grid_ladder(base, levels)[rung]
+    return (grid.n_steps + 1) * (grid.m_total + 1) * 8
 
 
-def test_self_convergence_memory_stays_below_the_finest_history():
-    # the finest rung is streamed through an observer and only the coarser
-    # rungs keep their histories (0.16x); keeping every 4th level of the
-    # finest rung measured 0.39x, and every rung's whole history 1.30x
+def test_self_convergence_memory_stays_near_the_second_finest_history():
+    # the finest rung keeps its values at the second-finest rung's nodes and levels, and each
+    # coarser rung streams against them (1.07x); keeping every coarser rung's history and
+    # streaming the finest against them measured 1.20x, of which the histories are 1.14x
     problem, _ = builtin_problem("example2")
     base = build_grid(1.0, 7, 0.4, 0.2)
-    peak = traced_peak(self_convergence_study, problem, base, 4)
-    assert peak <= 0.25 * finest_history_bytes(base, 4)
+    peak = traced_peak(self_convergence_study, problem, base, 5)
+    assert peak <= 1.1 * history_bytes(base, 5, rung=-2)
 
 
-def test_convergence_memory_stays_near_one_history():
-    # each rung holds its sampled exact solution and streams the run it
-    # subtracts (1.05x); keeping the previous rung's error alive while the
-    # next is sampled measured 1.15x, and the run's history next to it 2.16x
+def test_convergence_memory_stays_far_below_one_history():
+    # u is sampled and each run streamed one block of levels at a time, next to three floats
+    # per level (0.09x); sampling each rung's whole exact solution measured 1.05x
     problem, exact = builtin_problem("example3")
     base = build_grid(1.0, 7, 0.4, 0.2)
     peak = traced_peak(convergence_study, problem, exact, base, 4)
-    assert peak <= 1.1 * finest_history_bytes(base, 4)
+    assert peak <= 0.15 * history_bytes(base, 4)
 
 
 def test_consistency_study_makes_one_apply_phi_call_per_rung_on_u_itself(monkeypatch):
@@ -447,41 +453,89 @@ def test_consistency_study_makes_one_apply_phi_call_per_rung_on_u_itself(monkeyp
         raise AssertionError("consistency_study sampled a whole history")
 
     monkeypatch.setattr(harness, "apply_phi", tracking_apply_phi)
-    monkeypatch.setattr(harness, "restrict", no_restrict)
+    monkeypatch.setattr(residual, "restrict", no_restrict)
     problem, exact = builtin_problem("example3")
     base = build_grid(1.0, 7, 0.4, 0.05)
     consistency_study(problem, exact, base, 3)
     assert calls == [(exact, grid) for grid in harness._grid_ladder(base, 3)]
 
 
-def test_stability_probe_memory_stays_within_a_few_histories():
-    # at most two whole-history arrays are alive at once (2.17x): V (then
-    # phi(V), then the gap) and the perturbation (then W, then phi(W)); a
-    # separate array for phi(V) next to them measured 3.28x
+def test_stability_probe_memory_stays_far_below_one_history():
+    # V and W are fed to two residual consumers a block of levels at a time, next to three
+    # floats per level (0.31x); two whole-history arrays per rung measured 2.17x
     problem, _ = builtin_problem("example3")
     base = build_grid(1.0, 7, 0.4, 0.2)
     peak = traced_peak(stability_probe, problem, base, 4)
-    assert peak <= 2.5 * finest_history_bytes(base, 4)
+    assert peak <= 0.5 * history_bytes(base, 4)
 
 
-def test_stability_probe_drops_each_rung_before_running_the_next(monkeypatch):
-    # each rung's arrays (V, W and the residuals apply_phi returns) must be
-    # freed before the next, eight times larger, rung runs
-    arrays = []
+STUDIES = {
+    "convergence": lambda problem, exact, base: convergence_study(problem, exact, base, 3),
+    "self-convergence": lambda problem, exact, base: self_convergence_study(problem, base, 3),
+    "stability": lambda problem, exact, base: stability_probe(problem, base, 3),
+}
 
-    def tracking_run(problem, grid, *args, **kwargs):
-        assert all(ref() is None for ref in arrays)
-        solution = run(problem, grid, *args, **kwargs)
-        arrays.append(weakref.ref(solution.values))
-        return solution
 
-    def tracking_apply_phi(v, *args, **kwargs):
-        residual = apply_phi(v, *args, **kwargs)
-        arrays.extend(weakref.ref(function.values) for function in (v, residual))
-        return residual
+@pytest.mark.parametrize("study", STUDIES.values(), ids=STUDIES.keys())
+def test_every_study_streams_each_run_and_keeps_no_history(monkeypatch, study):
+    # each rung runs once, keeping two levels and reading the others from its observer,
+    # and nothing samples or stores a whole history or calls the public apply_phi
+    runs = []
 
-    monkeypatch.setattr(harness, "run", tracking_run)
-    monkeypatch.setattr(harness, "apply_phi", tracking_apply_phi)
-    problem, _ = builtin_problem("example3")
-    stability_probe(problem, build_grid(1.0, 7, 0.4, 0.05), 3)
-    assert len(arrays) == 15
+    def streamed_run(problem, grid, every=1, observe=None):
+        runs.append(grid)
+        assert every == grid.n_steps and observe is not None
+        return run(problem, grid, every, observe)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a study held a whole history")
+
+    monkeypatch.setattr(harness, "run", streamed_run)
+    monkeypatch.setattr(harness, "apply_phi", refused)
+    monkeypatch.setattr(residual, "restrict", refused)
+    problem, exact = builtin_problem("example3")
+    base = build_grid(1.0, 7, 0.4, 0.05)
+    study(problem, exact, base)
+    grids = harness._grid_ladder(base, 3)
+    # self-convergence runs the finest rung first, then the others coarsest first
+    assert runs == (grids[-1:] + grids[:-1] if study is STUDIES["self-convergence"] else grids)
+
+
+def test_self_convergence_raises_the_coarsest_failing_rungs_error():
+    # the finest rung runs first and passes; of the two coarser rungs, both of whose update
+    # weights 1 - lam - 2r - k*d are negative, the coarsest runs next and its error is raised
+    problem = dataclasses.replace(builtin_problem("example2")[0], mortality=lambda x, s: np.full_like(x, 1000.0))
+    base = build_grid(1.0, 7, 0.4, 0.05)
+    grids = harness._grid_ladder(base, 3)
+    margins = [1.0 - grid.lam - 2.0 * grid.r - grid.k * 1000.0 for grid in grids]
+    assert margins[0] < margins[1] < 0.0 < margins[2]
+    with pytest.raises(StabilityViolation, match=rf"= {re.escape(repr(margins[0]))} < 0"):
+        self_convergence_study(problem, base, 3)
+
+
+def test_self_convergence_refuses_a_ladder_too_long_to_step_before_allocating():
+    # the finest rung of this ladder would cost more than 2^36 node values; the second-finest
+    # rung's array (1.6e7 levels x 41 nodes, 5.2 GB) is never allocated
+    problem, _ = builtin_problem("example2")
+    base = build_grid(1.0, 7, 0.4, 4000.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameter, match=r"at most 2\^36"):
+            self_convergence_study(problem, base, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_the_stability_probe_does_not_import_numpy_random():
+    # its amplitudes are written out; numpy.random costs about 7 MB of resident memory
+    code = (
+        "import sys\n"
+        "from agediff import build_grid, builtin_problem, stability_probe\n"
+        "stability_probe(builtin_problem('example1')[0], build_grid(1.0, 7, 0.4, 0.05), 1)\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    source = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": source})
+    assert harness._AMPLITUDES == tuple(np.random.default_rng(987654321).uniform(0.5, 1.0, size=3))

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from agediff import exprdsl, harness, residual, solver
+from agediff import exprdsl, residual, solver
 from agediff.errors import (
     DimensionMismatch,
     EvalError,
@@ -289,7 +289,6 @@ def test_every_producer_returns_one_c_contiguous_row_per_level():
         "run-strided": run(problem, grid, every=grid.n_steps),
         "restrict": restrict(exact, grid),
         "apply_phi": apply_phi(solution, problem, grid, initial),
-        "perturbation": harness._perturbation(grid, 1.0),
     }
     for name, function in made.items():
         levels = grid.n_steps // function.every + 1
@@ -469,9 +468,18 @@ def test_history_too_large_to_index_is_rejected_before_any_allocation_or_step():
             assert peak < 2**20
 
 
-def test_run_admits_2_to_the_36_node_values_and_refuses_one_more_level():
-    # (n_steps + 1) * (M + 1) at M = 2560: 26833063 levels are 2^36 - 2393 node values, one more
-    # is over; the 8th rung from M' = 7 at t = 0.8 (13107201 levels) lies below
+@pytest.mark.parametrize(
+    "m_prime,n_steps,refused",
+    [
+        (1277, 19168611, r"1\.91686e\+07 levels x 2561 nodes would step 4\.91e\+10 node values, a cost of 6\.87e\+10"),
+        (7, 65760263, r"6\.57603e\+07 levels x 21 nodes would step 1\.38e\+09 node values, a cost of 6\.87e\+10"),
+    ],
+    ids=["M=2560", "M=20"],
+)
+def test_run_admits_a_cost_of_2_to_the_36_node_values_and_refuses_one_more_level(m_prime, n_steps, refused):
+    # each level costs (M + 1) + 1024 node values.  At M = 2560, 19168612 levels cost 2^36 - 2716,
+    # and the 8th rung from M' = 7 at t = 0.8 (13107201 levels) lies below; at M = 20, 65760264
+    # levels cost 2^36 - 856, so m_prime = 7, t_final = 1e6 (1e9 levels) is refused
     class Admitted(Exception):
         pass
 
@@ -482,15 +490,14 @@ def test_run_admits_2_to_the_36_node_values_and_refuses_one_more_level():
         raise Admitted(n)
 
     problem, _ = builtin_problem("example2")
-    grid = GridSpec(1.0, 1277, 0.4, 26833062)
-    assert grid.m_total == 2560
+    grid = GridSpec(1.0, m_prime, 0.4, n_steps)
+    assert (n_steps + 1) * (grid.m_total + 1 + 1024) <= 2**36 < (n_steps + 2) * (grid.m_total + 1 + 1024)
     with pytest.raises(Admitted):
         run(problem, grid, every=grid.n_steps, observe=observe)
     assert levels == [0]
     levels.clear()
     grid = dataclasses.replace(grid, n_steps=grid.n_steps + 1)
-    refused = r"2\.68331e\+07 levels x 2561 nodes would step 6\.87e\+10 node values; .* at most 2\^36"
-    with pytest.raises(InvalidParameter, match=refused):
+    with pytest.raises(InvalidParameter, match=refused + r" with 1024 more for each level; .* at most 2\^36"):
         run(problem, grid, every=grid.n_steps, observe=observe)
     assert levels == []
 
