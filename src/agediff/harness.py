@@ -10,7 +10,9 @@ run with the finest one at the shared nodes and levels.
 No study holds a whole history.  The X_h and Y_h norms are sums of
 per-level terms, so each study streams its runs through ``run``'s
 ``observe=``, samples any function of (x, t) a block of levels at a time,
-and feeds each block to the per-level sums of ``residual._LevelSquares``.
+and feeds each block, in ascending order, to ``residual._LevelSquares``,
+which sums the terms as they arrive and keeps no per-level array.  The
+block size is read as ``residual._BLOCK_ROWS`` when a study starts.
 Self-convergence alone keeps one array the size of a history: the finest
 run at the second-finest rung's nodes and levels.
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,7 +35,8 @@ from .errors import InvalidParameter
 from .grid import GridSpec, refine
 from .model import ProblemSpec, SpaceTimeFunction
 from .quadrature import InteriorVector, l2_norm
-from .residual import _BLOCK_ROWS, _LevelSquares, _phi_blocks, _sample_nodes, apply_phi
+from . import residual
+from .residual import _LevelSquares, _phi_blocks, _sample_nodes, apply_phi
 from .solver import _check_domain, _history_shape, _initial_row, _march_shape, run
 
 
@@ -116,27 +119,27 @@ def _streamed_error(
     levels at a time as :func:`restrict` samples it, or an array of the
     grid's levels and nodes, copied one block at a time.  Each level of the
     run is subtracted from its block in place, and each full block feeds the
-    X_h norm's per-level sums, so the study holds one block and three floats
-    per level.  The sign of the difference changes no norm's bits.
+    X_h norm's streamed sums, so the study holds one block and no per-level
+    array.  The sign of the difference changes no norm's bits.
     """
     squares = _LevelSquares(grid)  # refuses what run would, before allocating
-    last = grid.n_steps
-    block = np.empty((min(_BLOCK_ROWS, last + 1), grid.m_total + 1))
+    last, rows = grid.n_steps, residual._BLOCK_ROWS
+    block = np.empty((min(rows, last + 1), grid.m_total + 1))
 
     def subtract(n: int, row: np.ndarray) -> None:
-        j = n % _BLOCK_ROWS
+        j = n % rows
         if j == 0:
-            stop = min(n + _BLOCK_ROWS, last + 1)
+            stop = min(n + rows, last + 1)
             if callable(reference):
                 _sample_nodes(reference, grid, n, stop, block[: stop - n])
             else:
                 block[: stop - n] = reference[n:stop]
         np.subtract(block[j], row, out=block[j])
-        if j == _BLOCK_ROWS - 1 or n == last:
+        if j == rows - 1 or n == last:
             squares(n - j, block[: j + 1])
 
     run(problem, grid, every=last, observe=subtract)
-    final = block[last % _BLOCK_ROWS]
+    final = block[last % rows]
     return float(np.max(np.abs(final))), l2_norm(InteriorVector(final[1:-1], grid.h)), squares.xh_norm()
 
 
@@ -185,7 +188,7 @@ def self_convergence_study(
 def consistency_study(
     problem: ProblemSpec, u: SpaceTimeFunction, base: GridSpec, levels: int
 ) -> list[ConsistencyRow]:
-    """Residual norm of u on each mesh; a rung holds a few blocks of levels and three per-level arrays."""
+    """Residual norm of u on each mesh; a rung holds a few blocks of levels and no per-level array."""
     _check_domain(problem, base)
     grids = _grid_ladder(base, levels)
     residuals = []
@@ -204,17 +207,32 @@ def consistency_study(
 _AMPLITUDES = (0.6422996893307162, 0.5859334619922247, 0.5994397712546985)
 
 
-def _perturbation(grid: GridSpec) -> SpaceTimeFunction:
-    """A fixed low-frequency field u(x, t), sampled by the stability probe.
+def _perturbation(grid: GridSpec, block: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """A fixed low-frequency field sampled into ``block``, the stability probe's P.
 
     The field is sum_m a_m cos(m pi t / T) sin(m pi x / a_dagger) over m = 1..3,
-    with T the realized final time.  The amplitudes a_m are fixed, so every
-    call sees the same smooth function; only the sampling mesh changes.
+    with T the realized final time, at the nodes and times ``_sample_nodes``
+    passes.  The amplitudes a_m are fixed, so every call sees the same smooth
+    function; only the sampling mesh changes.  ``sample(start, stop)`` writes
+    levels start..stop-1 of the field into the leading rows of ``block``, zeroes
+    both trace columns (at a_dagger, sin(m pi) is not 0 in floating point) and
+    returns those rows.  Each mode's product is written into a second block and
+    added in place, to 0 first, as ``sum`` adds them.
     """
-    return lambda x, t: sum(
-        a * np.cos(m * np.pi * t / grid.t_final) * np.sin(m * np.pi * x / grid.a_dagger)
-        for m, a in enumerate(_AMPLITUDES, start=1)
-    )
+    x = np.concatenate(([0.0], grid.interior_nodes(), [grid.a_dagger]))
+    modes = [(m, a, np.sin(m * np.pi * x / grid.a_dagger)) for m, a in enumerate(_AMPLITUDES, start=1)]
+    product = np.empty_like(block)
+
+    def sample(start: int, stop: int) -> np.ndarray:
+        out, term = block[: stop - start], product[: stop - start]
+        t = np.arange(start, stop)[:, None] * grid.k
+        out[...] = 0
+        for m, a, spatial in modes:
+            out += np.multiply(a * np.cos(m * np.pi * t / grid.t_final), spatial, out=term)
+        out[:, 0] = out[:, -1] = 0.0
+        return out
+
+    return sample
 
 
 def stability_probe(
@@ -228,8 +246,9 @@ def stability_probe(
     shrinking neighbourhood where the stability estimate applies; so the
     numerator is scale * h, taken without a cancelling subtraction.  A rung
     passes over P's blocks of levels twice: the first pass sums its X_h norm,
-    and the second forms W from the streamed run of V and feeds both to
-    residual consumers.  A denominator that is zero or not finite (or a
+    and the second forms W from the streamed run of V, feeds both to
+    residual consumers and sums the Y_h norm of phi(V) - phi(W) in a second
+    accumulator.  A denominator that is zero or not finite (or a
     ratio that overflows) is reported as a row whose ratio is None, never raised.
     """
     if not (math.isfinite(perturbation_scale) and perturbation_scale >= 0.0):
@@ -238,43 +257,38 @@ def stability_probe(
         )
     grids = _grid_ladder(base, levels)
     _check_domain(problem, base)
-    rows = []
+    rows, block_rows = [], residual._BLOCK_ROWS
     for grid in grids:
-        squares = _LevelSquares(grid)  # refuses what run would, before allocating
-        last, field = grid.n_steps, _perturbation(grid)
-        perturbation = np.empty((min(_BLOCK_ROWS, last + 1), grid.m_total + 1))
-
-        def sample(start: int, stop: int) -> np.ndarray:
-            block = _sample_nodes(field, grid, start, stop, perturbation[: stop - start])
-            block[:, 0] = block[:, -1] = 0.0
-            return block
-
-        for start in range(0, last + 1, _BLOCK_ROWS):
-            squares(start, sample(start, min(start + _BLOCK_ROWS, last + 1)))
-        factor = perturbation_scale * grid.h / squares.xh_norm()
+        p_squares = _LevelSquares(grid)  # refuses what run would, before allocating
+        last = grid.n_steps
+        sample = _perturbation(grid, np.empty((min(block_rows, last + 1), grid.m_total + 1)))
+        for start in range(0, last + 1, block_rows):
+            p_squares(start, sample(start, min(start + block_rows, last + 1)))
+        factor = perturbation_scale * grid.h / p_squares.xh_norm()
         initial = InteriorVector(_initial_row(problem, grid.interior_nodes()), grid.h)
         solution, phi_of_solution = _phi_blocks(problem, grid, initial)
         perturbed, phi_of_perturbed = _phi_blocks(problem, grid, initial)
-        gap, residual = np.empty((2, *solution.shape))
+        gap, residual_rows = np.empty((2, *solution.shape))
+        gap_squares = _LevelSquares(grid)
 
         def feed(n: int, row: np.ndarray) -> None:
-            j = n % _BLOCK_ROWS
+            j = n % block_rows
             solution[j] = row
-            if j == _BLOCK_ROWS - 1 or n == last:
+            if j == block_rows - 1 or n == last:
                 start, size = n - j, j + 1
                 block = sample(start, n + 1)
                 block[:, 1:-1] *= factor
                 np.add(solution[:size], block, out=perturbed[:size])
                 phi_of_solution(start, gap[:size])
-                phi_of_perturbed(start, residual[:size])
-                np.subtract(gap[:size], residual[:size], out=gap[:size])
+                phi_of_perturbed(start, residual_rows[:size])
+                np.subtract(gap[:size], residual_rows[:size], out=gap[:size])
                 with np.errstate(over="ignore"):  # an overflowing gap has no ratio
-                    squares(start, gap[:size])  # P's sums are no longer needed
+                    gap_squares(start, gap[:size])
 
         run(problem, grid, every=last, observe=feed)
         numerator = perturbation_scale * grid.h
         with np.errstate(over="ignore"):
-            denominator = squares.yh_norm()
+            denominator = gap_squares.yh_norm()
         finite = 0.0 < denominator < math.inf and math.isfinite(numerator / denominator)
         rows.append(StabilityRow(h=grid.h, ratio=numerator / denominator if finite else None))
     return rows

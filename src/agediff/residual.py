@@ -21,7 +21,11 @@ and for residuals
     |P|_Y = sqrt(|P_0|_*^2 + |P^0|^2 + h * |P_M|_*^2 + sum_{n>=1} k |P^n|^2)
 
 with |.|_* the k-weighted time-trace norm and |.| the h-weighted l2 norm
-over interior nodes.
+over interior nodes.  Both norms are summed as the levels arrive, a block
+at a time in ascending order, by ``_LevelSquares``: it keeps the level-0
+term, the largest interior term and three sums that replay the pairwise
+tree of ``np.sum`` (``_PairwiseSum``), so a norm has the bits of one
+whole-history expression in memory that does not grow with the levels.
 
 The residual is formed by a consumer, ``_phi_blocks``, fed one block of
 levels at a time in ascending order.  It checks psi1 and psi2 finite once and
@@ -39,7 +43,7 @@ forms hold no history: the element may be a function u(x, t), sampled into
 each block as :func:`restrict` samples it (same floats, same errors, raised
 after the earlier blocks' coefficient calls), and ``out`` a callable
 ``out(start, rows)`` given each block's residual rows, valid only during the
-call, such as the Y_h norm's per-level sums.  Like :func:`agediff.solver.run`,
+call, such as the Y_h norm's streamed sums.  Like :func:`agediff.solver.run`,
 it refuses a march that costs more than 2^36 node values before it evaluates
 anything.
 
@@ -64,7 +68,7 @@ import numpy as np
 from .errors import DimensionMismatch, EvalError
 from .grid import GridSpec
 from .model import ProblemSpec, SpaceTimeFunction
-from .quadrature import InteriorVector, qh, star_norm
+from .quadrature import InteriorVector, qh
 from .solver import (
     GridFunction,
     _check_coefficient,
@@ -75,10 +79,13 @@ from .solver import (
     _right_value,
 )
 
-# Rows per block in apply_phi's update residual and in the norms: the
-# temporaries scale with a block rather than with the whole history, and
-# every entry is computed exactly as in one whole-array expression.
-_BLOCK_ROWS = 256
+# Rows per block in apply_phi's update residual, in restrict and in the norms:
+# the temporaries scale with a block rather than with the whole history, and
+# every entry is computed exactly as in one whole-array expression.  With no
+# per-level array left, the blocks are the largest buffers of a study.
+_BLOCK_ROWS = 64
+# The longest run that numpy's pairwise float64 sum adds as one leaf.
+_PAIRWISE_LEAF = 128
 
 
 def _require_every_level(v: GridFunction) -> None:
@@ -177,6 +184,8 @@ def _phi_blocks(
     weighted = InteriorVector(np.empty(width), h)
     products = weighted.values
     zeros = np.zeros(width)
+    # level start + j's interior row and its d(s1), as views bound once: row j + 1 of each buffer
+    interior_rows, mortality_rows = list(nodes[1:, 1:-1]), list(mortality[1:])
     # Bound when apply_phi starts, so a patched module-level qh is the one called.
     quadrature, fertility_of, mortality_of, g = qh, problem.fertility, problem.mortality, problem.right_boundary
     multiply, isfinite = np.multiply, math.isfinite
@@ -185,10 +194,9 @@ def _phi_blocks(
     def consume(start: int, target: np.ndarray) -> None:
         size = target.shape[0]
         block = nodes[: size + 1]
-        rows = block[1:, 1:-1]
         with np.errstate(invalid="ignore"):
             for j in range(size):
-                row = rows[j]
+                row = interior_rows[j]
                 multiply(psi2, row, out=products)
                 s2 = quadrature(weighted)
                 fertility = fertility_of(x, s2)
@@ -207,8 +215,9 @@ def _phi_blocks(
                 d = mortality_of(x, s1)
                 if type(d) is not ndarray or d.dtype is not float64 or d.shape != shape:
                     d = _nodal_values(d, x, "mortality")
-                mortality[j + 1] = d  # guarded on the copy, whose dot is cheaper than a stride-0 d's
-                if not isfinite(mortality[j + 1].dot(zeros)):
+                copy = mortality_rows[j]
+                copy[:] = d  # guarded on the copy, whose dot is cheaper than a stride-0 d's
+                if not isfinite(copy.dot(zeros)):
                     _check_coefficient(d, "mortality", s1)
         target[:, 0] = (1.0 + 1.0 / h) * block[1:, 0] - block[1:, 1] / h - birth[:size]
         target[:, -1] = (block[1:, -1] - right[:size]) / h
@@ -284,22 +293,95 @@ def apply_phi(
     return out
 
 
-class _LevelSquares:
-    """Both traces and the interior rows' sums of squares, one float per level each, fed as ``self(start, rows)``.
+class _PairwiseSum:
+    """``np.sum`` of ``n`` float64 values fed in order, in blocks of any size, in one leaf and O(log n) partials.
 
-    A norm sums each array once: the bits of one whole-history expression, whatever the blocks.
+    numpy sums a contiguous float64 array pairwise (Higham, SIAM J. Sci. Comput., 1993): a run of
+    at most 128 values is one leaf, and a longer run of n values splits at n//2 - (n//2) % 8 into
+    two runs whose sums are added, left + right.  The tree depends on n alone, so each leaf is
+    summed by the same reduction as soon as it is full, and each sum is added to its left
+    sibling's as soon as both exist, in the tree's postorder.  ``np.sum`` adds a sum to 0.0,
+    which changes only the sign of a zero, so ``total`` has the bits of ``np.sum`` over all n
+    values (which of two NaNs a sum of NaNs returns aside).  It is None until all n have
+    arrived; feeding more raises ValueError.
+    """
+
+    def __init__(self, n: int):
+        self._remaining, self._filled, self.total = n, 0, None
+        self._pending: list[list] = []  # [size of a right run still to come, sum of its left sibling or None]
+        self._buffer = np.empty(min(n, _PAIRWISE_LEAF))
+        self._leaf = self._descend(n)
+
+    def _descend(self, n: int) -> int:
+        """Push the right runs on the way down to the first leaf of a run of n values, and return its size."""
+        while n > _PAIRWISE_LEAF:
+            half = n // 2 - (n // 2) % 8
+            self._pending.append([n - half, None])
+            n = half
+        return n
+
+    def __call__(self, values: np.ndarray) -> None:
+        if values.shape[0] > self._remaining:
+            raise ValueError(f"fed {values.shape[0]} values where {self._remaining} remain")
+        self._remaining -= values.shape[0]
+        while values.shape[0]:
+            take = min(self._leaf - self._filled, values.shape[0])
+            self._buffer[self._filled : self._filled + take] = values[:take]
+            self._filled, values = self._filled + take, values[take:]
+            if self._filled == self._leaf:
+                self._filled, total = 0, self._buffer[: self._leaf].sum()
+                while self._pending and self._pending[-1][1] is not None:
+                    total = self._pending.pop()[1] + total
+                if self._pending:
+                    self._pending[-1][1] = total
+                    self._leaf = self._descend(self._pending[-1][0])
+                else:
+                    self.total = total
+
+
+class _LevelSquares:
+    """The X_h and Y_h norms of a grid function fed one block of levels at a time, as ``self(start, rows)``.
+
+    Blocks of at most ``_BLOCK_ROWS`` levels must arrive in ascending, contiguous order: the first
+    at level 0, each next one at the level after the last, none past the grid's last level.
+    Anything else raises ValueError, and so does a norm taken before every level has arrived.
+    Each interior row's sum of squares is formed as in one whole-history expression.  Of those
+    sums, the level-0 one and the largest (NaN if any is, as ``np.max`` takes it) are kept; h
+    times each later one, and the squares of both traces, go to three :class:`_PairwiseSum`,
+    which replay the tree of ``np.sum`` over the whole column.  So either norm has the bits of
+    the whole-history expression, whatever the blocks, and the memory does not grow with the
+    levels.
     """
 
     def __init__(self, grid: GridSpec):
         levels = _march_shape(grid)[0]
-        self.grid, self.left, self.right, self.sums = grid, np.empty(levels), np.empty(levels), np.empty(levels)
-        self._squares = np.empty((min(_BLOCK_ROWS, levels), grid.m_total - 1))  # laid out as ``rows * rows``
+        self.grid, self._levels, self._next = grid, levels, 0
+        self._left, self._right, self._later = _PairwiseSum(levels), _PairwiseSum(levels), _PairwiseSum(levels - 1)
+        rows = min(_BLOCK_ROWS, levels)
+        self._squares = np.empty((rows, grid.m_total - 1))  # laid out as ``rows * rows``
+        self._sums, self._terms = np.empty((2, rows))
 
     def __call__(self, start: int, rows: np.ndarray) -> None:
-        stop, interior = start + rows.shape[0], rows[:, 1:-1]
-        self.left[start:stop], self.right[start:stop] = rows[:, 0], rows[:, -1]
-        square = np.multiply(interior, interior, out=self._squares[: rows.shape[0]])
-        np.sum(square, axis=1, out=self.sums[start:stop])
+        size = rows.shape[0]
+        if start != self._next or start + size > self._levels or size > self._squares.shape[0]:
+            raise ValueError(
+                f"levels {start}..{start + size - 1} fed where level {self._next} of {self._levels} is next,"
+                f" in blocks of at most {self._squares.shape[0]}"
+            )
+        self._next += size
+        interior = rows[:, 1:-1]
+        square = np.multiply(interior, interior, out=self._squares[:size])
+        sums = square.sum(axis=1, out=self._sums[:size])
+        peak = sums.max()
+        if start == 0:
+            self._first, self._peak = sums[0], peak
+        else:
+            self._peak = np.maximum(self._peak, peak)
+        terms = self._terms[:size]
+        for total, column in ((self._left, rows[:, 0]), (self._right, rows[:, -1])):
+            total(np.multiply(column, column, out=terms))
+        first = 1 if start == 0 else 0
+        self._later(np.multiply(self.grid.h, sums[first:], out=terms[first:]))
 
     @classmethod
     def of(cls, v: GridFunction) -> "_LevelSquares":
@@ -309,16 +391,22 @@ class _LevelSquares:
             squares(start, v.values[start : start + _BLOCK_ROWS])
         return squares
 
+    def _trace_norm(self, total: _PairwiseSum) -> float:
+        # quadrature.star_norm's expression, on the streamed sum of the squared trace
+        if self._next != self._levels:
+            raise ValueError(f"a norm was taken after {self._next} of {self._levels} levels")
+        return math.sqrt(self.grid.k * float(total.total))
+
     def xh_norm(self) -> float:
         # sqrt and the product with h round monotonically, so the largest sum gives max_n sqrt(h * sums[n])
-        h, k = self.grid.h, self.grid.k
-        return h * (star_norm(self.left, k) + star_norm(self.right, k)) + math.sqrt(h * float(np.max(self.sums)))
+        h, traces = self.grid.h, self._trace_norm(self._left) + self._trace_norm(self._right)
+        return h * traces + math.sqrt(h * float(self._peak))
 
     def yh_norm(self) -> float:
         h, k = self.grid.h, self.grid.k
-        initial_sq = math.sqrt(h * float(self.sums[0])) ** 2  # the initial row's l2_norm, squared
-        later_sq = k * float(np.sum(h * self.sums[1:]))
-        left_sq, right_sq = star_norm(self.left, k) ** 2, star_norm(self.right, k) ** 2
+        left_sq, right_sq = self._trace_norm(self._left) ** 2, self._trace_norm(self._right) ** 2
+        initial_sq = math.sqrt(h * float(self._first)) ** 2  # the initial row's l2_norm, squared
+        later_sq = k * float(self._later.total)
         return float(np.sqrt(left_sq + initial_sq + h * right_sq + later_sq))
 
 

@@ -424,8 +424,9 @@ def history_bytes(base, levels, rung=-1):
 
 def test_self_convergence_memory_stays_near_the_second_finest_history():
     # the finest rung keeps its values at the second-finest rung's nodes and levels, and each
-    # coarser rung streams against them (1.07x); keeping every coarser rung's history and
-    # streaming the finest against them measured 1.20x, of which the histories are 1.14x
+    # coarser rung streams against them (1.02x; 1.07x with three floats per level); keeping every
+    # coarser rung's history and streaming the finest against them measured 1.20x, of which the
+    # histories are 1.14x
     problem, _ = builtin_problem("example2")
     base = build_grid(1.0, 7, 0.4, 0.2)
     peak = traced_peak(self_convergence_study, problem, base, 5)
@@ -433,12 +434,25 @@ def test_self_convergence_memory_stays_near_the_second_finest_history():
 
 
 def test_convergence_memory_stays_far_below_one_history():
-    # u is sampled and each run streamed one block of levels at a time, next to three floats
-    # per level (0.09x); sampling each rung's whole exact solution measured 1.05x
+    # u is sampled and each run streamed one block of levels at a time into norms that keep no
+    # per-level array (0.025x; 0.09x with three floats per level); sampling each rung's whole
+    # exact solution measured 1.05x
     problem, exact = builtin_problem("example3")
     base = build_grid(1.0, 7, 0.4, 0.2)
     peak = traced_peak(convergence_study, problem, exact, base, 4)
-    assert peak <= 0.15 * history_bytes(base, 4)
+    assert peak <= 0.05 * history_bytes(base, 4)
+
+
+def test_consistency_memory_does_not_grow_with_the_levels():
+    # apply_phi holds a few blocks of rows and the Y_h norm a leaf and O(log n) partial sums, so
+    # four times the levels add no per-level array; three floats per level would add 57 KB here
+    problem, exact = builtin_problem("example3")
+    consistency_study(problem, exact, build_grid(1.0, 7, 0.4, 0.05), 2)  # caches filled
+    peaks = [traced_peak(consistency_study, problem, exact, build_grid(1.0, 7, 0.4, t), 2) for t in (0.2, 0.8)]
+    finest = harness._grid_ladder(build_grid(1.0, 7, 0.4, 0.8), 2)[-1]
+    sixteen_blocks = 16 * residual._BLOCK_ROWS * (finest.m_total + 1) * 8
+    assert max(peaks) <= sixteen_blocks
+    assert peaks[1] <= peaks[0] + 1024, peaks
 
 
 def test_consistency_study_makes_one_apply_phi_call_per_rung_on_u_itself(monkeypatch):
@@ -461,12 +475,13 @@ def test_consistency_study_makes_one_apply_phi_call_per_rung_on_u_itself(monkeyp
 
 
 def test_stability_probe_memory_stays_far_below_one_history():
-    # V and W are fed to two residual consumers a block of levels at a time, next to three
-    # floats per level (0.31x); two whole-history arrays per rung measured 2.17x
+    # V and W are fed to two residual consumers a block of levels at a time, and the norms keep
+    # no per-level array (0.085x; 0.31x with three floats per level); two whole-history arrays
+    # per rung measured 2.17x
     problem, _ = builtin_problem("example3")
     base = build_grid(1.0, 7, 0.4, 0.2)
     peak = traced_peak(stability_probe, problem, base, 4)
-    assert peak <= 0.5 * history_bytes(base, 4)
+    assert peak <= 0.15 * history_bytes(base, 4)
 
 
 STUDIES = {
@@ -499,6 +514,31 @@ def test_every_study_streams_each_run_and_keeps_no_history(monkeypatch, study):
     grids = harness._grid_ladder(base, 3)
     # self-convergence runs the finest rung first, then the others coarsest first
     assert runs == (grids[-1:] + grids[:-1] if study is STUDIES["self-convergence"] else grids)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64, 256])
+@pytest.mark.parametrize("study", STUDIES.values(), ids=STUDIES.keys())
+def test_every_study_gives_the_same_rows_in_blocks_of_any_size(monkeypatch, study, rows):
+    # the study reads the block size through the residual module, so it feeds blocks of the
+    # patched size to the norms; the rows are the same bits at every size
+    problem, exact = builtin_problem("example3")
+    base = build_grid(1.0, 7, 0.4, 0.05)
+    expected = study(problem, exact, base)
+    levels, sizes = [], []
+
+    class Recorded(residual._LevelSquares):
+        def __init__(self, grid):
+            levels.append(grid.n_steps + 1)
+            super().__init__(grid)
+
+        def __call__(self, start, block):
+            sizes.append(block.shape[0])
+            super().__call__(start, block)
+
+    monkeypatch.setattr(residual, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(harness, "_LevelSquares", Recorded)
+    assert study(problem, exact, base) == expected
+    assert max(sizes) == min(rows, max(levels))
 
 
 def test_self_convergence_raises_the_coarsest_failing_rungs_error():

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agediff import residual
 from agediff.errors import DimensionMismatch, EvalError, InvalidParameter, NonFiniteState
@@ -101,8 +103,10 @@ SAMPLED_FUNCTIONS = {
 
 # m_total * h = 0.8999999999999999 here, so the right trace's node is not x_M
 ROUNDED_END = build_grid(0.9, 2, 0.4, 0.05)
-# 255, 256, 257 and 513 levels: one level short of, exactly at, and one past a block edge
-BLOCK_EDGES = [GridSpec(1.0, 7, 0.4, n_levels - 1) for n_levels in (255, 256, 257, 513)]
+# levels per block in apply_phi, restrict and the norms
+B = residual._BLOCK_ROWS
+# B - 1, B, B + 1 and 2B + 1 levels: one level short of, exactly at, and one past a block edge
+BLOCK_EDGES = [GridSpec(1.0, 7, 0.4, n_levels - 1) for n_levels in (B - 1, B, B + 1, 2 * B + 1)]
 
 
 @pytest.mark.parametrize(
@@ -375,6 +379,117 @@ def test_norms_of_random_elements_are_the_whole_history_expressions_bit_for_bit(
         assert yh_norm(element) == whole_history_yh_norm(element)
 
 
+# the level counts of a ladder from M' = 7 at t = 0.8: 801 levels at M = 20 up to 819 201 at M = 640
+LADDER_LENGTHS = [801, 3201, 12801, 51201, 819201]
+
+
+def streamed_sum(values, cuts):
+    """``_PairwiseSum`` of ``values`` fed in the blocks that the sorted ``cuts`` mark."""
+    total = residual._PairwiseSum(values.shape[0])
+    edges = [0, *sorted(cuts), values.shape[0]]
+    for start, stop in zip(edges, edges[1:]):
+        total(values[start:stop])
+    return total.total
+
+
+def same_bits(a, b):
+    """The same float64 bits, or both NaN.
+
+    Which NaN a sum of two NaNs returns depends on the operand order that the compiled
+    addition chose, which differs between numpy's sum and a scalar addition; any NaN
+    prints as nan.
+    """
+    a, b = np.float64(a), np.float64(b)
+    return (math.isnan(a) and math.isnan(b)) or a.view(np.int64) == b.view(np.int64)
+
+
+def test_the_streamed_sum_is_np_sum_bit_for_bit_at_every_length():
+    rng = np.random.default_rng(33)
+    for n in [*range(1, 601), *LADDER_LENGTHS]:
+        # magnitudes over ten decades, so that the order of the additions shows in the bits
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
+        cuts = rng.integers(0, n + 1, rng.integers(0, 20))
+        assert same_bits(streamed_sum(values, cuts), np.sum(values)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 600), st.sampled_from(LADDER_LENGTHS)),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(
+        st.tuples(st.integers(0, 2**40), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308])),
+        max_size=8,
+    ),
+    cuts=st.lists(st.integers(0, 2**40), max_size=30),
+)
+def test_the_streamed_sum_is_np_sum_bit_for_bit_in_any_blocks(n, seed, specials, cuts):
+    # zeros, infinities, NaN, and entries whose sum overflows, at any place and in blocks of any size
+    values = np.random.default_rng(seed).standard_normal(n)
+    for place, value in specials:
+        values[place % n] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.sum(values)
+        got = streamed_sum(values, [cut % (n + 1) for cut in cuts])
+    assert same_bits(got, expected)
+
+
+def test_the_streamed_sum_refuses_values_past_its_length():
+    total = residual._PairwiseSum(200)
+    total(np.ones(150))
+    with pytest.raises(ValueError, match="fed 51 values where 50 remain"):
+        total(np.ones(51))
+    total(np.ones(50))
+    assert total.total == 200.0
+    with pytest.raises(ValueError, match="fed 1 values where 0 remain"):
+        total(np.ones(1))
+
+
+@pytest.mark.parametrize("n_levels", [B - 1, B, 2 * B + 1, 12801])
+def test_star_norm_is_the_streamed_trace_norm_bit_for_bit(n_levels):
+    # with zero interior rows and right trace, xh_norm is h * (|left|_* + 0.0) + sqrt(h * 0.0)
+    grid = GridSpec(1.0, 7, 0.4, n_levels - 1)
+    rng = np.random.default_rng(n_levels)
+    left = rng.standard_normal(n_levels) * 10.0 ** rng.integers(-5, 5, n_levels)
+    zeros = np.zeros(n_levels)
+    element = grid_function(left, np.zeros((n_levels, grid.m_total - 1)), zeros, grid)
+    assert same_bits(xh_norm(element), grid.h * star_norm(left, grid.k))
+
+
+@pytest.mark.parametrize("level", [1, B + 3, 2 * B + 5], ids=["first-block", "second-block", "last-block"])
+def test_xh_norm_of_a_history_with_one_nan_interior_value_is_nan(level):
+    # the largest row sum is taken as np.max takes it, so a NaN is not dropped as a Python max drops it
+    grid = GridSpec(1.0, 7, 0.4, 2 * B + 5)
+    element = random_element(np.random.default_rng(level), grid)
+    element.interior[level, 3] = math.nan
+    assert math.isnan(xh_norm(element))
+    assert math.isnan(whole_history_xh_norm(element))
+
+
+def test_the_norms_refuse_a_level_fed_twice_out_of_order_or_past_the_last():
+    grid = GridSpec(1.0, 7, 0.4, 2 * B)
+    rows = random_element(np.random.default_rng(7), grid).values
+    refusals = {
+        "twice": [(0, rows[:B]), (0, rows[:B])],
+        "again": [(0, rows[:B]), (B - 1, rows[B - 1 : 2 * B])],
+        "skipped": [(0, rows[:B]), (B + 1, rows[B + 1 : 2 * B])],
+        "not-from-0": [(1, rows[1:B])],
+        "past-the-last": [(0, rows[:B]), (B, rows[B : 2 * B]), (2 * B, rows[2 * B :]), (2 * B + 1, rows[:1])],
+        "ending-past-the-last": [(0, rows[:B]), (B, rows[B : 2 * B]), (2 * B, rows[2 * B - 1 :])],
+        "longer-than-a-block": [(0, rows[: B + 1])],
+    }
+    for *accepted, (start, refused) in refusals.values():
+        squares = residual._LevelSquares(grid)
+        for before, block in accepted:
+            squares(before, block)
+        with pytest.raises(ValueError, match=rf"fed where level \d+ of {2 * B + 1} is next, in blocks of at most {B}"):
+            squares(start, refused)
+    squares = residual._LevelSquares(grid)
+    squares(0, rows[:B])
+    for norm in (squares.xh_norm, squares.yh_norm):
+        with pytest.raises(ValueError, match=f"a norm was taken after {B} of {2 * B + 1} levels"):
+            norm()
+
+
 def test_homogeneous_right_residual_is_the_scaled_trace_bit_for_bit():
     # g = 0 is sampled as 0.0 without a call, and (x - 0.0)/h == x/h, -0.0 included
     problem, _ = builtin_problem("example1")
@@ -403,7 +518,7 @@ def test_non_finite_mortality_at_the_last_level_still_raises():
     # also when it sits alone in a block after the first has been written
     problem, _ = builtin_problem("example1")
     base = build_grid(1.0, 7, 0.4, 0.05)
-    for grid in (base, dataclasses.replace(base, n_steps=256)):
+    for grid in (base, dataclasses.replace(base, n_steps=B)):
 
         def element(last):
             rows = np.ones((grid.n_steps + 1, grid.m_total - 1))
@@ -423,7 +538,7 @@ def test_non_finite_mortality_at_the_last_level_still_raises():
             apply_phi(fine, blows_up, grid, initial, out=fine if alias else None)
 
 
-@pytest.mark.parametrize("level", [0, 255, 256, 300], ids=["level-0", "level-255", "level-256", "last-level"])
+@pytest.mark.parametrize("level", [0, B - 1, B, 300], ids=["level-0", f"level-{B - 1}", f"level-{B}", "last-level"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_a_constant_non_finite_mortality_fails_alike_as_stride_zero_and_as_contiguous(value, level):
     # apply_phi guards d on its contiguous copy, so a read-only stride-0 d must
@@ -475,9 +590,9 @@ def everywhere(good, value):
 
 
 # apply_phi calls fertility and mortality once per level, in ascending order,
-# so after_calls(level, ...) makes exactly that level's array bad.  Levels 255
-# and 256 sit on either side of the first block edge; 300 is the last level.
-PHI_LEVELS = {"level-0": 0, "mid-block": 100, "level-255": 255, "level-256": 256, "last-level": 300}
+# so after_calls(level, ...) makes exactly that level's array bad.  Levels B - 1
+# and B sit on either side of the first block edge; 300 is the last level.
+PHI_LEVELS = {"level-0": 0, "mid-block": B // 2, f"level-{B - 1}": B - 1, f"level-{B}": B, "last-level": 300}
 PHI_FAILURES = {
     **{
         f"{slot}-{name}-{where}": {slot: (level, one_bad_node, value)}
@@ -490,7 +605,7 @@ PHI_FAILURES = {
             "mortality": (level, one_bad_node, math.nan),
             "fertility": (level + 1, one_bad_node, math.inf),
         }
-        for level in (100, 255)
+        for level in (B // 2, B - 1)
     },
     # finite, so neither raises; 1e308 overflows the update rows, not the guard
     **{f"mortality-{value:g}": {"mortality": (150, everywhere, value)} for value in (1e200, 1e308)},
@@ -559,7 +674,7 @@ ALIAS_CASES = {
 }
 
 
-@pytest.mark.parametrize("n_steps", [50, 256, 600], ids=["under-a-block", "one-carry", "ragged"])
+@pytest.mark.parametrize("n_steps", [B // 2, B, 600], ids=["under-a-block", "one-carry", "ragged"])
 @pytest.mark.parametrize("case", ALIAS_CASES.values(), ids=ALIAS_CASES.keys())
 def test_apply_phi_into_its_own_element_is_bit_identical(case, n_steps):
     grid = dataclasses.replace(build_grid(1.0, 7, 0.4, 0.05), n_steps=n_steps)
@@ -596,7 +711,7 @@ def test_mismatched_out_is_rejected_before_any_coefficient_call():
     assert calls == []
 
 
-@pytest.mark.parametrize("level,column", [(0, 0), (0, 9), (255, -1), (256, 1), (600, 5), (600, -1)])
+@pytest.mark.parametrize("level,column", [(0, 0), (0, 9), (B - 1, -1), (B, 1), (600, 5), (600, -1)])
 def test_restrict_rejects_one_non_finite_sample_in_any_block(level, column):
     grid = dataclasses.replace(build_grid(1.0, 7, 0.4, 0.05), n_steps=600)
     bad_time = float(grid.time_levels()[level])
@@ -612,9 +727,9 @@ def test_restrict_rejects_one_non_finite_sample_in_any_block(level, column):
 
 def test_consistency_memory_stays_far_below_one_history():
     # apply_phi samples u and hands each block of residual rows to the Y_h
-    # norm's sums, so a rung holds a few blocks of rows and three floats per
-    # level (0.17x); sampling each rung's whole history with restrict and
-    # writing the residual into it measured 1.13x
+    # norm's streamed sums, so a rung holds a few blocks of rows (0.045x; 0.17x
+    # with three floats per level); sampling each rung's whole history with
+    # restrict and writing the residual into it measured 1.13x
     problem, exact = builtin_problem("example3")
     base = build_grid(1.0, 7, 0.4, 0.2)
     finest = refine(refine(refine(base)))
@@ -625,10 +740,10 @@ def test_consistency_memory_stays_far_below_one_history():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 0.25 * history_bytes
+    assert peak <= 0.1 * history_bytes
 
 
-# 51 levels end inside their first block, 601 levels inside their third
+# 51 levels end inside their first block, 601 levels (a prime) inside a later one
 STREAM_GRIDS = {
     "one-block": build_grid(1.0, 7, 0.4, 0.05),
     "mid-block": dataclasses.replace(build_grid(1.0, 7, 0.4, 0.05), n_steps=600),
@@ -674,7 +789,7 @@ def test_the_streamed_yh_norm_equals_yh_norm_of_the_stored_residual_bit_for_bit(
 
 
 def _late_block(t):
-    return t[0, 0] >= 512 * STREAM_GRIDS["mid-block"].k
+    return t[0, 0] >= 2 * B * STREAM_GRIDS["mid-block"].k
 
 
 BAD_SAMPLES = {
@@ -699,4 +814,4 @@ def test_a_bad_sample_in_a_late_block_raises_as_restrict_does(u):
             apply_phi(u, counting, grid, initial_vector(problem, grid), out=lambda start, rows: None)
     assert str(got.value) == str(expected.value)
     assert type(got.value.__cause__) is type(expected.value.__cause__)
-    assert len(calls) == 512
+    assert len(calls) == 2 * B

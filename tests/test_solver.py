@@ -568,11 +568,11 @@ def test_a_strided_run_allocates_nothing_that_grows_with_n_steps(problem_id):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("level", [0, 255, 256, "last"])
+@pytest.mark.parametrize("level", [0, residual._BLOCK_ROWS - 1, residual._BLOCK_ROWS, "last"])
 def test_a_non_finite_g_is_named_at_its_level_by_run_and_apply_phi(level, value):
     problem, _ = builtin_problem("example3")
     grid = build_grid(1.0, 7, 0.4, 0.3)
-    assert grid.n_steps > 256  # apply_phi's second block of levels starts at 256
+    assert grid.n_steps > residual._BLOCK_ROWS  # apply_phi's second block of levels starts there
     n = grid.n_steps if level == "last" else level
     solution = run(problem, grid)
     initial = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
