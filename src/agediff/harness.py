@@ -8,13 +8,13 @@ same float on every level); self-convergence errors compare each coarser
 run with the finest one at the shared nodes and levels.
 
 No study holds a whole history.  The X_h and Y_h norms are sums of
-per-level terms, so each study streams its runs through ``run``'s
-``observe=``, samples any function of (x, t) a block of levels at a time,
-and feeds each block, in ascending order, to ``residual._LevelSquares``,
-which sums the terms as they arrive and keeps no per-level array.  The
-block size is read as ``residual._BLOCK_ROWS`` when a study starts.
-Self-convergence alone keeps one array the size of a history: the finest
-run at the second-finest rung's nodes and levels.
+per-level terms, so ``_stream_run`` re-blocks each run's ``observe=`` rows
+into ascending blocks of ``residual._BLOCK_ROWS`` levels, read through the
+module; each block, with the same levels of any function of (x, t) sampled
+then, feeds ``residual._LevelSquares``, which sums the terms as they arrive
+and keeps no per-level array.  Self-convergence alone keeps one array the
+size of a history: the finest run at the second-finest rung's nodes and
+levels, which each coarser run is compared with a slice at a time.
 
 :func:`write_csv` is the one CSV writer: it writes a header and rows of
 cells atomically (temp file, then rename) and prints floats as shortest
@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .grid import GridSpec, refine
 from .model import ProblemSpec, SpaceTimeFunction
 from .quadrature import InteriorVector, l2_norm
 from . import residual
-from .residual import _LevelSquares, _phi_blocks, _sample_nodes, apply_phi
+from .residual import _LevelSquares, _node_row, _phi_blocks, _sample_nodes, apply_phi
 from .solver import _check_domain, _history_shape, _initial_row, _march_shape, run
 
 
@@ -110,36 +111,41 @@ def _attach_orders(
     ]
 
 
+def _stream_run(problem: ProblemSpec, grid: GridSpec, flush: Callable[[int, np.ndarray], None]) -> np.ndarray:
+    """Run ``problem`` on ``grid``, giving ``flush(start, block)`` its levels in ascending blocks.
+
+    Blocks hold ``residual._BLOCK_ROWS`` levels (the last may hold fewer), re-blocked from ``run``'s
+    rows into one buffer that is refilled once ``flush`` returns, so ``flush`` may write over it.
+    Returns the last level's row as the last ``flush`` left it.
+    """
+    rows, last = residual._BLOCK_ROWS, grid.n_steps
+    block = np.empty((min(rows, last + 1), grid.m_total + 1))
+
+    def observe(n: int, row: np.ndarray) -> None:
+        j = n % rows
+        block[j] = row
+        if j == rows - 1 or n == last:
+            flush(n - j, block[: j + 1])
+
+    run(problem, grid, every=last, observe=observe)
+    return block[last % rows]
+
+
 def _streamed_error(
-    problem: ProblemSpec, grid: GridSpec, reference: Union[SpaceTimeFunction, np.ndarray]
+    problem: ProblemSpec, grid: GridSpec, reference: Callable[[int, int], np.ndarray]
 ) -> tuple[float, float, float]:
     """err_inf and err_l2 at the final level and err_xh of ``reference - run`` on ``grid``.
 
-    The run is streamed.  The reference is u(x, t), sampled one block of
-    levels at a time as :func:`restrict` samples it, or an array of the
-    grid's levels and nodes, copied one block at a time.  Each level of the
-    run is subtracted from its block in place, and each full block feeds the
-    X_h norm's streamed sums, so the study holds one block and no per-level
-    array.  The sign of the difference changes no norm's bits.
+    ``reference(start, stop)`` gives levels start..stop-1 of the reference (u sampled by ``_sample_nodes``,
+    or a slice of self-convergence's kept array).  Each streamed block of the run is overwritten by the
+    reference's block minus it and fed to the X_h norm's sums; the sign changes no norm's bits.
     """
     squares = _LevelSquares(grid)  # refuses what run would, before allocating
-    last, rows = grid.n_steps, residual._BLOCK_ROWS
-    block = np.empty((min(rows, last + 1), grid.m_total + 1))
 
-    def subtract(n: int, row: np.ndarray) -> None:
-        j = n % rows
-        if j == 0:
-            stop = min(n + rows, last + 1)
-            if callable(reference):
-                _sample_nodes(reference, grid, n, stop, block[: stop - n])
-            else:
-                block[: stop - n] = reference[n:stop]
-        np.subtract(block[j], row, out=block[j])
-        if j == rows - 1 or n == last:
-            squares(n - j, block[: j + 1])
+    def flush(start: int, block: np.ndarray) -> None:
+        squares(start, np.subtract(reference(start, start + block.shape[0]), block, out=block))
 
-    run(problem, grid, every=last, observe=subtract)
-    final = block[last % rows]
+    final = _stream_run(problem, grid, flush)
     return float(np.max(np.abs(final))), l2_norm(InteriorVector(final[1:-1], grid.h)), squares.xh_norm()
 
 
@@ -148,7 +154,7 @@ def convergence_study(
 ) -> list[ConvergenceRow]:
     """Errors ``u - run`` on a ladder of refined meshes; u is sampled and each run streamed a block of levels at a time."""
     grids = _grid_ladder(base, levels)
-    return _attach_orders(grids, [_streamed_error(problem, grid, u) for grid in grids])
+    return _attach_orders(grids, [_streamed_error(problem, grid, partial(_sample_nodes, u, grid)) for grid in grids])
 
 
 def self_convergence_study(
@@ -178,10 +184,10 @@ def self_convergence_study(
             kept[level] = row[::node_stride]
 
     run(problem, finest, every=finest.n_steps, observe=keep)
-    triples = [
-        _streamed_error(problem, grid, kept[:: second.n_steps // grid.n_steps, :: second.m_total // grid.m_total])
-        for grid in grids[:-1]
-    ]
+    triples = []
+    for grid in grids[:-1]:
+        view = kept[:: second.n_steps // grid.n_steps, :: second.m_total // grid.m_total]
+        triples.append(_streamed_error(problem, grid, lambda start, stop: view[start:stop]))
     return _attach_orders(grids[:-1], triples)
 
 
@@ -207,21 +213,18 @@ def consistency_study(
 _AMPLITUDES = (0.6422996893307162, 0.5859334619922247, 0.5994397712546985)
 
 
-def _perturbation(grid: GridSpec, block: np.ndarray) -> Callable[[int, int], np.ndarray]:
-    """A fixed low-frequency field sampled into ``block``, the stability probe's P.
+def _perturbation(grid: GridSpec) -> Callable[[int, int], np.ndarray]:
+    """A fixed low-frequency field on ``grid``, the stability probe's P, as ``sample(start, stop)``.
 
-    The field is sum_m a_m cos(m pi t / T) sin(m pi x / a_dagger) over m = 1..3,
-    with T the realized final time, at the nodes and times ``_sample_nodes``
-    passes.  The amplitudes a_m are fixed, so every call sees the same smooth
-    function; only the sampling mesh changes.  ``sample(start, stop)`` writes
-    levels start..stop-1 of the field into the leading rows of ``block``, zeroes
-    both trace columns (at a_dagger, sin(m pi) is not 0 in floating point) and
-    returns those rows.  Each mode's product is written into a second block and
-    added in place, to 0 first, as ``sum`` adds them.
+    The field is sum_m a_m cos(m pi t / T) sin(m pi x / a_dagger) over m = 1..3, with T the realized
+    final time and fixed amplitudes a_m, at the nodes and times ``_sample_nodes`` passes.  ``sample``
+    writes levels start..stop-1 (at most ``residual._BLOCK_ROWS``) into a block it owns, valid until its
+    next call, with both trace columns zeroed (at a_dagger, sin(m pi) is not 0 in floating point).  Each
+    mode's product is written into a second block and added in place, to 0 first, as ``sum`` adds them.
     """
-    x = np.concatenate(([0.0], grid.interior_nodes(), [grid.a_dagger]))
+    x = _node_row(grid)
     modes = [(m, a, np.sin(m * np.pi * x / grid.a_dagger)) for m, a in enumerate(_AMPLITUDES, start=1)]
-    product = np.empty_like(block)
+    block, product = np.empty((2, min(residual._BLOCK_ROWS, grid.n_steps + 1), x.shape[0]))
 
     def sample(start: int, stop: int) -> np.ndarray:
         out, term = block[: stop - start], product[: stop - start]
@@ -245,11 +248,12 @@ def stability_probe(
     floating point) and its interior scaled to xh-norm scale * h, inside the
     shrinking neighbourhood where the stability estimate applies; so the
     numerator is scale * h, taken without a cancelling subtraction.  A rung
-    passes over P's blocks of levels twice: the first pass sums its X_h norm,
-    and the second forms W from the streamed run of V, feeds both to
-    residual consumers and sums the Y_h norm of phi(V) - phi(W) in a second
-    accumulator.  A denominator that is zero or not finite (or a
-    ratio that overflows) is reported as a row whose ratio is None, never raised.
+    passes over P's blocks of levels twice: the first sums its X_h norm, and
+    the second forms W over P's block from each streamed block of V, feeds V
+    and W to two residual consumers, each writing its residual over its own
+    block, and sums the Y_h norm of phi(V) - phi(W) in a second accumulator.
+    A denominator that is zero or not finite (or a ratio that overflows) is
+    reported as a row whose ratio is None, never raised.
     """
     if not (math.isfinite(perturbation_scale) and perturbation_scale >= 0.0):
         raise InvalidParameter(
@@ -260,32 +264,25 @@ def stability_probe(
     rows, block_rows = [], residual._BLOCK_ROWS
     for grid in grids:
         p_squares = _LevelSquares(grid)  # refuses what run would, before allocating
-        last = grid.n_steps
-        sample = _perturbation(grid, np.empty((min(block_rows, last + 1), grid.m_total + 1)))
-        for start in range(0, last + 1, block_rows):
-            p_squares(start, sample(start, min(start + block_rows, last + 1)))
+        sample = _perturbation(grid)
+        for start in range(0, grid.n_steps + 1, block_rows):
+            p_squares(start, sample(start, min(start + block_rows, grid.n_steps + 1)))
         factor = perturbation_scale * grid.h / p_squares.xh_norm()
         initial = InteriorVector(_initial_row(problem, grid.interior_nodes()), grid.h)
-        solution, phi_of_solution = _phi_blocks(problem, grid, initial)
-        perturbed, phi_of_perturbed = _phi_blocks(problem, grid, initial)
-        gap, residual_rows = np.empty((2, *solution.shape))
+        phi_of_solution, phi_of_perturbed = _phi_blocks(problem, grid, initial), _phi_blocks(problem, grid, initial)
         gap_squares = _LevelSquares(grid)
 
-        def feed(n: int, row: np.ndarray) -> None:
-            j = n % block_rows
-            solution[j] = row
-            if j == block_rows - 1 or n == last:
-                start, size = n - j, j + 1
-                block = sample(start, n + 1)
-                block[:, 1:-1] *= factor
-                np.add(solution[:size], block, out=perturbed[:size])
-                phi_of_solution(start, gap[:size])
-                phi_of_perturbed(start, residual_rows[:size])
-                np.subtract(gap[:size], residual_rows[:size], out=gap[:size])
-                with np.errstate(over="ignore"):  # an overflowing gap has no ratio
-                    gap_squares(start, gap[:size])
+        def flush(start: int, solution: np.ndarray) -> None:
+            perturbed = sample(start, start + solution.shape[0])
+            perturbed[:, 1:-1] *= factor
+            np.add(solution, perturbed, out=perturbed)
+            phi_of_solution(start, solution, solution)
+            phi_of_perturbed(start, perturbed, perturbed)
+            np.subtract(solution, perturbed, out=solution)
+            with np.errstate(over="ignore"):  # an overflowing gap has no ratio
+                gap_squares(start, solution)
 
-        run(problem, grid, every=last, observe=feed)
+        _stream_run(problem, grid, flush)
         numerator = perturbation_scale * grid.h
         with np.errstate(over="ignore"):
             denominator = gap_squares.yh_norm()

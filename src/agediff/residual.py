@@ -32,20 +32,19 @@ levels at a time in ascending order.  It checks psi1 and psi2 finite once and
 allocates its buffers once, among them the scratch
 :class:`~agediff.quadrature.InteriorVector` that each weighted product is
 written into before ``qh``, and the block's g(t^n), each read at its level as
-:func:`agediff.solver.run` reads it.  It carries the last level of a block
-and its d(s1) over to the next.  :func:`apply_phi` feeds one consumer from an
-element; the stability probe feeds two from a streamed run.
+:func:`agediff.solver.run` reads it.  It copies each block into its own
+buffer, which carries the last level and its d(s1) over to the next block, so
+the residual may be written over the block: :func:`apply_phi` takes
+``out=v`` (if it raises, the contents of ``out`` are unspecified).
+:func:`apply_phi` feeds one consumer; the stability probe feeds two.
 
-:func:`apply_phi` copies a block's levels before its residual rows are formed
-straight in ``out``, so it may write the residual into the element itself
-(``out=v``); if it raises, the contents of ``out`` are unspecified.  Two
-forms hold no history: the element may be a function u(x, t), sampled into
-each block as :func:`restrict` samples it (same floats, same errors, raised
-after the earlier blocks' coefficient calls), and ``out`` a callable
-``out(start, rows)`` given each block's residual rows, valid only during the
-call, such as the Y_h norm's streamed sums.  Like :func:`agediff.solver.run`,
-it refuses a march that costs more than 2^36 node values before it evaluates
-anything.
+Two forms of :func:`apply_phi` hold no history: the element may be a
+function u(x, t), sampled one block at a time as :func:`restrict` samples it
+(same floats, same errors, raised after the earlier blocks' coefficient
+calls), and ``out`` a callable ``out(start, rows)`` given each block's
+residual rows, valid only during the call, such as the Y_h norm's streamed
+sums.  Like :func:`agediff.solver.run` and :func:`restrict`, it refuses a
+march that costs more than 2^36 node values before it evaluates anything.
 
 Each level's fertility and mortality are guarded by scalars, as in
 :func:`agediff.solver.run`; the array check runs only when one fails, so the
@@ -60,8 +59,9 @@ warnings inside the coefficient callables.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -73,7 +73,6 @@ from .solver import (
     GridFunction,
     _check_coefficient,
     _check_domain,
-    _history_shape,
     _march_shape,
     _nodal_values,
     _right_value,
@@ -102,63 +101,68 @@ def element_from_solution(solution: GridFunction) -> GridFunction:
     return solution
 
 
-def _sample_nodes(u: SpaceTimeFunction, grid: GridSpec, start: int, stop: int, out=None) -> np.ndarray:
-    """u at x_0, x_1..x_{M-1} and a_dagger on levels start..stop-1, one call per block of levels.
-
-    Each call passes the node row x and the column ``np.arange(begin, end)[:, None] * k``
-    of up to ``_BLOCK_ROWS`` times, the floats of ``grid.time_levels()``; row j of ``out``
-    (fresh when None) holds level start + j.  The last column is sampled at a_dagger
-    itself, not at the rounded node m_total * h; the two can differ by an ulp.
-    A value that does not broadcast to the block, or a TypeError raised by the
-    call (as ``math.exp`` raises on an array), raises DimensionMismatch.
-    """
+@functools.lru_cache(maxsize=64)
+def _node_row(grid: GridSpec) -> np.ndarray:
+    # x_0, x_1..x_{M-1} and a_dagger, read-only: every block sampled on a mesh shares this one row.
     x = np.concatenate(([0.0], grid.interior_nodes(), [grid.a_dagger]))
-    samples = np.empty((stop - start, x.shape[0])) if out is None else out
-    for begin in range(start, stop, _BLOCK_ROWS):
-        end = min(begin + _BLOCK_ROWS, stop)
-        block = samples[begin - start : end - start]
-        try:
-            values = u(x, np.arange(begin, end)[:, None] * grid.k)
-        except TypeError as exc:
-            raise DimensionMismatch(
-                f"sampled function raised TypeError ({exc}); u(x, t) must broadcast "
-                "over a (levels, 1) time column t, so use np.exp(t), not math.exp(t)"
-            ) from exc
-        values = np.asarray(values, dtype=float)
-        try:
-            np.copyto(block, values)
-        except ValueError:
-            raise DimensionMismatch(
-                f"sampled function returned shape {values.shape}, which does not "
-                f"broadcast to the block's shape {block.shape}"
-            ) from None
-        if not np.isfinite(block).all():
-            raise EvalError("sampled function is not finite on the grid")
-    return samples
+    x.flags.writeable = False
+    return x
+
+
+def _sample_nodes(u: SpaceTimeFunction, grid: GridSpec, start: int, stop: int) -> np.ndarray:
+    """u at x_0, x_1..x_{M-1} and a_dagger on levels start..stop-1, in one call, as a fresh array.
+
+    The times are ``np.arange(start, stop)[:, None] * k``, the floats of ``grid.time_levels()``, and
+    the last node is a_dagger itself, not the rounded m_total * h (they can differ by an ulp).  A
+    value that does not broadcast to the block, or a TypeError raised by the call (as ``math.exp``
+    raises on an array), raises DimensionMismatch; see :func:`restrict`.
+    """
+    x = _node_row(grid)
+    try:
+        values = u(x, np.arange(start, stop)[:, None] * grid.k)
+    except TypeError as exc:
+        raise DimensionMismatch(
+            f"sampled function raised TypeError ({exc}); u(x, t) must broadcast "
+            "over a (levels, 1) time column t, so use np.exp(t), not math.exp(t)"
+        ) from exc
+    values = np.asarray(values, dtype=float)
+    block = np.empty((stop - start, x.shape[0]))
+    try:
+        np.copyto(block, values)
+    except ValueError:
+        raise DimensionMismatch(
+            f"sampled function returned shape {values.shape}, which does not "
+            f"broadcast to the block's shape {block.shape}"
+        ) from None
+    if not np.isfinite(block).all():
+        raise EvalError("sampled function is not finite on the grid")
+    return block
 
 
 def restrict(u: SpaceTimeFunction, grid: GridSpec) -> GridFunction:
-    """Sample u(x, t) on every node and level of a mesh numpy can index, one call per block of levels.
+    """Sample u(x, t) on every node and level of a mesh, one call per block of levels.
 
     u must broadcast over both arguments: each call passes the node row x of
     shape (M + 1,) and a time column t of shape (levels, 1), and the value
     must broadcast to (levels, M + 1).  So write ``np.exp(t)``, not
-    ``math.exp(t)``; either mistake raises DimensionMismatch.
+    ``math.exp(t)``; either mistake raises DimensionMismatch.  A march that
+    costs more than 2^36 node values is refused before anything is allocated.
     """
-    _history_shape(grid, 1)
-    return GridFunction(_sample_nodes(u, grid, 0, grid.n_steps + 1), grid)
+    levels = np.empty(_march_shape(grid))
+    for start in range(0, levels.shape[0], _BLOCK_ROWS):
+        levels[start : start + _BLOCK_ROWS] = _sample_nodes(u, grid, start, min(start + _BLOCK_ROWS, levels.shape[0]))
+    return GridFunction(levels, grid)
 
 
 def _phi_blocks(
     problem: ProblemSpec, grid: GridSpec, initial: InteriorVector
-) -> tuple[np.ndarray, Callable[[int, np.ndarray], None]]:
-    """apply_phi's block body, as a consumer fed an element one block of levels at a time, in ascending order.
+) -> Callable[[int, np.ndarray, np.ndarray], None]:
+    """apply_phi's block body, as a consumer ``consume(start, levels, target)`` fed in ascending order.
 
-    Returns ``(levels, consume)``.  Write the next block's levels into ``levels[:size]``, at most
-    ``_BLOCK_ROWS`` of them; ``consume(start, target)`` then forms the residual rows of levels
-    start..start + size - 1 in the ``size`` rows of ``target``.  It carries the block's last level and
-    its d(s1) over to the next block, so ``levels`` may be refilled as soon as it returns.  The mesh,
-    the initial data and psi1 and psi2 are checked here, before any level is fed, and qh is bound here.
+    ``consume`` copies ``levels``, the rows of levels start..start + size - 1 (at most ``_BLOCK_ROWS``),
+    into its own buffer, which carries the last level and its d(s1) over to the next block, then forms
+    their residual rows in ``target``, which may be ``levels`` itself.  The mesh, the initial data and
+    psi1 and psi2 are checked, and qh is bound, here, before any level is fed.
     """
     width = grid.m_total - 1
     _check_domain(problem, grid)
@@ -191,9 +195,10 @@ def _phi_blocks(
     multiply, isfinite = np.multiply, math.isfinite
     ndarray, float64, shape = np.ndarray, np.dtype(float), x.shape
 
-    def consume(start: int, target: np.ndarray) -> None:
-        size = target.shape[0]
+    def consume(start: int, levels: np.ndarray, target: np.ndarray) -> None:
+        size = levels.shape[0]
         block = nodes[: size + 1]
+        block[1:] = levels
         with np.errstate(invalid="ignore"):
             for j in range(size):
                 row = interior_rows[j]
@@ -244,7 +249,7 @@ def _phi_blocks(
         nodes[0] = block[-1]
         mortality[0] = mortality[size]
 
-    return nodes[1:], consume
+    return consume
 
 
 def apply_phi(
@@ -277,19 +282,16 @@ def apply_phi(
             _require_every_level(function)
             if function.grid != grid:
                 raise DimensionMismatch(f"{name} does not live on the supplied grid")
-    levels, consume = _phi_blocks(problem, grid, initial)
-    residual = np.empty_like(levels) if sink else None
+    consume = _phi_blocks(problem, grid, initial)
     for start in range(0, n_levels, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_levels)
-        block = levels[: stop - start]
-        if sampled:
-            _sample_nodes(v, grid, start, stop, block)
-        else:
-            block[:] = v.values[start:stop]
-        target = residual[: stop - start] if sink else out.values[start:stop]
-        consume(start, target)
+        levels = _sample_nodes(v, grid, start, stop) if sampled else v.values[start:stop]
+        # consume copies ``levels`` first, so a fresh sample can take its own residual rows
+        target = out.values[start:stop] if not sink else levels if sampled else np.empty_like(levels)
+        consume(start, levels, target)
         if sink:
             out(start, target)
+        del levels, target  # a sampled block is freed before the next one is sampled
     return out
 
 

@@ -81,6 +81,22 @@ def test_apply_phi_refuses_more_than_2_to_the_36_node_values_before_sampling():
     assert calls == []
 
 
+def test_restrict_refuses_a_march_that_apply_phi_refuses_before_allocating():
+    # 7e7 levels x 21 nodes fit numpy's index range (11 GiB), but cost more than 2^36 node values
+    problem, _ = builtin_problem("example1")
+    grid = build_grid(1.0, 7, 0.4, 7e4)
+    initial = InteriorVector(np.zeros(grid.m_total - 1), grid.h)
+
+    def sentinel(x, t):
+        raise AssertionError("a march too long to step was sampled")
+
+    with pytest.raises(InvalidParameter, match=r"at most 2\^36") as by_apply_phi:
+        apply_phi(sentinel, problem, grid, initial, out=lambda start, rows: None)
+    with pytest.raises(InvalidParameter) as by_restrict:
+        restrict(sentinel, grid)
+    assert str(by_restrict.value) == str(by_apply_phi.value)
+
+
 def three_call_restrict(u, grid):
     """Reference sampler: the interior row and each trace in a call of its own."""
     x = grid.interior_nodes()
@@ -758,6 +774,20 @@ def test_apply_phi_of_u_equals_apply_phi_of_its_restriction_bit_for_bit(problem_
     stored = apply_phi(restrict(exact, grid), problem, grid, initial)
     streamed = apply_phi(exact, problem, grid, initial)
     assert np.array_equal(streamed.values.view(np.int64), stored.values.view(np.int64))
+
+
+def test_apply_phi_of_u_builds_the_sampled_node_row_once_per_grid(monkeypatch):
+    # [0, x_1..x_{M-1}, a_dagger] is kept per grid, not rebuilt for each of the ten blocks
+    problem, exact = builtin_problem("example3")
+    grid = STREAM_GRIDS["mid-block"]
+    initial = initial_vector(problem, grid)
+    calls = []
+    interior_nodes = GridSpec.interior_nodes
+    monkeypatch.setattr(GridSpec, "interior_nodes", lambda self: calls.append(self) or interior_nodes(self))
+    apply_phi(exact, problem, grid, initial, out=lambda start, rows: None)
+    assert math.ceil((grid.n_steps + 1) / B) == 10
+    # the coefficients' nodes, and the sampled row unless an earlier call left it cached
+    assert 1 <= len(calls) <= 2
 
 
 @pytest.mark.parametrize("grid", STREAM_GRIDS.values(), ids=STREAM_GRIDS.keys())
