@@ -1,12 +1,14 @@
-"""Command line front end.
+"""Command line front end: parse the input, run a study of :mod:`agediff.harness`
+(which writes every table and slice) and map its errors to exit codes.
 
 Subcommands: ``run`` executes whatever study a config file asks for;
 ``convergence``, ``consistency`` and ``stability`` do the same but force the
-study type; ``examples`` runs a built-in problem with its conventional
-parameters; ``list`` shows the built-ins.  Exit codes: 0 on success, 1 for
-configuration problems or an output file that cannot be written, 2 when the
-mesh violates the stability bound or a step meets a negative update
-coefficient, 3 when the state blows up mid-run.
+study type; ``examples`` runs a built-in problem on the paper's base mesh,
+M' = 7 and r = 0.4 (a config file gives any other); ``list`` shows the
+built-ins.  Exit codes: 0 on success, 1 for configuration problems or an
+output file that cannot be written, 2 when the mesh violates the stability
+bound or a step meets a negative update coefficient, 3 when the state blows
+up mid-run.
 
 Config files are line-oriented ``key = value`` pairs with ``#`` comments.
 The optional section headers ``[problem]`` and ``[study]`` group the keys;
@@ -30,13 +32,13 @@ from typing import Any, Callable, NamedTuple, Optional
 from . import harness, model
 from .errors import AgediffError, ConfigError, NonFiniteState, ParseError, StabilityViolation
 from .exprdsl import ExprAst, parse_expr
-from .grid import GridSpec, build_grid
+from .grid import build_grid
 from .model import ProblemSpec, SpaceTimeFunction
-from .residual import _sample_nodes
-from .solver import run as run_solver
 
 _STUDIES = ("single", "convergence", "self_convergence", "consistency", "stability")
 
+# The paper's base mesh and conventional final times; a config file gives any other mesh.
+_EXAMPLE_M_PRIME, _EXAMPLE_R = 7, 0.4
 _EXAMPLE_T_FINAL = {"example1": 0.2, "example2": 0.8, "example3": 0.8}
 
 _CONVERGENCE_HEADER = ["h", "k", "M", "N", "err_inf", "err_l2", "err_xh", "order_inf", "order_l2", "order_xh"]
@@ -179,28 +181,11 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(problem_id=values.pop("problem"), expressions=expressions, **values)
 
 
-def _write_run_slice(
-    problem: ProblemSpec, u: Optional[SpaceTimeFunction], grid: GridSpec, output_dir: str, tag: str
-) -> str:
-    solution = run_solver(problem, grid, every=grid.n_steps)  # level 0 and the final one
-    path = f"{output_dir}/{tag}_slice_h{grid.h!r}.csv"
-    header, columns = ["x", "u_numeric"], [grid.nodes(), solution.values[-1]]
-    if u is not None:
-        # The final level only, sampled as restrict samples each block of levels.
-        u_exact = _sample_nodes(u, grid, grid.n_steps, grid.n_steps + 1)[0]
-        header += ["u_exact", "abs_err"]
-        columns += [u_exact, abs(columns[1] - u_exact)]
-    harness.write_csv(path, header, zip(*columns))
-    return path
-
-
 def _execute(
     config: RunConfig, problem: ProblemSpec, u: Optional[SpaceTimeFunction], perturbation_scale: float = 1.0
 ) -> int:
     tag = config.problem_id or "inline"
     base = build_grid(problem.a_dagger, config.m_prime, config.r, config.t_final)
-    written: list[str] = []
-    out = config.output_dir
 
     if config.study in ("convergence", "consistency") and u is None:
         raise ConfigError(
@@ -209,7 +194,7 @@ def _execute(
         )
 
     if config.study == "single":
-        written.append(_write_run_slice(problem, u, base, out, tag))
+        written = harness._write_slices(problem, u, base, 1, config.output_dir, tag)
     else:
         if config.study == "convergence":
             header = _CONVERGENCE_HEADER
@@ -224,12 +209,11 @@ def _execute(
             header = ["h", "ratio"]
             probe = harness.stability_probe(problem, base, config.levels, perturbation_scale)
             rows = [(row.h, "DegenerateRatio" if row.ratio is None else row.ratio) for row in probe]
-        path = f"{out}/{tag}_{config.study}.csv"
+        path = f"{config.output_dir}/{tag}_{config.study}.csv"
         harness.write_csv(path, header, rows)
-        written.append(path)
+        written = [path]
         if config.study in ("convergence", "self_convergence"):
-            for grid in harness._grid_ladder(base, config.levels):
-                written.append(_write_run_slice(problem, u, grid, out, tag))
+            written += harness._write_slices(problem, u, base, config.levels, config.output_dir, tag)
 
     for path in written:
         print(f"wrote {path}")
@@ -266,11 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scale", type=float, default=1.0, help="perturbation scale factor (default 1.0)"
     )
 
-    examples = sub.add_parser("examples", help="run a built-in problem with conventional parameters")
+    examples = sub.add_parser("examples", help="run a built-in problem on the paper's base mesh")
     examples.add_argument("id", help="built-in problem id (see 'agediff list')")
     examples.add_argument("--levels", type=int, default=_KEYS["levels"].default)
-    examples.add_argument("--m-prime", type=int, default=7)
-    examples.add_argument("--r", type=float, default=0.4)
     examples.add_argument("--t-final", type=float, default=None, help="defaults to the problem's conventional time")
     examples.add_argument("--output-dir", default=_KEYS["output_dir"].default)
 
@@ -292,8 +274,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 problem_id=args.id,
                 expressions=None,
                 a_dagger=_KEYS["a_dagger"].default,
-                m_prime=args.m_prime,
-                r=args.r,
+                m_prime=_EXAMPLE_M_PRIME,
+                r=_EXAMPLE_R,
                 t_final=_EXAMPLE_T_FINAL.get(args.id) if args.t_final is None else args.t_final,
                 study="convergence" if u is not None else "self_convergence",
                 levels=args.levels,

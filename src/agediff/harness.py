@@ -19,7 +19,9 @@ levels, which each coarser run is compared with a slice at a time.
 :func:`write_csv` is the one CSV writer: it writes a header and rows of
 cells atomically (temp file, then rename) and prints floats as shortest
 round-tripping decimals, so parsing a table back reproduces the in-memory
-values bit for bit and identical studies produce identical bytes.
+values bit for bit and identical studies produce identical bytes.  The
+command line writes its final-time slices through ``_write_slices``, which
+runs each rung once more and keeps only its last level.
 """
 
 from __future__ import annotations
@@ -279,8 +281,7 @@ def stability_probe(
             phi_of_solution(start, solution, solution)
             phi_of_perturbed(start, perturbed, perturbed)
             np.subtract(solution, perturbed, out=solution)
-            with np.errstate(over="ignore"):  # an overflowing gap has no ratio
-                gap_squares(start, solution)
+            gap_squares(start, solution)  # run calls flush under over="ignore": an overflowing gap has no ratio
 
         _stream_run(problem, grid, flush)
         numerator = perturbation_scale * grid.h
@@ -321,3 +322,19 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
         if os.path.exists(temp_path):
             os.unlink(temp_path)
         raise
+
+
+def _write_slices(
+    problem: ProblemSpec, u: Optional[SpaceTimeFunction], base: GridSpec, levels: int, directory: str, tag: str
+) -> list[str]:
+    """Run each rung again and write its final level at the nodes u is sampled on; returns the paths."""
+    paths = []
+    for grid in _grid_ladder(base, levels):
+        final = run(problem, grid, every=grid.n_steps).values[-1]  # level 0 and the final one
+        columns = {"x": _node_row(grid), "u_numeric": final}
+        if u is not None:
+            columns["u_exact"] = exact = _sample_nodes(u, grid, grid.n_steps, grid.n_steps + 1)[0]
+            columns["abs_err"] = abs(final - exact)
+        paths.append(f"{directory}/{tag}_slice_h{grid.h!r}.csv")
+        write_csv(paths[-1], list(columns), zip(*columns.values()))
+    return paths

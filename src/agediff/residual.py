@@ -52,9 +52,9 @@ error and its order are those of checking each array at once.  Fertility:
 every quadrature weight is nonzero, so a non-finite B makes the birth
 integral non-finite.  Mortality: the dot product of d with zeros is 0 when
 every d_i is finite and NaN otherwise, and it cannot overflow.  NaN and inf
-thus reach numpy before the error, so the per-level loop runs under
-``np.errstate(invalid="ignore")``, which also silences "invalid value"
-warnings inside the coefficient callables.
+thus reach numpy before the error, so the per-level loop and the coefficient
+callables it calls run under ``np.errstate(invalid="ignore", over="ignore")``,
+as in :func:`agediff.solver.run`.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def _phi_blocks(
         size = levels.shape[0]
         block = nodes[: size + 1]
         block[1:] = levels
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             for j in range(size):
                 row = interior_rows[j]
                 multiply(psi2, row, out=products)

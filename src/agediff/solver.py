@@ -69,9 +69,10 @@ integral.  In stepping order:
 5. The least update weight 1 - lam - 2r - k*d_i is NaN or negative: d
    (EvalError), else StabilityViolation.  NaN and +inf d land here.
 
-inf and NaN thus reach numpy before the error, so the loop runs under
-``np.errstate(invalid="ignore")``, which also silences "invalid value"
-warnings inside the coefficient callables while :func:`run` steps.
+inf and NaN thus reach numpy before the error, so the loop, with the
+coefficient callables and the observer it calls, runs under
+``np.errstate(invalid="ignore", over="ignore")``: a state that blows up
+raises NonFiniteState with no overflow warning (an error under -W error).
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def run(
     ndarray, float64, shape = np.ndarray, np.dtype(float), x.shape
 
     s1 = mortality = None  # the last step's, checked when the row it made is not finite
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for n in range(n_steps + 1):
             # Only a value that is not already a float64 array of x's shape goes
             # through _nodal_values, which converts it or raises DimensionMismatch.

@@ -358,10 +358,10 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys):
 def test_blowup_exits_with_code_3(tmp_path, capsys):
     text = "d = 0 - 1000000\nB = 0\nu0 = 1\nm_prime = 7\nr = 0.4\nt_final = 0.2\n"
     config = write_config(tmp_path, text)
-    with np.errstate(over="ignore"):
-        code = main(["run", "--config", config, "--output-dir", str(tmp_path / "out")])
-    assert code == 3
-    assert "non-finite" in capsys.readouterr().err
+    assert main(["run", "--config", config, "--output-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-finite" in err
 
 
 @pytest.mark.parametrize("slot", ["u0", "g", "psi1", "psi2"])
@@ -458,12 +458,22 @@ def test_examples_command_is_reproducible(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_examples_command_picks_the_self_study_without_an_exact(tmp_path):
+def test_examples_command_picks_the_self_study_without_an_exact(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(
         ["examples", "example2", "--levels", "3", "--t-final", "0.05", "--output-dir", str(out_dir)]
     ) == 0
     assert (out_dir / "example2_self_convergence.csv").exists()
+    # on the paper's base mesh, M' = 7 and r = 0.4: a config gives the same bytes, and any other mesh
+    examples_out = capsys.readouterr().out
+    text = "problem = example2\nm_prime = 7\nr = 0.4\nt_final = 0.05\nstudy = self_convergence\nlevels = 3\n"
+    config_dir = tmp_path / "config"
+    assert main(["run", "--config", write_config(tmp_path, text), "--output-dir", str(config_dir)]) == 0
+    assert examples_out.replace(str(out_dir), "DIR") == capsys.readouterr().out.replace(str(config_dir), "DIR")
+    names = sorted(os.listdir(out_dir))
+    assert len(names) == 4 and names == sorted(os.listdir(config_dir))
+    for name in names:
+        assert (out_dir / name).read_bytes() == (config_dir / name).read_bytes()
 
 
 @pytest.mark.parametrize("problem_id,t_final", [("example1", "0.2"), ("example3", "0.1")])
@@ -490,6 +500,29 @@ def test_slice_matches_a_fully_restricted_exact_solution(tmp_path, problem_id, t
     write_csv(str(reference), ["x", "u_numeric", "u_exact", "abs_err"], cells)
     written = out_dir / f"{problem_id}_slice_h{grid.h!r}.csv"
     assert written.read_bytes() == reference.read_bytes()
+
+
+def test_a_slice_prints_the_node_that_u_was_sampled_at(tmp_path):
+    # at M' = 46, m_total * h rounds to 0.9999999999999999, but u is sampled at a_dagger = 1.0
+    from agediff.grid import build_grid
+
+    config = write_config(tmp_path, "problem = example3\nm_prime = 46\nr = 0.4\nt_final = 0.001\n")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", config, "--output-dir", str(out_dir)]) == 0
+    grid = build_grid(1.0, 46, 0.4, 0.001)
+    assert grid.nodes()[-1] != 1.0
+    lines = (out_dir / f"example3_slice_h{grid.h!r}.csv").read_text().splitlines()
+    assert len(lines) == grid.m_total + 2
+    assert lines[-1].split(",")[0] == "1.0"
+
+
+@pytest.mark.parametrize("flag", ["--m-prime", "--r"])
+def test_examples_has_no_mesh_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["examples", "example1", flag, "7", "--output-dir", str(tmp_path / "out")])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 STUDY_CONFIG = """

@@ -453,6 +453,12 @@ def test_eval_refuses_a_hand_built_ast_too_deep_to_compile(shape):
                 format_expr(node)
 
 
+@pytest.mark.parametrize("node", ["x", BinOp("+", Num(1.0), "x")], ids=["root", "operand"])
+def test_format_refuses_what_is_not_an_expression_node(node):
+    with pytest.raises(TypeError, match="^not an expression node: 'x'$"):
+        format_expr(node)
+
+
 def test_the_deepest_alternating_expression_compiles():
     # right operands that need parentheses and calls, alternately: the
     # generated source nests one bracket per level

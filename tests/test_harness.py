@@ -251,8 +251,33 @@ def test_consistency_csv_format(tmp_path):
     assert lines[2] == "0.025,0.125,1.0"
 
 
+@pytest.mark.parametrize("problem_id", ["example1", "example2"])
+def test_write_slices_runs_each_rung_once_more_and_writes_its_final_level(tmp_path, monkeypatch, problem_id):
+    problem, exact = builtin_problem(problem_id)
+    base = build_grid(1.0, 7, 0.4, 0.05)
+    grids = harness._grid_ladder(base, 2)
+    calls = []
+
+    def counted_run(problem, grid, every=1, observe=None):
+        calls.append((grid, every, observe))
+        return run(problem, grid, every, observe)
+
+    monkeypatch.setattr(harness, "run", counted_run)
+    paths = harness._write_slices(problem, exact, base, 2, str(tmp_path), "tag")
+    assert calls == [(grid, grid.n_steps, None) for grid in grids]
+    assert paths == [f"{tmp_path}/tag_slice_h{grid.h!r}.csv" for grid in grids]
+    for grid, path in zip(grids, paths):
+        columns = {"x": residual._node_row(grid), "u_numeric": run(problem, grid).values[-1]}
+        if exact is not None:
+            columns["u_exact"] = exact(columns["x"], grid.t_final)
+            columns["abs_err"] = abs(columns["u_numeric"] - columns["u_exact"])
+        reference = tmp_path / "reference.csv"
+        write_csv(str(reference), list(columns), zip(*columns.values()))
+        assert open(path, "rb").read() == reference.read_bytes()
+
+
 def test_slice_csv_with_and_without_exact(tmp_path):
-    # the CLI writes a slice as its zipped node columns
+    # _write_slices writes a slice as its zipped node columns
     x = np.array([0.0, 0.5])
     numeric = np.array([1.0, 2.0])
     exact = np.array([1.0, 1.75])

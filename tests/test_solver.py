@@ -176,10 +176,38 @@ def test_run_refuses_tampered_grid_before_stepping():
 def test_blowup_raises_non_finite_state():
     problem = make_problem(mortality=lambda x, s: np.full_like(x, -1e6))
     grid = build_grid(1.0, 7, 0.4, 0.2)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteState) as excinfo:
+    with pytest.raises(NonFiniteState) as excinfo:
         run(problem, grid)
     assert excinfo.value.time_level is not None
     assert excinfo.value.time_level >= 1
+
+
+def test_an_overflowing_birth_integral_is_a_non_finite_state_at_level_0():
+    # B is finite, but B * U overflows the birth integral's products, so the Robin value is inf
+    problem = make_problem(initial=lambda x: np.full_like(x, 1e300), fertility=lambda x, s: np.full_like(x, 1e10))
+    grid = build_grid(1.0, 7, 0.4, 0.2)
+    with pytest.raises(NonFiniteState, match="left boundary value became non-finite at time level 0") as excinfo:
+        run(problem, grid)
+    assert excinfo.value.time_level == 0
+
+
+@pytest.mark.parametrize("slot", ["fertility", "mortality"])
+def test_a_coefficient_that_returns_a_list_gives_the_bits_of_an_array(slot):
+    problem, _ = builtin_problem("example3")
+    grid = build_grid(1.0, 7, 0.4, 0.2)
+    initial = InteriorVector(problem.initial(grid.interior_nodes()), grid.h)
+    coefficient = getattr(problem, slot)
+    listed = dataclasses.replace(problem, **{slot: lambda x, s: list(coefficient(x, s))})
+    solution = run(problem, grid)
+    assert run(listed, grid).values.tobytes() == solution.values.tobytes()
+    expected = apply_phi(solution, problem, grid, initial).values
+    assert apply_phi(solution, listed, grid, initial).values.tobytes() == expected.tobytes()
+    short = dataclasses.replace(problem, **{slot: lambda x, s: list(coefficient(x, s))[:-1]})
+    message = f"^{slot} returned shape \\({grid.m_total - 2},\\) for {grid.m_total - 1} nodes$"
+    with pytest.raises(DimensionMismatch, match=message):
+        run(short, grid)
+    with pytest.raises(DimensionMismatch, match=message):
+        apply_phi(solution, short, grid, initial)
 
 
 def test_non_finite_initial_profile():
@@ -522,11 +550,11 @@ def test_observer_exception_propagates_out_of_run():
 def test_non_finite_state_names_an_unrecorded_level():
     problem = make_problem(mortality=lambda x, s: np.full_like(x, -1e6))
     grid = build_grid(1.0, 7, 0.4, 0.2)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteState) as full:
+    with pytest.raises(NonFiniteState) as full:
         run(problem, grid)
     level = full.value.time_level
     every = next(e for e in (4, 8, 2, 5) if level % e)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteState) as strided:
+    with pytest.raises(NonFiniteState) as strided:
         run(problem, grid, every=every)
     assert strided.value.time_level == level
     assert str(strided.value) == str(full.value)
