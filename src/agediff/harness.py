@@ -82,7 +82,8 @@ def _grid_ladder(base: GridSpec, levels: int) -> list[GridSpec]:
 
 
 def _order(previous: float, current: float) -> Optional[float]:
-    if previous > 0.0 and current > 0.0:
+    """log2(previous / current); None unless both errors and their ratio are finite and positive."""
+    if 0.0 < previous < math.inf and 0.0 < current < math.inf and 0.0 < previous / current < math.inf:
         return math.log2(previous / current)
     return None
 
@@ -148,7 +149,9 @@ def _streamed_error(
         squares(start, np.subtract(reference(start, start + block.shape[0]), block, out=block))
 
     final = _stream_run(problem, grid, flush)
-    return float(np.max(np.abs(final))), l2_norm(InteriorVector(final[1:-1], grid.h)), squares.xh_norm()
+    with np.errstate(invalid="ignore", over="ignore"):  # as run's: an error that overflows reads inf
+        err_l2 = l2_norm(InteriorVector(final[1:-1], grid.h))
+    return float(np.max(np.abs(final))), err_l2, squares.xh_norm()
 
 
 def convergence_study(
@@ -285,8 +288,7 @@ def stability_probe(
 
         _stream_run(problem, grid, flush)
         numerator = perturbation_scale * grid.h
-        with np.errstate(over="ignore"):
-            denominator = gap_squares.yh_norm()
+        denominator = gap_squares.yh_norm()
         finite = 0.0 < denominator < math.inf and math.isfinite(numerator / denominator)
         rows.append(StabilityRow(h=grid.h, ratio=numerator / denominator if finite else None))
     return rows

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,11 +102,19 @@ def l2_norm(v: InteriorVector) -> float:
 
 
 def star_norm(trace: np.ndarray, k: float) -> float:
-    """Time-trace norm sqrt(sum_n k * z_n**2) over all stored levels."""
+    """Time-trace norm sqrt(k * sum_n z_n**2) over all stored levels, summed in level order."""
     trace = np.asarray(trace, dtype=float)
     if trace.ndim != 1:
         raise DimensionMismatch(f"trace must be one-dimensional, got shape {trace.shape}")
     k = float(k)
     if not (math.isfinite(k) and k > 0.0):
         raise InvalidParameter(f"k must be positive and finite, got {k!r}")
-    return math.sqrt(k * float(np.sum(trace * trace)))
+    return math.sqrt(k * _ordered_sum(trace * trace))
+
+
+def _ordered_sum(values: np.ndarray, total: float = 0.0) -> float:
+    """``total`` plus each value in turn, as Python floats.
+
+    Every sum over levels is taken here, so a sum fed in blocks of any size has the bits of one call.
+    """
+    return functools.reduce(operator.add, values.tolist(), total)

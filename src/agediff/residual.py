@@ -23,9 +23,11 @@ and for residuals
 with |.|_* the k-weighted time-trace norm and |.| the h-weighted l2 norm
 over interior nodes.  Both norms are summed as the levels arrive, a block
 at a time in ascending order, by ``_LevelSquares``: it keeps the level-0
-term, the largest interior term and three sums that replay the pairwise
-tree of ``np.sum`` (``_PairwiseSum``), so a norm has the bits of one
-whole-history expression in memory that does not grow with the levels.
+term, the largest interior term and three sums over levels.  Each of those
+adds its terms one at a time in level order, as Python floats, through the
+helper that :func:`~agediff.quadrature.star_norm` sums with, so a norm has
+the same bits in blocks of any size, in memory that does not grow with the
+levels.
 
 The residual is formed by a consumer, ``_phi_blocks``, fed one block of
 levels at a time in ascending order.  It checks psi1 and psi2 finite once and
@@ -68,7 +70,7 @@ import numpy as np
 from .errors import DimensionMismatch, EvalError
 from .grid import GridSpec
 from .model import ProblemSpec, SpaceTimeFunction
-from .quadrature import InteriorVector, qh
+from .quadrature import InteriorVector, _ordered_sum, qh
 from .solver import (
     GridFunction,
     _check_coefficient,
@@ -83,8 +85,6 @@ from .solver import (
 # every entry is computed exactly as in one whole-array expression.  With no
 # per-level array left, the blocks are the largest buffers of a study.
 _BLOCK_ROWS = 64
-# The longest run that numpy's pairwise float64 sum adds as one leaf.
-_PAIRWISE_LEAF = 128
 
 
 def _require_every_level(v: GridFunction) -> None:
@@ -295,52 +295,6 @@ def apply_phi(
     return out
 
 
-class _PairwiseSum:
-    """``np.sum`` of ``n`` float64 values fed in order, in blocks of any size, in one leaf and O(log n) partials.
-
-    numpy sums a contiguous float64 array pairwise (Higham, SIAM J. Sci. Comput., 1993): a run of
-    at most 128 values is one leaf, and a longer run of n values splits at n//2 - (n//2) % 8 into
-    two runs whose sums are added, left + right.  The tree depends on n alone, so each leaf is
-    summed by the same reduction as soon as it is full, and each sum is added to its left
-    sibling's as soon as both exist, in the tree's postorder.  ``np.sum`` adds a sum to 0.0,
-    which changes only the sign of a zero, so ``total`` has the bits of ``np.sum`` over all n
-    values (which of two NaNs a sum of NaNs returns aside).  It is None until all n have
-    arrived; feeding more raises ValueError.
-    """
-
-    def __init__(self, n: int):
-        self._remaining, self._filled, self.total = n, 0, None
-        self._pending: list[list] = []  # [size of a right run still to come, sum of its left sibling or None]
-        self._buffer = np.empty(min(n, _PAIRWISE_LEAF))
-        self._leaf = self._descend(n)
-
-    def _descend(self, n: int) -> int:
-        """Push the right runs on the way down to the first leaf of a run of n values, and return its size."""
-        while n > _PAIRWISE_LEAF:
-            half = n // 2 - (n // 2) % 8
-            self._pending.append([n - half, None])
-            n = half
-        return n
-
-    def __call__(self, values: np.ndarray) -> None:
-        if values.shape[0] > self._remaining:
-            raise ValueError(f"fed {values.shape[0]} values where {self._remaining} remain")
-        self._remaining -= values.shape[0]
-        while values.shape[0]:
-            take = min(self._leaf - self._filled, values.shape[0])
-            self._buffer[self._filled : self._filled + take] = values[:take]
-            self._filled, values = self._filled + take, values[take:]
-            if self._filled == self._leaf:
-                self._filled, total = 0, self._buffer[: self._leaf].sum()
-                while self._pending and self._pending[-1][1] is not None:
-                    total = self._pending.pop()[1] + total
-                if self._pending:
-                    self._pending[-1][1] = total
-                    self._leaf = self._descend(self._pending[-1][0])
-                else:
-                    self.total = total
-
-
 class _LevelSquares:
     """The X_h and Y_h norms of a grid function fed one block of levels at a time, as ``self(start, rows)``.
 
@@ -349,19 +303,18 @@ class _LevelSquares:
     Anything else raises ValueError, and so does a norm taken before every level has arrived.
     Each interior row's sum of squares is formed as in one whole-history expression.  Of those
     sums, the level-0 one and the largest (NaN if any is, as ``np.max`` takes it) are kept; h
-    times each later one, and the squares of both traces, go to three :class:`_PairwiseSum`,
-    which replay the tree of ``np.sum`` over the whole column.  So either norm has the bits of
-    the whole-history expression, whatever the blocks, and the memory does not grow with the
-    levels.
+    times each later one, and the squares of both traces, are added in level order to three
+    running sums by ``_ordered_sum``.  So either norm has the same bits whatever the blocks, and
+    the memory does not grow with the levels.
     """
 
     def __init__(self, grid: GridSpec):
         levels = _march_shape(grid)[0]
         self.grid, self._levels, self._next = grid, levels, 0
-        self._left, self._right, self._later = _PairwiseSum(levels), _PairwiseSum(levels), _PairwiseSum(levels - 1)
+        self._left = self._right = self._later = 0.0
         rows = min(_BLOCK_ROWS, levels)
         self._squares = np.empty((rows, grid.m_total - 1))  # laid out as ``rows * rows``
-        self._sums, self._terms = np.empty((2, rows))
+        self._sums = np.empty(rows)
 
     def __call__(self, start: int, rows: np.ndarray) -> None:
         size = rows.shape[0]
@@ -376,14 +329,14 @@ class _LevelSquares:
         sums = square.sum(axis=1, out=self._sums[:size])
         peak = sums.max()
         if start == 0:
-            self._first, self._peak = sums[0], peak
+            self._first, self._peak = float(sums[0]), peak
         else:
             self._peak = np.maximum(self._peak, peak)
-        terms = self._terms[:size]
-        for total, column in ((self._left, rows[:, 0]), (self._right, rows[:, -1])):
-            total(np.multiply(column, column, out=terms))
-        first = 1 if start == 0 else 0
-        self._later(np.multiply(self.grid.h, sums[first:], out=terms[first:]))
+        left, right = rows[:, 0], rows[:, -1]
+        self._left = _ordered_sum(left * left, self._left)
+        self._right = _ordered_sum(right * right, self._right)
+        later = sums[1:] if start == 0 else sums  # level 0 enters the Y_h norm as the initial row
+        self._later = _ordered_sum(self.grid.h * later, self._later)
 
     @classmethod
     def of(cls, v: GridFunction) -> "_LevelSquares":
@@ -393,23 +346,21 @@ class _LevelSquares:
             squares(start, v.values[start : start + _BLOCK_ROWS])
         return squares
 
-    def _trace_norm(self, total: _PairwiseSum) -> float:
-        # quadrature.star_norm's expression, on the streamed sum of the squared trace
+    def _mesh(self) -> tuple[float, float]:
+        """h and k, once every level has arrived."""
         if self._next != self._levels:
             raise ValueError(f"a norm was taken after {self._next} of {self._levels} levels")
-        return math.sqrt(self.grid.k * float(total.total))
+        return self.grid.h, self.grid.k
 
     def xh_norm(self) -> float:
-        # sqrt and the product with h round monotonically, so the largest sum gives max_n sqrt(h * sums[n])
-        h, traces = self.grid.h, self._trace_norm(self._left) + self._trace_norm(self._right)
-        return h * traces + math.sqrt(h * float(self._peak))
+        # quadrature.star_norm's expression for each trace; sqrt and the product with h round
+        # monotonically, so the largest sum gives max_n sqrt(h * sums[n])
+        h, k = self._mesh()
+        return h * (math.sqrt(k * self._left) + math.sqrt(k * self._right)) + math.sqrt(h * float(self._peak))
 
     def yh_norm(self) -> float:
-        h, k = self.grid.h, self.grid.k
-        left_sq, right_sq = self._trace_norm(self._left) ** 2, self._trace_norm(self._right) ** 2
-        initial_sq = math.sqrt(h * float(self._first)) ** 2  # the initial row's l2_norm, squared
-        later_sq = k * float(self._later.total)
-        return float(np.sqrt(left_sq + initial_sq + h * right_sq + later_sq))
+        h, k = self._mesh()
+        return math.sqrt(k * self._left + h * self._first + h * (k * self._right) + k * self._later)
 
 
 def xh_norm(v: GridFunction) -> float:

@@ -364,6 +364,20 @@ def test_blowup_exits_with_code_3(tmp_path, capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("birth", ["2e3", "1400"])
+def test_a_self_convergence_error_that_overflows_reads_inf_with_no_order(tmp_path, birth):
+    # the runs stay finite, but the final error row's l2 norm overflows (both rows at B = 2e3,
+    # the finer one at B = 1400); an order beside an inf is an empty cell, not nan or a crash
+    text = f"d = 1\nB = {birth}\nu0 = 1\nm_prime = 7\nr = 0.4\nt_final = 0.2\nlevels = 3\nstudy = self_convergence\n"
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, text), "--output-dir", str(out_dir)]) == 0
+    header, *rows = [line.split(",") for line in (out_dir / "inline_self_convergence.csv").read_text().splitlines()]
+    cell = {name: index for index, name in enumerate(header)}
+    assert rows[-1][cell["err_l2"]] == rows[-1][cell["err_xh"]] == "inf"
+    assert all(row[cell["order_l2"]] == row[cell["order_xh"]] == "" for row in rows)
+    assert float(rows[-1][cell["order_inf"]]) < 0.0
+
+
 @pytest.mark.parametrize("slot", ["u0", "g", "psi1", "psi2"])
 def test_nan_expression_is_a_configuration_error(tmp_path, capsys, slot):
     # d and B read no s, so a NaN weighted population would not reach the state

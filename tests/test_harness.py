@@ -72,6 +72,23 @@ def test_zero_solution_yields_zero_errors_and_no_orders():
         assert row.order_inf is None and row.order_l2 is None and row.order_xh is None
 
 
+@pytest.mark.parametrize(
+    "previous,current",
+    [
+        (1.0, math.inf), (math.inf, 1.0), (math.inf, math.inf), (math.nan, 1.0), (1.0, 0.0), (-1.0, -2.0),
+        (1e-300, 1e300), (1e300, 1e-300),
+    ],
+)
+def test_an_order_of_errors_that_are_not_finite_and_positive_is_none(previous, current):
+    # the last two pairs' ratios underflow to 0.0, whose log2 is a domain error, and overflow to inf
+    assert harness._order(previous, current) is None
+
+
+def test_an_order_is_log2_of_the_ratio_of_the_errors():
+    assert harness._order(4.0, 1.0) == 2.0
+    assert harness._order(1e300, 1e-5) == math.log2(1e305)
+
+
 @pytest.mark.parametrize("levels", [0, -1, 2.0, True, False])
 def test_ladder_rejects_bad_level_counts(levels):
     problem, exact = builtin_problem("example1")

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import operator
 import re
 import tracemalloc
 
@@ -8,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agediff import residual
+from agediff import quadrature, residual
 from agediff.errors import DimensionMismatch, EvalError, InvalidParameter, NonFiniteState
 from agediff.grid import GridSpec, build_grid, refine
 from agediff.harness import consistency_study
 from agediff.model import builtin_problem, problem_from_expressions
-from agediff.quadrature import InteriorVector, l2_norm, qh, star_norm
+from agediff.quadrature import InteriorVector, qh, star_norm
 from agediff.residual import apply_phi, element_from_solution, restrict, xh_norm, yh_norm
 from agediff.solver import GridFunction, run
 
@@ -324,21 +326,29 @@ def whole_history_apply_phi(v, problem, grid, initial):
     return left, rows, right
 
 
+def in_order_sum(values):
+    """The float sum of ``values`` one at a time, in order, the oracle for every sum over levels.
+
+    Not the builtin ``sum``, which adds floats with compensation from Python 3.12 on.
+    """
+    return functools.reduce(operator.add, np.asarray(values, dtype=float).tolist(), 0.0)
+
+
 def whole_history_xh_norm(v):
     h, k = v.grid.h, v.grid.k
     row_norms = np.sqrt(h * np.sum(v.interior * v.interior, axis=1))
-    return h * (star_norm(v.left_trace, k) + star_norm(v.right_trace, k)) + float(
-        np.max(row_norms)
-    )
+    left, right = v.left_trace, v.right_trace
+    traces = math.sqrt(k * in_order_sum(left * left)) + math.sqrt(k * in_order_sum(right * right))
+    return h * traces + float(np.max(row_norms))
 
 
 def whole_history_yh_norm(p):
     h, k = p.grid.h, p.grid.k
-    initial_sq = l2_norm(InteriorVector(p.interior[0], h)) ** 2
-    later_sq = k * float(np.sum(h * np.sum(p.interior[1:] * p.interior[1:], axis=1)))
-    left_sq = star_norm(p.left_trace, k) ** 2
-    right_sq = star_norm(p.right_trace, k) ** 2
-    return float(np.sqrt(left_sq + initial_sq + h * right_sq + later_sq))
+    row_sums = np.sum(p.interior * p.interior, axis=1)
+    left, right = p.left_trace, p.right_trace
+    left_sq, right_sq = k * in_order_sum(left * left), k * in_order_sum(right * right)
+    initial_sq, later_sq = h * float(row_sums[0]), k * in_order_sum(h * row_sums[1:])
+    return math.sqrt(left_sq + initial_sq + h * right_sq + later_sq)
 
 
 def restricted_example3():
@@ -387,7 +397,6 @@ def test_blocked_residual_and_norms_are_bit_identical(monkeypatch, case, block):
 
 
 def test_norms_of_random_elements_are_the_whole_history_expressions_bit_for_bit():
-    # the initial row enters as its l2_norm squared, which is not always h * sum of squares
     grid = build_grid(1.0, 7, 0.4, 0.05)
     for seed in range(20):
         element = random_element(np.random.default_rng(seed), grid)
@@ -395,37 +404,18 @@ def test_norms_of_random_elements_are_the_whole_history_expressions_bit_for_bit(
         assert yh_norm(element) == whole_history_yh_norm(element)
 
 
-# the level counts of a ladder from M' = 7 at t = 0.8: 801 levels at M = 20 up to 819 201 at M = 640
-LADDER_LENGTHS = [801, 3201, 12801, 51201, 819201]
-
-
-def streamed_sum(values, cuts):
-    """``_PairwiseSum`` of ``values`` fed in the blocks that the sorted ``cuts`` mark."""
-    total = residual._PairwiseSum(values.shape[0])
-    edges = [0, *sorted(cuts), values.shape[0]]
-    for start, stop in zip(edges, edges[1:]):
-        total(values[start:stop])
-    return total.total
-
-
 def same_bits(a, b):
     """The same float64 bits, or both NaN.
 
     Which NaN a sum of two NaNs returns depends on the operand order that the compiled
-    addition chose, which differs between numpy's sum and a scalar addition; any NaN
-    prints as nan.
+    addition chose; any NaN prints as nan.
     """
     a, b = np.float64(a), np.float64(b)
     return (math.isnan(a) and math.isnan(b)) or a.view(np.int64) == b.view(np.int64)
 
 
-def test_the_streamed_sum_is_np_sum_bit_for_bit_at_every_length():
-    rng = np.random.default_rng(33)
-    for n in [*range(1, 601), *LADDER_LENGTHS]:
-        # magnitudes over ten decades, so that the order of the additions shows in the bits
-        values = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
-        cuts = rng.integers(0, n + 1, rng.integers(0, 20))
-        assert same_bits(streamed_sum(values, cuts), np.sum(values)), n
+# the level counts of a ladder from M' = 7 at t = 0.8: 801 levels at M = 20 up to 819 201 at M = 640
+LADDER_LENGTHS = [801, 3201, 12801, 51201, 819201]
 
 
 @settings(max_examples=300, deadline=None)
@@ -438,26 +428,18 @@ def test_the_streamed_sum_is_np_sum_bit_for_bit_at_every_length():
     ),
     cuts=st.lists(st.integers(0, 2**40), max_size=30),
 )
-def test_the_streamed_sum_is_np_sum_bit_for_bit_in_any_blocks(n, seed, specials, cuts):
-    # zeros, infinities, NaN, and entries whose sum overflows, at any place and in blocks of any size
-    values = np.random.default_rng(seed).standard_normal(n)
+def test_the_ordered_sum_in_any_blocks_is_the_in_order_sum_bit_for_bit(n, seed, specials, cuts):
+    # magnitudes over ten decades, so that the order of the additions shows in the bits; zeros,
+    # infinities, NaN and entries whose sum overflows, at any place and in blocks of any size
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
     for place, value in specials:
         values[place % n] = value
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = np.sum(values)
-        got = streamed_sum(values, [cut % (n + 1) for cut in cuts])
-    assert same_bits(got, expected)
-
-
-def test_the_streamed_sum_refuses_values_past_its_length():
-    total = residual._PairwiseSum(200)
-    total(np.ones(150))
-    with pytest.raises(ValueError, match="fed 51 values where 50 remain"):
-        total(np.ones(51))
-    total(np.ones(50))
-    assert total.total == 200.0
-    with pytest.raises(ValueError, match="fed 1 values where 0 remain"):
-        total(np.ones(1))
+    edges = [0, *sorted(cut % (n + 1) for cut in cuts), n]
+    total = 0.0
+    for start, stop in zip(edges, edges[1:]):
+        total = quadrature._ordered_sum(values[start:stop], total)
+    assert same_bits(total, in_order_sum(values))
 
 
 @pytest.mark.parametrize("n_levels", [B - 1, B, 2 * B + 1, 12801])
