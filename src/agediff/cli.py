@@ -6,9 +6,9 @@ Subcommands: ``run`` executes whatever study a config file asks for;
 study type; ``examples`` runs a built-in problem on the paper's base mesh,
 M' = 7 and r = 0.4 (a config file gives any other); ``list`` shows the
 built-ins.  Exit codes: 0 on success, 1 for configuration problems or an
-output file that cannot be written, 2 when the mesh violates the stability
-bound or a step meets a negative update coefficient, 3 when the state blows
-up mid-run.
+output or temporary file that cannot be written, 2 when the mesh violates
+the stability bound or a step meets a negative update coefficient, 3 when
+the state blows up mid-run.
 
 Config files are line-oriented ``key = value`` pairs with ``#`` comments.
 The optional section headers ``[problem]`` and ``[study]`` group the keys;
@@ -306,8 +306,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        # config reads raise ConfigError, so this is a failed CSV write
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # config reads raise ConfigError, so this is a failed CSV write or a temporary file of
+        # self-convergence that cannot be made, written or read back (its directory gone or full)
+        print(f"error: cannot write output or a temporary file: {exc}", file=sys.stderr)
         return 1
 
 

@@ -12,9 +12,12 @@ per-level terms, so ``_stream_run`` re-blocks each run's ``observe=`` rows
 into ascending blocks of ``residual._BLOCK_ROWS`` levels, read through the
 module; each block, with the same levels of any function of (x, t) sampled
 then, feeds ``residual._LevelSquares``, which sums the terms as they arrive
-and keeps no per-level array.  Self-convergence alone keeps one array the
-size of a history: the finest run at the second-finest rung's nodes and
-levels, which each coarser run is compared with a slice at a time.
+and keeps no per-level array.  Self-convergence compares each coarser run
+with the finest one, which runs first: its rows at each coarser rung's nodes
+and levels go, a block of ``residual._BLOCK_ROWS`` levels at a time, to an
+unnamed temporary file per rung (in ``tempfile.gettempdir()``, which
+``TMPDIR`` sets), and each coarser run reads its own file back in order, one
+block at a time.
 
 :func:`write_csv` is the one CSV writer: it writes a header and rows of
 cells atomically (temp file, then rename) and prints floats as shortest
@@ -26,8 +29,10 @@ runs each rung once more and keeps only its last level.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
@@ -40,7 +45,7 @@ from .model import ProblemSpec, SpaceTimeFunction
 from .quadrature import InteriorVector, l2_norm
 from . import residual
 from .residual import _LevelSquares, _node_row, _phi_blocks, _sample_nodes, apply_phi
-from .solver import _check_domain, _history_shape, _initial_row, _march_shape, run
+from .solver import _check_domain, _initial_row, _march_shape, run
 
 
 @dataclass(frozen=True)
@@ -114,24 +119,35 @@ def _attach_orders(
     ]
 
 
-def _stream_run(problem: ProblemSpec, grid: GridSpec, flush: Callable[[int, np.ndarray], None]) -> np.ndarray:
-    """Run ``problem`` on ``grid``, giving ``flush(start, block)`` its levels in ascending blocks.
+def _reblock(
+    grid: GridSpec, flush: Callable[[int, np.ndarray], None], node_stride: int = 1
+) -> tuple[Callable[[int, np.ndarray], None], np.ndarray]:
+    """``(observe, block)``: ``observe(n, row)`` hands ``grid``'s levels to ``flush(start, rows)`` in ascending blocks.
 
-    Blocks hold ``residual._BLOCK_ROWS`` levels (the last may hold fewer), re-blocked from ``run``'s
-    rows into one buffer that is refilled once ``flush`` returns, so ``flush`` may write over it.
-    Returns the last level's row as the last ``flush`` left it.
+    ``observe`` takes levels 0..n_steps in order, each a row whose every ``node_stride``-th node is one
+    of ``grid``'s, and copies those nodes into ``block``, one buffer of ``residual._BLOCK_ROWS`` levels
+    that is refilled once ``flush`` returns, so ``flush`` may write over it; the last block may hold fewer.
     """
     rows, last = residual._BLOCK_ROWS, grid.n_steps
     block = np.empty((min(rows, last + 1), grid.m_total + 1))
 
     def observe(n: int, row: np.ndarray) -> None:
         j = n % rows
-        block[j] = row
+        block[j] = row[::node_stride]
         if j == rows - 1 or n == last:
             flush(n - j, block[: j + 1])
 
-    run(problem, grid, every=last, observe=observe)
-    return block[last % rows]
+    return observe, block
+
+
+def _stream_run(problem: ProblemSpec, grid: GridSpec, flush: Callable[[int, np.ndarray], None]) -> np.ndarray:
+    """Run ``problem`` on ``grid``, handing its levels to ``flush(start, rows)`` in ``_reblock``'s blocks.
+
+    Returns the last level's row as the last ``flush`` left it.
+    """
+    observe, block = _reblock(grid, flush)
+    run(problem, grid, every=grid.n_steps, observe=observe)
+    return block[grid.n_steps % residual._BLOCK_ROWS]
 
 
 def _streamed_error(
@@ -140,8 +156,9 @@ def _streamed_error(
     """err_inf and err_l2 at the final level and err_xh of ``reference - run`` on ``grid``.
 
     ``reference(start, stop)`` gives levels start..stop-1 of the reference (u sampled by ``_sample_nodes``,
-    or a slice of self-convergence's kept array).  Each streamed block of the run is overwritten by the
-    reference's block minus it and fed to the X_h norm's sums; the sign changes no norm's bits.
+    or a block read back from self-convergence's temporary file).  Each streamed block of the run is
+    overwritten by the reference's block minus it and fed to the X_h norm's sums; the sign changes no
+    norm's bits.
     """
     squares = _LevelSquares(grid)  # refuses what run would, before allocating
 
@@ -162,38 +179,70 @@ def convergence_study(
     return _attach_orders(grids, [_streamed_error(problem, grid, partial(_sample_nodes, u, grid)) for grid in grids])
 
 
+def _reference_file(
+    grid: GridSpec, node_stride: int, stream
+) -> tuple[Callable[[int, np.ndarray], None], Callable[[int, int], np.ndarray]]:
+    """``(write, reference)``: a finer run's rows at ``grid``'s nodes and levels, kept in ``stream``.
+
+    ``write(level, row)`` is ``_reblock``'s observer, whose blocks are written to ``stream``.
+    ``reference`` reads levels start..stop-1, at most one block, back into that same buffer, valid
+    until its next call; a short read raises OSError.
+    """
+    write, block = _reblock(grid, lambda start, rows: stream.write(rows), node_stride)
+    row_bytes = block.itemsize * block.shape[1]
+
+    def reference(start: int, stop: int) -> np.ndarray:
+        out = block[: stop - start]
+        stream.seek(start * row_bytes)
+        read = stream.readinto(out)
+        if read != out.nbytes:
+            raise OSError(
+                f"temporary file of the h = {grid.h!r} reference ended: levels {start}..{stop - 1}"
+                f" are {out.nbytes} bytes, {read} were read"
+            )
+        return out
+
+    return write, reference
+
+
 def self_convergence_study(
     problem: ProblemSpec, base: GridSpec, levels: int
 ) -> list[ConvergenceRow]:
     """Errors of each coarser run against the finest run of the ladder.
 
     Needs at least three levels so that at least two error rows exist and
-    one order can be formed.  The finest rung runs first and keeps its
-    values at the second-finest rung's nodes and levels, which hold every
-    coarser rung's too; a ladder whose finest rung is too long to step is
-    refused before that array is allocated.  Each coarser rung, coarsest
-    first, is then streamed against it, so the study holds one array the
-    size of the second-finest rung's history.
+    one order can be formed.  The finest rung runs first; a ladder whose
+    finest rung is too long to step is refused before any file is opened.
+    Its observer copies the rows at each coarser rung's nodes and levels
+    into that rung's block of levels and writes each full block, and the
+    last, to the rung's unnamed temporary file.  Each coarser rung, coarsest
+    first, is then streamed against its file, read back a block at a time,
+    so the study holds a few blocks per rung and the files hold the coarser
+    rungs' histories.  Every file is closed when the study returns or raises.
     """
     if not (isinstance(levels, int) and levels >= 3):
         raise InvalidParameter(f"self-convergence needs levels >= 3, got {levels!r}")
     grids = _grid_ladder(base, levels)
-    finest, second = grids[-1], grids[-2]
-    _march_shape(finest)  # before ``kept`` is allocated
-    kept = np.empty(_history_shape(second, 1))
-    level_stride, node_stride = finest.n_steps // second.n_steps, finest.m_total // second.m_total
+    finest, coarser = grids[-1], grids[:-1]
+    _march_shape(finest)  # before any file is opened
+    with contextlib.ExitStack() as files:
+        references = [
+            _reference_file(grid, finest.m_total // grid.m_total, files.enter_context(tempfile.TemporaryFile()))
+            for grid in coarser
+        ]
+        # second-finest rung first: a level off one rung is off every coarser one
+        writes = [(finest.n_steps // grid.n_steps, write) for grid, (write, _) in zip(coarser, references)][::-1]
 
-    def keep(n: int, row: np.ndarray) -> None:
-        level, offset = divmod(n, level_stride)
-        if not offset:
-            kept[level] = row[::node_stride]
+        def keep(n: int, row: np.ndarray) -> None:
+            for level_stride, write in writes:
+                level, offset = divmod(n, level_stride)
+                if offset:
+                    return
+                write(level, row)
 
-    run(problem, finest, every=finest.n_steps, observe=keep)
-    triples = []
-    for grid in grids[:-1]:
-        view = kept[:: second.n_steps // grid.n_steps, :: second.m_total // grid.m_total]
-        triples.append(_streamed_error(problem, grid, lambda start, stop: view[start:stop]))
-    return _attach_orders(grids[:-1], triples)
+        run(problem, finest, every=finest.n_steps, observe=keep)
+        triples = [_streamed_error(problem, grid, reference) for grid, (_, reference) in zip(coarser, references)]
+    return _attach_orders(coarser, triples)
 
 
 def consistency_study(

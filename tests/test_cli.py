@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import agediff
-from agediff import cli, exprdsl, harness
+from agediff import cli, exprdsl, harness, solver
 from agediff.cli import RunConfig, _load_config, main, parse_config
 from agediff.errors import ConfigError
 from agediff.exprdsl import parse_expr
@@ -285,8 +286,12 @@ def test_unallocatable_step_count_is_a_configuration_error(tmp_path, capsys):
 
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     # every study is bounded before it allocates, so numpy refusing an allocation is forced
-    # here: self-convergence's kept array is made to ask for 8 PiB
-    monkeypatch.setattr(harness, "_history_shape", lambda grid, every: (2**30, 2**20))
+    # here: the levels that run keeps (every=n_steps on every study's path) are made to ask for
+    # 8 PiB, while its every-level cost check still sees the real shape
+    history_shape = solver._history_shape
+    monkeypatch.setattr(
+        solver, "_history_shape", lambda grid, every: history_shape(grid, every) if every == 1 else (2**30, 2**20)
+    )
     out_dir = tmp_path / "out"
     assert main(["examples", "example2", "--levels", "3", "--output-dir", str(out_dir)]) == 1
     captured = capsys.readouterr()
@@ -350,9 +355,23 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys):
     assert main(["examples", "example1", "--levels", "1", "--output-dir", str(blocker / "sub")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: cannot write output:")
+    assert captured.err.startswith("error: cannot write output or a temporary file:")
     assert captured.err.count("\n") == 1
     assert blocker.read_text() == "not a directory\n"
+
+
+def test_a_temporary_file_that_cannot_be_made_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # self-convergence writes its reference rows to temporary files in tempfile's directory
+    missing = tmp_path / "missing"
+    monkeypatch.setattr(tempfile, "tempdir", str(missing))
+    out_dir = tmp_path / "out"
+    assert main(["examples", "example2", "--levels", "3", "--output-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output or a temporary file: ")
+    assert str(missing) in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out_dir.exists() and not missing.exists()
 
 
 def test_blowup_exits_with_code_3(tmp_path, capsys):

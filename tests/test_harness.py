@@ -1,11 +1,13 @@
 import csv
 import dataclasses
+import io
 import math
 import os
 import re
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -464,15 +466,15 @@ def history_bytes(base, levels, rung=-1):
     return (grid.n_steps + 1) * (grid.m_total + 1) * 8
 
 
-def test_self_convergence_memory_stays_near_the_second_finest_history():
-    # the finest rung keeps its values at the second-finest rung's nodes and levels, and each
-    # coarser rung streams against them (1.02x; 1.07x with three floats per level); keeping every
-    # coarser rung's history and streaming the finest against them measured 1.20x, of which the
-    # histories are 1.14x
+def test_self_convergence_memory_stays_far_below_the_second_finest_history():
+    # the finest rung writes its rows at each coarser rung's nodes and levels to that rung's
+    # temporary file a block at a time, and each coarser rung reads its own back a block at a
+    # time, so the study holds a few blocks per rung (0.031x); keeping the finest run at the
+    # second-finest rung's nodes and levels in one array measured 1.02x
     problem, _ = builtin_problem("example2")
     base = build_grid(1.0, 7, 0.4, 0.2)
     peak = traced_peak(self_convergence_study, problem, base, 5)
-    assert peak <= 1.1 * history_bytes(base, 5, rung=-2)
+    assert peak <= 0.05 * history_bytes(base, 5, rung=-2)
 
 
 def test_convergence_memory_stays_far_below_one_history():
@@ -584,9 +586,19 @@ def test_every_study_gives_the_same_rows_in_blocks_of_any_size(monkeypatch, stud
     assert max(sizes) == min(rows, max(levels))
 
 
-def test_self_convergence_raises_the_coarsest_failing_rungs_error():
+@pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+def test_self_convergence_raises_the_coarsest_failing_rungs_error(monkeypatch):
     # the finest rung runs first and passes; of the two coarser rungs, both of whose update
-    # weights 1 - lam - 2r - k*d are negative, the coarsest runs next and its error is raised
+    # weights 1 - lam - 2r - k*d are negative, the coarsest runs next and its error is raised,
+    # with both rungs' temporary files closed (a file left open warns when it is collected)
+    files = []
+
+    def recorded(*args, **kwargs):
+        files.append(temporary_file(*args, **kwargs))
+        return files[-1]
+
+    temporary_file = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
     problem = dataclasses.replace(builtin_problem("example2")[0], mortality=lambda x, s: np.full_like(x, 1000.0))
     base = build_grid(1.0, 7, 0.4, 0.05)
     grids = harness._grid_ladder(base, 3)
@@ -594,11 +606,58 @@ def test_self_convergence_raises_the_coarsest_failing_rungs_error():
     assert margins[0] < margins[1] < 0.0 < margins[2]
     with pytest.raises(StabilityViolation, match=rf"= {re.escape(repr(margins[0]))} < 0"):
         self_convergence_study(problem, base, 3)
+    assert len(files) == 2 and all(file.closed for file in files)
 
 
-def test_self_convergence_refuses_a_ladder_too_long_to_step_before_allocating():
-    # the finest rung of this ladder would cost more than 2^36 node values; the second-finest
-    # rung's array (1.6e7 levels x 41 nodes, 5.2 GB) is never allocated
+def test_a_reference_file_is_written_and_read_one_block_at_a_time():
+    # every second node of a finer row is one of the grid's; each write and each read moves at
+    # most one block of levels, and the rows read back are the rows written, bit for bit
+    grid = build_grid(1.0, 7, 0.4, 0.2)
+    finer = np.random.default_rng(5).standard_normal((grid.n_steps + 1, 2 * grid.m_total + 1))
+    block_bytes = residual._BLOCK_ROWS * (grid.m_total + 1) * 8
+    writes, reads = [], []
+
+    class Recorded(io.BytesIO):
+        def write(self, data):
+            writes.append(memoryview(data).nbytes)
+            return super().write(data)
+
+        def readinto(self, buffer):
+            reads.append(memoryview(buffer).nbytes)
+            return super().readinto(buffer)
+
+    stream = Recorded()
+    write, reference = harness._reference_file(grid, 2, stream)
+    for level, row in enumerate(finer):
+        write(level, row)
+    starts = range(0, grid.n_steps + 1, residual._BLOCK_ROWS)
+    assert len(writes) == len(starts) and sum(writes) == finer[:, ::2].nbytes
+    for start in reversed(starts):
+        stop = min(start + residual._BLOCK_ROWS, grid.n_steps + 1)
+        assert reference(start, stop).tobytes() == finer[start:stop, ::2].tobytes()
+    assert len(reads) == len(starts) and max(writes + reads) == block_bytes
+
+
+def test_a_reference_file_that_ends_early_is_an_oserror():
+    grid = build_grid(1.0, 7, 0.4, 0.2)
+    stream = io.BytesIO()
+    write, reference = harness._reference_file(grid, 1, stream)
+    for level in range(grid.n_steps + 1):
+        write(level, np.full(grid.m_total + 1, float(level)))
+    stream.truncate((grid.n_steps + 1) * (grid.m_total + 1) * 8 - 1)  # one byte short of the last level
+    rows = residual._BLOCK_ROWS
+    assert reference(0, rows)[rows - 1, 0] == rows - 1
+    start = grid.n_steps // rows * rows
+    nbytes = (grid.n_steps + 1 - start) * (grid.m_total + 1) * 8
+    with pytest.raises(OSError, match=rf"levels {start}\.\.{grid.n_steps} are {nbytes} bytes, {nbytes - 1} were read"):
+        reference(start, grid.n_steps + 1)
+
+
+def test_self_convergence_refuses_a_ladder_too_long_to_step_before_allocating(monkeypatch):
+    # the finest rung of this ladder would cost more than 2^36 node values; no temporary file
+    # is opened for the coarser rungs (the second-finest holds 1.6e7 levels x 41 nodes, 5.2 GB)
+    # and no block is allocated
+    monkeypatch.setattr(tempfile, "TemporaryFile", None)
     problem, _ = builtin_problem("example2")
     base = build_grid(1.0, 7, 0.4, 4000.0)
     tracemalloc.start()
